@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,45 +22,62 @@ import numpy as np
 from .errors import EmptySampleSetError
 from .grid import TensorGrid, as_point, as_points
 
-# Fixed accumulation chunk, independent of thread count, so that results are
-# bit-identical for any level of parallelism (chunk partials merge in order).
+# Fixed chunk size, independent of thread count, so the scatter order (hence
+# every coefficient, bit for bit) does not depend on the level of parallelism.
 _CHUNK = 1 << 18
 
 _FLOAT_FMT = "%.17g"
 
 
-def _corner_weights(frac: np.ndarray, offsets: tuple[int, ...]) -> np.ndarray:
-    w = np.ones(frac.shape[0])
-    for n, o in enumerate(offsets):
-        w *= frac[:, n] if o else 1.0 - frac[:, n]
-    return w
-
-
-def _accumulate(grid: TensorGrid, pts: np.ndarray) -> np.ndarray:
-    """Per-node hat-weight sums for one chunk of in-domain samples."""
+def _locate(grid: TensorGrid, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat node index of each point's lowest bin corner and its fractions."""
     idx, frac = grid._locate_with_frac(pts)
-    shape = grid.node_shape
-    sums = np.zeros(grid.n_nodes)
+    return np.ravel_multi_index(tuple(idx.T), grid.node_shape), frac
+
+
+def _corners(grid: TensorGrid, base: np.ndarray, frac: np.ndarray):
+    """Yield ``(flat node index, hat weight)`` for each of the 2**dim bin corners.
+
+    Both are buffers reused for every corner (fresh per-corner arrays churn the
+    allocator), so consume them before asking for the next corner.
+    """
+    flat, w = np.empty_like(base), np.empty(base.shape[0])
     for offsets in itertools.product((0, 1), repeat=grid.dim):
-        flat = np.zeros(pts.shape[0], dtype=np.int64)
+        np.add(base, np.ravel_multi_index(offsets, grid.node_shape), out=flat)
+        w.fill(1.0)
         for n, o in enumerate(offsets):
-            flat = flat * shape[n] + (idx[:, n] + o)
-        sums += np.bincount(
-            flat, weights=_corner_weights(frac, offsets), minlength=grid.n_nodes
-        )
-    return sums
+            w *= frac[:, n] if o else 1.0 - frac[:, n]
+        yield flat, w
+
+
+def _located_chunks(grid: TensorGrid, pts: np.ndarray, threads: int):
+    """Yield ``_locate`` of each fixed ``_CHUNK`` of points, in chunk order.
+
+    With ``threads > 1`` a pool locates up to ``threads`` chunks ahead of the
+    consumer; results are still yielded in chunk order.
+    """
+    chunks = (pts[start : start + _CHUNK] for start in range(0, pts.shape[0], _CHUNK))
+    if threads <= 1:
+        yield from (_locate(grid, chunk) for chunk in chunks)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending = deque()
+        for chunk in chunks:
+            pending.append(pool.submit(_locate, grid, chunk))
+            if len(pending) == threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def _eval_points(grid: TensorGrid, coefficients: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Evaluate ``sum_j F_j * hat_j`` at in-domain points (m, dim)."""
-    idx, frac = grid._locate_with_frac(pts)
-    shape = grid.node_shape
     values = np.zeros(pts.shape[0])
-    for offsets in itertools.product((0, 1), repeat=grid.dim):
-        flat = np.zeros(pts.shape[0], dtype=np.int64)
-        for n, o in enumerate(offsets):
-            flat = flat * shape[n] + (idx[:, n] + o)
-        values += coefficients[flat] * _corner_weights(frac, offsets)
+    for start in range(0, pts.shape[0], _CHUNK):
+        out = values[start : start + _CHUNK]
+        for flat, w in _corners(grid, *_locate(grid, pts[start : start + _CHUNK])):
+            w *= coefficients[flat]
+            out += w
     return values
 
 
@@ -101,18 +119,17 @@ class PiecewiseLinearPdf:
         return float(self.coefficients @ self.grid.basis_integrals())
 
 
-def fit(
-    grid: TensorGrid, samples, *, threads: int = 1, compensated: bool = False
-) -> PiecewiseLinearPdf:
+def fit(grid: TensorGrid, samples, *, threads: int = 1) -> PiecewiseLinearPdf:
     """Fit the estimator to samples lying in the grid domain.
 
-    Samples outside the domain are an error, not silently dropped (dropping
-    would break the unit integral); re-grid explicitly if the support was
-    misjudged. ``threads`` partitions the samples into fixed-size chunks with
-    private accumulators merged in submission order, so the coefficients do
-    not depend on the thread count. ``compensated`` switches the merge of
-    chunk partials to Kahan summation, which matters only for extreme sample
-    counts (hundreds of millions and up).
+    Samples outside the domain, NaN and infinite coordinates included, are an
+    error, not silently dropped (dropping would break the unit integral);
+    re-grid explicitly if the support was misjudged. Fixed-size chunks of
+    samples scatter their corner weights into one node array in chunk order;
+    ``threads`` parallelizes point location of upcoming chunks while the
+    scatter stays in chunk order, so the coefficients are bit-identical for
+    every thread count. Memory is one ``n_nodes`` array plus a fixed
+    per-chunk working set.
 
     Raises
     ------
@@ -127,38 +144,18 @@ def fit(
         raise EmptySampleSetError("cannot fit a density to zero samples")
     grid.check_in_domain(pts, as_samples=True)
 
-    spans = [(start, min(start + _CHUNK, m)) for start in range(0, m, _CHUNK)]
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda s: _accumulate(grid, pts[s[0] : s[1]]), spans))
-    else:
-        parts = [_accumulate(grid, pts[start:stop]) for start, stop in spans]
-    sums = parts[0]
-    if compensated:
-        carry = np.zeros_like(sums)
-        for part in parts[1:]:
-            adjusted = part - carry
-            merged = sums + adjusted
-            carry = (merged - sums) - adjusted
-            sums = merged
-    else:
-        for part in parts[1:]:
-            sums += part
+    sums = np.zeros(grid.n_nodes)
+    for base, frac in _located_chunks(grid, pts, threads):
+        for flat, w in _corners(grid, base, frac):
+            np.add.at(sums, flat, w)
+        del base, frac  # release this chunk before the next one is located
 
-    coefficients = sums / (m * grid.basis_integrals())
-    return PiecewiseLinearPdf(grid, coefficients, m)
-
-
-def evaluate(pdf: PiecewiseLinearPdf, point) -> float:
-    return pdf.evaluate(point)
-
-
-def evaluate_batch(pdf: PiecewiseLinearPdf, points) -> np.ndarray:
-    return pdf.evaluate_batch(points)
-
-
-def integral(pdf: PiecewiseLinearPdf) -> float:
-    return pdf.integral()
+    # divide by M * C_j in place, C_j being the product of per-axis factors
+    sums /= m
+    nodes = sums.reshape(grid.node_shape)
+    for n, c in enumerate(grid._axis_hat_integrals()):
+        nodes /= c.reshape((-1,) + (1,) * (grid.dim - n - 1))
+    return PiecewiseLinearPdf(grid, sums, m)
 
 
 # -- serialization -----------------------------------------------------------

@@ -17,8 +17,9 @@ exact upper domain boundary is clamped into the last bin.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -84,6 +85,8 @@ class TensorGrid:
                 raise ValueError(f"axis {n}: need lower < upper, got [{a}, {b}]")
             if nd < 1:
                 raise ValueError(f"axis {n}: subdivision count must be >= 1, got {nd}")
+        if self.n_nodes > np.iinfo(np.intp).max:
+            raise ValueError(f"{self.n_nodes} nodes exceed the largest flat index")
 
     # -- derived shape data ------------------------------------------------
 
@@ -108,11 +111,11 @@ class TensorGrid:
 
     @cached_property
     def n_bins(self) -> int:
-        return int(np.prod(self.n_delta))
+        return math.prod(self.n_delta)
 
     @cached_property
     def n_nodes(self) -> int:
-        return int(np.prod(self.node_shape))
+        return math.prod(self.node_shape)
 
     @cached_property
     def volume(self) -> float:
@@ -173,10 +176,11 @@ class TensorGrid:
     def check_in_domain(self, pts: np.ndarray, *, as_samples: bool = False) -> None:
         """Raise on the first point outside the closed box domain.
 
-        Raises :class:`SampleOutOfDomainError` when ``as_samples`` is set
-        (fit input), :class:`OutOfDomainError` otherwise.
+        NaN and infinite coordinates are outside. Raises
+        :class:`SampleOutOfDomainError` when ``as_samples`` is set (fit input),
+        :class:`OutOfDomainError` otherwise.
         """
-        bad = (pts < self._lower) | (pts > self._upper)
+        bad = ~((pts >= self._lower) & (pts <= self._upper))
         if bad.any():
             index, axis = np.argwhere(bad)[0]
             value = float(pts[index, axis])
@@ -281,18 +285,16 @@ class TensorGrid:
             out *= d / 2.0 if i == 0 or i == nd else d
         return out
 
+    def _axis_hat_integrals(self) -> list[np.ndarray]:
+        """Per-axis 1-D hat integrals: ``delta``, halved at both end nodes."""
+        factors = [np.full(s, d) for s, d in zip(self.node_shape, self.deltas)]
+        for c in factors:
+            c[[0, -1]] *= 0.5
+        return factors
+
     def basis_integrals(self) -> np.ndarray:
         """Integrals of all hat functions, shape (n_nodes,), row-major order."""
-        factors = []
-        for n in range(self.dim):
-            c = np.full(self.node_shape[n], self.deltas[n])
-            c[0] *= 0.5
-            c[-1] *= 0.5
-            factors.append(c)
-        out = factors[0]
-        for c in factors[1:]:
-            out = np.multiply.outer(out, c)
-        return out.ravel()
+        return reduce(np.multiply.outer, self._axis_hat_integrals()).ravel()
 
     def bin_vertices(self, bin_index) -> list[MultiIndex]:
         """The 2**dim corner nodes of a bin, in lexicographic offset order."""

@@ -12,6 +12,7 @@ from binpdf import (
     KdeSpec,
     NonpositiveBandwidthError,
     OutOfDomainError,
+    SampleOutOfDomainError,
     TensorGrid,
     eval_histogram,
     eval_kde,
@@ -83,6 +84,12 @@ class TestHistogram:
         h = fit_histogram(grid, [0.5])
         with pytest.raises(OutOfDomainError):
             h.evaluate(1.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_is_rejected(self, value):
+        with pytest.raises(SampleOutOfDomainError) as err:
+            fit_histogram(TensorGrid((0.0,), (1.0,), (2,)), [0.25, value])
+        assert err.value.index == 1
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(64)

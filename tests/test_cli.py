@@ -95,6 +95,21 @@ class TestFit:
         assert stderr.startswith("error:")
         assert "row 1" in stderr
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_sample_is_data_error(self, tmp_path, capsys, value):
+        samples = tmp_path / "bad.csv"
+        samples.write_text(f"0.5,0.25\n{value},0.1\n0.75,0.5\n")
+        out = tmp_path / "p.csv"
+        code, stdout, stderr = run(
+            capsys, "fit", "--samples", str(samples), "--lower", "0,0",
+            "--upper", "1,1", "--n-delta", "4", "--out", str(out),
+        )
+        assert code == 1
+        assert stderr.startswith("error:")
+        assert "row 1" in stderr and "axis 0" in stderr
+        assert stdout == ""
+        assert not out.exists()
+
     def test_missing_bounds_is_usage_error(self, tmp_path, capsys):
         samples = tmp_path / "s.csv"
         samples.write_text("0.5\n")

@@ -1,5 +1,8 @@
 """Fit, evaluation, integral, and serialization of the piecewise-linear estimator."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -124,16 +127,23 @@ class TestFitProperties:
                 base.coefficients, fit(grid, samples, threads=threads).coefficients
             )
 
-    def test_compensated_merge_agrees(self):
+    def test_node_weight_sums_match_exact_per_node_sums(self):
+        # one in-order accumulator over several chunks: every node's weight
+        # sum agrees with a correctly rounded (fsum) sum of its hat weights
         rng = np.random.default_rng(30)
         grid = TensorGrid((0.0,), (1.0,), (16,))
         samples = rng.random(600_000)
-        plain = fit(grid, samples)
-        careful = fit(grid, samples, compensated=True)
-        np.testing.assert_allclose(
-            careful.coefficients, plain.coefficients, rtol=1e-12, atol=0
-        )
-        assert careful.integral() == pytest.approx(1.0, abs=1e-12)
+        pdf = fit(grid, samples)
+        scaled = samples * 16
+        idx = np.minimum(np.floor(scaled).astype(int), 15)
+        frac = scaled - idx
+        exact = [
+            math.fsum(np.concatenate([1.0 - frac[idx == j], frac[idx == j - 1]]))
+            for j in range(grid.n_nodes)
+        ]
+        node_weights = pdf.coefficients * grid.basis_integrals() * samples.size
+        np.testing.assert_allclose(node_weights, exact, rtol=1e-12, atol=0)
+        assert pdf.integral() == pytest.approx(1.0, abs=1e-12)
 
     def test_samples_exactly_on_upper_boundary(self):
         grid = TensorGrid((0.0,), (1.0,), (4,))
@@ -141,6 +151,75 @@ class TestFitProperties:
         # all mass lands on the last node, whose hat integrates to delta / 2
         assert pdf.coefficients[-1] == pytest.approx(1.0 / grid.basis_integral((4,)), rel=1e-15)
         assert pdf.integral() == pytest.approx(1.0, abs=1e-12)
+
+
+def bincount_fit(grid, samples):
+    """Oracle: one ``np.bincount`` over the concatenated corners of all samples.
+
+    Locates with ``floor`` against the edge values ``lower + i * delta`` and
+    builds every corner's flat index with ``np.ravel_multi_index``,
+    independently of the estimator's chunked scatter.
+    """
+    lower, delta = np.array(grid.lower), np.array(grid.deltas)
+    idx = np.floor((samples - lower) / delta).astype(np.int64)
+    idx = np.clip(idx, 0, np.array(grid.n_delta) - 1)
+    frac = (samples - (lower + idx * delta)) / delta
+    flats, weights = [], []
+    for offsets in np.ndindex(*(2,) * grid.dim):
+        corner = idx + np.array(offsets)
+        flats.append(np.ravel_multi_index(tuple(corner.T), grid.node_shape))
+        weights.append(np.prod(np.where(offsets, frac, 1.0 - frac), axis=1))
+    sums = np.bincount(
+        np.concatenate(flats), weights=np.concatenate(weights), minlength=grid.n_nodes
+    )
+    return sums / (samples.shape[0] * grid.basis_integrals())
+
+
+def traced_peak(func):
+    tracemalloc.start()
+    try:
+        func()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFineGrids:
+    @pytest.mark.parametrize(
+        "dim, n_delta, m", [(1, 1 << 20, 1000), (2, 1000, 3000), (3, 96, 5000)]
+    )
+    def test_matches_bincount_oracle_when_nodes_outnumber_samples(self, dim, n_delta, m):
+        rng = np.random.default_rng(60 + dim)
+        grid = TensorGrid((-1.0,) * dim, (2.0,) * dim, (n_delta,) * dim)
+        assert grid.n_nodes > 100 * m
+        samples = rng.uniform(-1.0, 2.0, size=(m, dim))
+        np.testing.assert_allclose(
+            fit(grid, samples).coefficients, bincount_fit(grid, samples), rtol=1e-12, atol=0
+        )
+
+    def test_thread_count_does_not_change_result_over_partial_chunks(self):
+        rng = np.random.default_rng(61)
+        grid = TensorGrid((0.0,) * 3, (1.0,) * 3, (64,) * 3)
+        samples = rng.random((600_001, 3))  # two full chunks and a partial one
+        base = fit(grid, samples, threads=1)
+        for threads in (2, 3):
+            np.testing.assert_array_equal(
+                base.coefficients, fit(grid, samples, threads=threads).coefficients
+            )
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_memory_grows_by_one_node_array(self, threads):
+        # The fixed per-chunk working set is the same on both grids, so the
+        # peak difference is what fit allocates per node: one float64 array.
+        # Any per-chunk node-sized partial would at least double it.
+        samples = np.random.default_rng(62).random((300_000, 3))
+        coarse = TensorGrid((0.0,) * 3, (1.0,) * 3, (32,) * 3)
+        fine = TensorGrid((0.0,) * 3, (1.0,) * 3, (128,) * 3)
+        grown = traced_peak(lambda: fit(fine, samples, threads=threads)) - traced_peak(
+            lambda: fit(coarse, samples, threads=threads)
+        )
+        node_bytes = 8 * (fine.n_nodes - coarse.n_nodes)
+        assert grown < 1.5 * node_bytes
 
 
 class TestEvaluate:
@@ -184,6 +263,27 @@ class TestEvaluate:
             pdf.evaluate_batch([0.1, 0.2, 3.0, 4.0])
         assert err.value.index == 2
         assert err.value.value == 3.0
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_fit_rejects(self, value):
+        grid = TensorGrid((0.0, 0.0), (1.0, 1.0), (2, 2))
+        with pytest.raises(SampleOutOfDomainError) as err:
+            fit(grid, [(0.5, 0.5), (0.25, value)])
+        assert (err.value.index, err.value.axis) == (1, 1)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_evaluate_rejects(self, value):
+        pdf = fit(TensorGrid((0.0,), (1.0,), (2,)), [0.5])
+        with pytest.raises(OutOfDomainError):
+            pdf.evaluate(value)
+        with pytest.raises(OutOfDomainError) as err:
+            pdf.evaluate_batch([0.1, value, 0.2])
+        assert err.value.index == 1
 
 
 class TestIntegral:

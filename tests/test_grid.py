@@ -85,6 +85,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match="equal length"):
             TensorGrid((0.0, 0.0), (1.0,), (4,))
 
+    def test_node_count_is_exact_and_bounded_by_flat_index(self):
+        limit = np.iinfo(np.intp).max
+        with pytest.raises(ValueError, match="flat index"):
+            TensorGrid((0.0,) * 3, (1.0,) * 3, (10**7,) * 3)
+        with pytest.raises(ValueError, match="flat index"):
+            TensorGrid((0.0,), (1.0,), (limit,))
+        largest = TensorGrid((0.0,), (1.0,), (limit - 1,))
+        assert largest.n_nodes == limit
+        assert TensorGrid((0.0,) * 3, (1.0,) * 3, (2**20,) * 3).n_bins == 2**60
+
 
 class TestIndexing:
     @pytest.mark.parametrize("n_delta", [(5,), (3, 4), (2, 3, 4)])
@@ -132,6 +142,13 @@ class TestLocateBin:
         assert err.value.value == 1.5
         with pytest.raises(OutOfDomainError):
             grid.locate_bin([-1e-12])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_is_out_of_domain(self, value):
+        grid = TensorGrid((0.0, 0.0), (1.0, 1.0), (4, 4))
+        with pytest.raises(OutOfDomainError) as err:
+            grid.locate_bins([(0.5, 0.5), (0.5, 0.5), (value, 0.5)])
+        assert (err.value.index, err.value.axis) == (2, 0)
 
     @pytest.mark.parametrize(
         "lower,upper,n_delta",
