@@ -25,6 +25,7 @@ from .errors import (
     DegenerateSupportError,
     EmptySampleSetError,
     NonpositiveValueError,
+    SampleOutOfDomainError,
     TooFewPointsError,
     UnsupportedOrderError,
 )
@@ -122,13 +123,18 @@ def estimate_support(samples) -> list[tuple[float, float]]:
 
     The samples necessarily lie inside the true support, so the extremes
     provide a conservative, consistent estimate of it; build the grid on
-    this box when the support is unknown.
+    this box when the support is unknown. A NaN or infinite coordinate
+    raises :class:`SampleOutOfDomainError` naming its row and axis.
     """
     pts = np.asarray(samples, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     if pts.shape[0] == 0:
         raise EmptySampleSetError("support estimation needs samples")
+    bad = ~np.isfinite(pts)
+    if bad.any():
+        index, axis = np.argwhere(bad)[0]
+        raise SampleOutOfDomainError(int(index), int(axis), float(pts[index, axis]))
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     for axis in range(pts.shape[1]):

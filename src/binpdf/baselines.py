@@ -10,7 +10,6 @@ bandwidth) as a comparison baseline.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,8 +18,7 @@ import numpy as np
 
 from .errors import EmptySampleSetError, NonpositiveBandwidthError
 from .grid import TensorGrid, as_point, as_points
-
-_FLOAT_FMT = "%.17g"
+from .textio import load_grid_table, save_grid_table
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,38 +136,17 @@ def eval_kde_batch(spec: KdeSpec, points) -> np.ndarray:
     return out
 
 
-# -- serialization (mirrors the estimator CSV layout) -------------------------
-
-
-def _sidecar_path(path: Path) -> Path:
-    return path.with_suffix(".json") if path.suffix else path.with_name(path.name + ".json")
+# -- serialization (the estimator's CSV layout, see ``textio``) ----------------
 
 
 def save_histogram(histogram: Histogram, path) -> Path:
     """Write ``<path>`` (flat bin index, bin lower corner, value) plus sidecar."""
-    path = Path(path)
     grid = histogram.grid
-    header = "bin_index," + ",".join(f"corner{n}" for n in range(grid.dim)) + ",value"
-    table = np.column_stack(
-        [np.arange(grid.n_bins), grid.bin_lower_corners(), histogram.values]
+    return save_grid_table(
+        path, grid, ("bin_index", "corner", "value"), grid.bin_lower_corners(),
+        histogram.values, histogram.sample_count,
     )
-    fmt = ["%d"] + [_FLOAT_FMT] * (grid.dim + 1)
-    np.savetxt(path, table, fmt=fmt, delimiter=",", header=header, comments="")
-    sidecar = _sidecar_path(path)
-    meta = {
-        "lower": list(grid.lower),
-        "upper": list(grid.upper),
-        "n_delta": list(grid.n_delta),
-        "sample_count": histogram.sample_count,
-    }
-    sidecar.write_text(json.dumps(meta, indent=2) + "\n")
-    return sidecar
 
 
 def load_histogram(path) -> Histogram:
-    path = Path(path)
-    meta = json.loads(_sidecar_path(path).read_text())
-    grid = TensorGrid(tuple(meta["lower"]), tuple(meta["upper"]), tuple(meta["n_delta"]))
-    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    order = np.argsort(table[:, 0].astype(np.int64))
-    return Histogram(grid, table[order, -1], int(meta["sample_count"]))
+    return Histogram(*load_grid_table(path))

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 import time
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, baselines, estimator, sampling
+from . import analysis, baselines, estimator, sampling, textio
 from .errors import BinPdfError, SampleOutOfDomainError
 from .grid import TensorGrid
 
@@ -184,7 +185,7 @@ def _publish_with_sidecar(write, out: Path) -> None:
     try:
         write(tmp_csv)
         os.replace(tmp_csv, out)
-        os.replace(tmp_sidecar, estimator._sidecar_path(out))
+        os.replace(tmp_sidecar, textio.sidecar_path(out))
     finally:
         for tmp in (tmp_csv, tmp_sidecar):
             if tmp.exists():
@@ -203,6 +204,13 @@ def cmd_sample(args) -> int:
         sampling.write_samples_csv(tmp, points, seed=args.seed)
     print(f"rows: {m}")
     return 0
+
+
+def _grid(lower, upper, n_delta) -> TensorGrid:
+    try:
+        return TensorGrid(lower, upper, n_delta)
+    except ValueError as err:
+        raise UsageError(str(err)) from err
 
 
 def _load_samples(path: str) -> np.ndarray:
@@ -226,20 +234,10 @@ def cmd_fit(args) -> int:
             raise UsageError("either --support auto or both --lower and --upper")
         lower = _parse_vector(args.lower, dim, "--lower")
         upper = _parse_vector(args.upper, dim, "--upper")
-    n_delta = _parse_n_delta(args.n_delta, dim)
-    try:
-        grid = TensorGrid(lower, upper, n_delta)
-    except ValueError as err:
-        raise UsageError(str(err)) from err
+    grid = _grid(lower, upper, _parse_n_delta(args.n_delta, dim))
 
     t0 = time.perf_counter()
-    try:
-        pdf = estimator.fit(grid, samples, threads=args.threads)
-    except SampleOutOfDomainError as err:
-        raise BinPdfError(
-            f"sample row {err.index}: coordinate {err.value!r} on axis "
-            f"{err.axis} is outside the grid domain"
-        ) from err
+    pdf = estimator.fit(grid, samples, threads=args.threads)
     seconds = time.perf_counter() - t0
 
     out = Path(args.out)
@@ -335,10 +333,10 @@ def cmd_compare(args) -> int:
     upper = tuple(b[1] for b in bounds)
 
     reference = baselines.fit_histogram(
-        TensorGrid(lower, upper, (ref_n,) * dim), ref_samples[:ref_m]
+        _grid(lower, upper, (ref_n,) * dim), ref_samples[:ref_m]
     )
     coarse = samples[:fit_m]
-    coarse_grid = TensorGrid(lower, upper, (coarse_n,) * dim)
+    coarse_grid = _grid(lower, upper, (coarse_n,) * dim)
 
     rows = []
     for name, params in wanted:
@@ -438,6 +436,11 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except SampleOutOfDomainError as err:
+        where = "outside the grid domain" if math.isfinite(err.value) else "not finite"
+        print(f"error: sample row {err.index}: coordinate {err.value!r} on axis "
+              f"{err.axis} is {where}", file=sys.stderr)
+        return 1
     except BinPdfError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -11,7 +11,6 @@ is a single O(M * 2**dim) pass with an O(n_nodes) finalization.
 from __future__ import annotations
 
 import itertools
-import json
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -21,12 +20,11 @@ import numpy as np
 
 from .errors import EmptySampleSetError
 from .grid import TensorGrid, as_point, as_points
+from .textio import load_grid_table, save_grid_table
 
 # Fixed chunk size, independent of thread count, so the scatter order (hence
 # every coefficient, bit for bit) does not depend on the level of parallelism.
 _CHUNK = 1 << 18
-
-_FLOAT_FMT = "%.17g"
 
 
 def _locate(grid: TensorGrid, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -161,42 +159,18 @@ def fit(grid: TensorGrid, samples, *, threads: int = 1) -> PiecewiseLinearPdf:
 # -- serialization -----------------------------------------------------------
 #
 # CSV with a header row and one row per node (flat index, node coordinates,
-# coefficient) plus a JSON sidecar holding the grid metadata. Coordinates and
-# coefficients are written with 17 significant digits, which round-trips
-# float64 exactly.
-
-
-def _sidecar_path(path: Path) -> Path:
-    return path.with_suffix(".json") if path.suffix else path.with_name(path.name + ".json")
+# coefficient) plus a JSON sidecar holding the grid metadata; see ``textio``.
 
 
 def save_pdf(pdf: PiecewiseLinearPdf, path) -> Path:
     """Write ``<path>`` (CSV) and a ``.json`` sidecar; returns the sidecar path."""
-    path = Path(path)
     grid = pdf.grid
-    header = "node_index," + ",".join(f"coord{n}" for n in range(grid.dim)) + ",coefficient"
-    table = np.column_stack(
-        [np.arange(grid.n_nodes), grid.node_coords_array(), pdf.coefficients]
+    return save_grid_table(
+        path, grid, ("node_index", "coord", "coefficient"), grid.node_coords_array(),
+        pdf.coefficients, pdf.sample_count,
     )
-    fmt = ["%d"] + [_FLOAT_FMT] * (grid.dim + 1)
-    np.savetxt(path, table, fmt=fmt, delimiter=",", header=header, comments="")
-    sidecar = _sidecar_path(path)
-    meta = {
-        "lower": list(grid.lower),
-        "upper": list(grid.upper),
-        "n_delta": list(grid.n_delta),
-        "sample_count": pdf.sample_count,
-    }
-    sidecar.write_text(json.dumps(meta, indent=2) + "\n")
-    return sidecar
 
 
 def load_pdf(path) -> PiecewiseLinearPdf:
     """Read a fitted density written by :func:`save_pdf`."""
-    path = Path(path)
-    meta = json.loads(_sidecar_path(path).read_text())
-    grid = TensorGrid(tuple(meta["lower"]), tuple(meta["upper"]), tuple(meta["n_delta"]))
-    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    order = np.argsort(table[:, 0].astype(np.int64))
-    coefficients = table[order, -1]
-    return PiecewiseLinearPdf(grid, coefficients, int(meta["sample_count"]))
+    return PiecewiseLinearPdf(*load_grid_table(path))

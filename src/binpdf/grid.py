@@ -196,13 +196,30 @@ class TensorGrid:
         Returns ``(idx, frac)`` with shapes (m, dim); ``frac`` is clipped to
         [0, 1] and forced to exactly 1 on the upper domain boundary so that
         node coordinates reproduce node values exactly.
+
+        Works in one float buffer (which becomes ``frac``) besides ``idx``;
+        every step rounds exactly as the out-of-place expressions would.
         """
-        idx = np.floor((pts - self._lower) / self._delta).astype(np.int64)
-        # one-step fixup: make the index decision agree with edge comparisons
-        idx -= pts < self._lower + idx * self._delta
-        idx += pts >= self._lower + (idx + 1) * self._delta
+        lower, delta = self._lower, self._delta
+        buf = np.subtract(pts, lower)
+        buf /= delta
+        np.floor(buf, out=buf)
+        idx = buf.astype(np.int64)
+        # one-step fixup: make the index decision agree with the edge values
+        # lower + idx * delta and lower + (idx + 1) * delta
+        np.multiply(idx, delta, out=buf)
+        buf += lower
+        idx -= pts < buf
+        idx += 1
+        np.multiply(idx, delta, out=buf)
+        idx -= 1
+        buf += lower
+        idx += pts >= buf
         np.clip(idx, 0, self._n_delta - 1, out=idx)
-        frac = (pts - (self._lower + idx * self._delta)) / self._delta
+        np.multiply(idx, delta, out=buf)
+        buf += lower
+        frac = np.subtract(pts, buf, out=buf)
+        frac /= delta
         np.clip(frac, 0.0, 1.0, out=frac)
         frac[pts == self._upper] = 1.0
         return idx, frac

@@ -7,20 +7,22 @@ directly by a 64-bit seed, so identical (seed, m, spec) calls are
 bit-identical across platforms and, for the same seed, an m1-sample set is
 always a prefix of any larger m2-sample set. Normalization constants are
 computed from the truncation bounds, never hardcoded.
+
+``scipy.special`` is imported by the truncated-Gaussian methods that need it,
+on first use, so importing this module (and the CLI) does not load scipy.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import EmptySampleSetError
-
-_FLOAT_FMT = "%.17g"
+from .textio import write_csv
 
 
 @dataclass(frozen=True)
@@ -45,6 +47,8 @@ class TruncatedGaussian:
         Equals ``(erf((hi - mean) / (sd * sqrt(2))) - erf((lo - mean) /
         (sd * sqrt(2)))) / 2``.
         """
+        from scipy.special import ndtr
+
         return float(
             ndtr((self.hi - self.mean) / self.sd) - ndtr((self.lo - self.mean) / self.sd)
         )
@@ -56,12 +60,16 @@ class TruncatedGaussian:
         return np.where((x >= self.lo) & (x <= self.hi), out, 0.0)
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
+        from scipy.special import ndtr
+
         x = np.asarray(x, dtype=np.float64)
         lo_cdf = ndtr((self.lo - self.mean) / self.sd)
         out = (ndtr((x - self.mean) / self.sd) - lo_cdf) / self.mass
         return np.clip(out, 0.0, 1.0)
 
     def ppf(self, u: np.ndarray) -> np.ndarray:
+        from scipy.special import ndtr, ndtri
+
         lo_cdf = ndtr((self.lo - self.mean) / self.sd)
         x = self.mean + self.sd * ndtri(lo_cdf + u * self.mass)
         # clip absorbs inverse-CDF roundoff at the truncation bounds
@@ -201,17 +209,31 @@ def exact_pdf(spec: DistributionSpec, point) -> float:
 
 
 def write_samples_csv(path, samples: np.ndarray, *, seed: int | None = None) -> None:
-    """One row per sample, 17-significant-digit decimals, '#' metadata header."""
+    """One row per sample, 17-significant-digit decimals, '#' metadata header.
+
+    The header reads ``# dim=D rows=M`` plus `` seed=S`` when a seed is given.
+    The bytes equal those of ``np.savetxt(path, samples, fmt="%.17g",
+    delimiter=",", header=...)``; rows are formatted in fixed blocks, so the
+    writer holds one block's text at a time, never the whole file's.
+    """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim == 1:
         samples = samples.reshape(-1, 1)
-    header = f"dim={samples.shape[1]} rows={samples.shape[0]}"
+    header = f"# dim={samples.shape[1]} rows={samples.shape[0]}"
     if seed is not None:
         header += f" seed={seed}"
-    np.savetxt(Path(path), samples, fmt=_FLOAT_FMT, delimiter=",", header=header)
+    write_csv(path, header, samples)
 
 
 def read_samples_csv(path) -> np.ndarray:
-    """Read a sample CSV back into an (m, dim) array."""
-    data = np.loadtxt(Path(path), delimiter=",", comments="#", ndmin=2)
+    """Read a sample CSV back into an (m, dim) array.
+
+    Raises :class:`EmptySampleSetError` naming the file when it holds no
+    sample rows (empty or header only).
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        data = np.loadtxt(Path(path), delimiter=",", comments="#", ndmin=2)
+    if data.shape[0] == 0:
+        raise EmptySampleSetError(f"sample file {path} holds no samples")
     return data

@@ -14,6 +14,7 @@ from binpdf import (
     FixedDelta,
     FixedM,
     NonpositiveValueError,
+    SampleOutOfDomainError,
     TensorGrid,
     TooFewPointsError,
     TruncatedGaussian,
@@ -136,6 +137,14 @@ class TestEstimateSupport:
     def test_2d_per_axis(self):
         pts = np.array([[0.0, 5.0], [1.0, 2.0], [-3.0, 4.0]])
         assert estimate_support(pts) == [(-3.0, 1.0), (2.0, 5.0)]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinate_names_row_and_axis(self, value):
+        pts = np.array([[0.0, 5.0], [1.0, 2.0], [-3.0, value]])
+        with pytest.raises(SampleOutOfDomainError) as err:
+            estimate_support(pts)
+        assert (err.value.index, err.value.axis) == (2, 1)
+        assert err.value.value == value or math.isnan(value)
 
     def test_degenerate_axis(self):
         with pytest.raises(DegenerateSupportError) as err:

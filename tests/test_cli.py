@@ -1,10 +1,19 @@
 """Command-line interface: flags, exit codes, files, and determinism."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from binpdf import load_pdf, read_samples_csv
+import binpdf
+from binpdf import DistributionSpec, TruncatedGaussian, load_pdf, read_samples_csv, sample
 from binpdf.cli import main
+
+NAN_ROW = "# dim=2 rows=3\n0.5,0.25\nnan,0.1\n-1.0,2.0\n"
 
 
 def run(capsys, *argv):
@@ -109,6 +118,31 @@ class TestFit:
         assert "row 1" in stderr and "axis 0" in stderr
         assert stdout == ""
         assert not out.exists()
+
+    def test_non_finite_sample_with_auto_support_is_data_error(self, tmp_path, capsys):
+        samples = tmp_path / "bad.csv"
+        samples.write_text(NAN_ROW)
+        out = tmp_path / "p.csv"
+        code, stdout, stderr = run(
+            capsys, "fit", "--samples", str(samples), "--support", "auto",
+            "--n-delta", "4", "--out", str(out),
+        )
+        assert code == 1
+        assert stderr.splitlines() == ["error: sample row 1: coordinate nan on axis 0 is not finite"]
+        assert stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["", "# dim=1 rows=0\n"])
+    def test_empty_sample_file_is_data_error(self, tmp_path, capsys, text):
+        samples = tmp_path / "empty.csv"
+        samples.write_text(text)
+        code, _, stderr = run(
+            capsys, "fit", "--samples", str(samples), "--lower", "0",
+            "--upper", "1", "--n-delta", "2", "--out", str(tmp_path / "p.csv"),
+        )
+        assert code == 1
+        assert len(stderr.splitlines()) == 1
+        assert stderr.startswith("error:") and "empty.csv" in stderr
 
     def test_missing_bounds_is_usage_error(self, tmp_path, capsys):
         samples = tmp_path / "s.csv"
@@ -239,6 +273,31 @@ class TestCompare:
         assert stderr.startswith("error:")
 
 
+    def test_non_finite_sample_is_data_error(self, tmp_path, capsys):
+        samples = tmp_path / "bad.csv"
+        samples.write_text(NAN_ROW)
+        code, _, stderr = run(
+            capsys, "compare", "--samples", str(samples), "--ref-n-delta", "8",
+            "--n-delta", "4", "--out", str(tmp_path / "c.csv"),
+        )
+        assert code == 1
+        assert stderr.splitlines() == ["error: sample row 1: coordinate nan on axis 0 is not finite"]
+
+    @pytest.mark.parametrize("domain, n_delta, message", [
+        ("1,1", "2", "lower < upper"),  # both grids are empty
+        ("0,1", "10000000000", "nodes"),  # the coarse grid has too many nodes
+    ])
+    def test_bad_grid_is_usage_error(self, tmp_path, capsys, domain, n_delta, message):
+        samples = tmp_path / "s.csv"
+        samples.write_text("0.5,0.5\n0.6,0.6\n")
+        code, _, stderr = run(
+            capsys, "compare", "--samples", str(samples), f"--domain={domain}",
+            "--ref-n-delta", "4", "--n-delta", n_delta, "--out", str(tmp_path / "c.csv"),
+        )
+        assert code == 2
+        assert stderr.startswith("error:") and message in stderr
+
+
 class TestParserBasics:
     def test_missing_subcommand_is_usage_error(self, capsys):
         code = main([])
@@ -248,3 +307,34 @@ class TestParserBasics:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "sample" in capsys.readouterr().out
+
+
+def test_fit_and_compare_do_not_import_scipy(tmp_path):
+    # scipy.special is loaded by the truncated-Gaussian sampler on first use
+    # only; a fresh interpreter shows which commands pull it in
+    script = textwrap.dedent(f"""
+        import sys
+        from binpdf.cli import main
+
+        def scipy_loaded():
+            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+        samples = {str(tmp_path / "s.csv")!r}
+        with open(samples, "w") as fh:
+            fh.write("0.1,0.2\\n0.5,0.4\\n0.9,0.7\\n")
+        assert scipy_loaded() == [], scipy_loaded()
+        assert main(["fit", "--samples", samples, "--support", "auto", "--n-delta", "4",
+                     "--out", {str(tmp_path / "p.csv")!r}]) == 0
+        assert main(["compare", "--samples", samples, "--ref-n-delta", "4",
+                     "--n-delta", "2", "--out", {str(tmp_path / "c.csv")!r}]) == 0
+        assert scipy_loaded() == [], scipy_loaded()
+        assert main(["sample", "--dist", "tgauss1d", "--m", "1000", "--seed", "3",
+                     "--out", {str(tmp_path / "g.csv")!r}]) == 0
+        assert "scipy.special" in sys.modules
+    """)
+    src = str(Path(binpdf.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    spec = DistributionSpec((TruncatedGaussian(0.0, 1.0, -5.5, 5.5),))
+    np.testing.assert_array_equal(read_samples_csv(tmp_path / "g.csv"), sample(spec, 1000, 3))

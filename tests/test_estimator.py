@@ -221,6 +221,13 @@ class TestFineGrids:
         node_bytes = 8 * (fine.n_nodes - coarse.n_nodes)
         assert grown < 1.5 * node_bytes
 
+    def test_locate_keeps_one_float_array_per_chunk(self):
+        # A 3-D chunk's location holds idx, frac and one comparison mask at
+        # its peak: 2.125x the points' bytes (3x with float temporaries).
+        grid = TensorGrid((0.0,) * 3, (1.0,) * 3, (128,) * 3)
+        pts = np.random.default_rng(63).random((1 << 18, 3))
+        assert traced_peak(lambda: grid._locate_with_frac(pts)) < 2.25 * pts.nbytes
+
 
 class TestEvaluate:
     def test_node_values_are_exact(self):

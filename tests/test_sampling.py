@@ -1,6 +1,7 @@
 """Samplers, exact densities, normalization constants, and sample CSV I/O."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -159,6 +160,15 @@ class TestCsvRoundTrip:
         first = path.read_text().splitlines()[0]
         assert first.startswith("#") and "dim=2" in first and "seed=3" in first
         np.testing.assert_array_equal(read_samples_csv(path), pts)
+
+    @pytest.mark.parametrize("text", ["", "# dim=2 rows=0\n", "\n\n"])
+    def test_empty_file_raises_naming_it_without_a_warning(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptySampleSetError, match="empty.csv"):
+                read_samples_csv(path)
 
     def test_1d_column_shape(self, tmp_path):
         pts = sample(UNIFORM, 100, 1)
