@@ -21,6 +21,13 @@ from .grid import TensorGrid, as_point, as_points
 from .textio import load_grid_table, save_grid_table
 
 
+def _flat_bins(grid: TensorGrid, pts: np.ndarray, *, as_samples: bool = False) -> np.ndarray:
+    """Row-major flat bin index of each point, after the grid's domain check."""
+    grid.check_in_domain(pts, as_samples=as_samples)
+    idx, _ = grid._locate_with_frac(pts)
+    return np.ravel_multi_index(tuple(idx.T), grid.bin_shape)
+
+
 @dataclass(frozen=True, eq=False)
 class Histogram:
     """Piecewise-constant density: one value per bin, unit integral."""
@@ -41,18 +48,13 @@ class Histogram:
 
     def evaluate(self, point) -> float:
         p = as_point(point, self.grid.dim).reshape(1, -1)
-        self.grid.check_in_domain(p)
-        idx, _ = self.grid._locate_with_frac(p)
-        return float(self.values[np.ravel_multi_index(tuple(idx[0]), self.grid.bin_shape)])
+        return float(self.values[_flat_bins(self.grid, p)[0]])
 
     def evaluate_batch(self, points) -> np.ndarray:
         pts = as_points(points, self.grid.dim)
         if pts.shape[0] == 0:
             return np.empty(0)
-        self.grid.check_in_domain(pts)
-        idx, _ = self.grid._locate_with_frac(pts)
-        flat = np.ravel_multi_index(tuple(idx.T), self.grid.bin_shape)
-        return self.values[flat]
+        return self.values[_flat_bins(self.grid, pts)]
 
     def integral(self) -> float:
         return float(self.values.sum() * self.bin_volume)
@@ -64,10 +66,7 @@ def fit_histogram(grid: TensorGrid, samples) -> Histogram:
     m = pts.shape[0]
     if m == 0:
         raise EmptySampleSetError("cannot fit a histogram to zero samples")
-    grid.check_in_domain(pts, as_samples=True)
-    idx, _ = grid._locate_with_frac(pts)
-    flat = np.ravel_multi_index(tuple(idx.T), grid.bin_shape)
-    counts = np.bincount(flat, minlength=grid.n_bins)
+    counts = np.bincount(_flat_bins(grid, pts, as_samples=True), minlength=grid.n_bins)
     values = counts / (m * float(np.prod(grid.deltas)))
     return Histogram(grid, values, m)
 

@@ -60,11 +60,16 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_count(text: str, what: str) -> int:
     try:
-        value = int(float(text))
+        number = float(text)
     except ValueError as err:
         raise UsageError(f"{what} must be a number, got {text!r}") from err
+    if not math.isfinite(number):
+        raise UsageError(f"{what} must be a finite number, got {text!r}")
+    value = int(number)
     if value < 1:
         raise UsageError(f"{what} must be >= 1, got {text}")
+    if value > np.iinfo(np.intp).max:
+        raise UsageError(f"{what} must be at most {np.iinfo(np.intp).max}, got {text}")
     return value
 
 

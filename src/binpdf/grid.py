@@ -121,22 +121,6 @@ class TensorGrid:
     def volume(self) -> float:
         return float(np.prod(np.subtract(self.upper, self.lower)))
 
-    @cached_property
-    def _lower(self) -> np.ndarray:
-        return np.array(self.lower, dtype=np.float64)
-
-    @cached_property
-    def _upper(self) -> np.ndarray:
-        return np.array(self.upper, dtype=np.float64)
-
-    @cached_property
-    def _delta(self) -> np.ndarray:
-        return np.array(self.deltas, dtype=np.float64)
-
-    @cached_property
-    def _n_delta(self) -> np.ndarray:
-        return np.array(self.n_delta, dtype=np.int64)
-
     # -- index plumbing ------------------------------------------------------
 
     def _check_multi(self, index, shape: tuple[int, ...], what: str) -> tuple[int, ...]:
@@ -176,17 +160,24 @@ class TensorGrid:
     def check_in_domain(self, pts: np.ndarray, *, as_samples: bool = False) -> None:
         """Raise on the first point outside the closed box domain.
 
-        NaN and infinite coordinates are outside. Raises
+        Works axis-major: each column is tested against its scalar bounds, and
+        the offender reported is the row-major first ``(row, axis)``. NaN and
+        infinite coordinates are outside. Raises
         :class:`SampleOutOfDomainError` when ``as_samples`` is set (fit input),
         :class:`OutOfDomainError` otherwise.
         """
-        bad = ~((pts >= self._lower) & (pts <= self._upper))
-        if bad.any():
-            index, axis = np.argwhere(bad)[0]
+        offenders = []  # (first bad row, axis) of every axis that has one
+        for n, (a, b) in enumerate(zip(self.lower, self.upper)):
+            ok = pts[:, n] >= a
+            ok &= pts[:, n] <= b
+            if not ok.all():
+                offenders.append((int(ok.argmin()), n))
+        if offenders:
+            index, axis = min(offenders)
             value = float(pts[index, axis])
             if as_samples:
-                raise SampleOutOfDomainError(int(index), int(axis), value)
-            raise OutOfDomainError(int(axis), value, index=int(index))
+                raise SampleOutOfDomainError(index, axis, value)
+            raise OutOfDomainError(axis, value, index=index)
 
     # -- point location ------------------------------------------------------
 
@@ -197,32 +188,37 @@ class TensorGrid:
         [0, 1] and forced to exactly 1 on the upper domain boundary so that
         node coordinates reproduce node values exactly.
 
-        Works in one float buffer (which becomes ``frac``) besides ``idx``;
-        every step rounds exactly as the out-of-place expressions would.
+        Works axis-major: both are transposed views of (dim, m) buffers filled
+        one axis at a time against scalar bounds, so every step runs over one
+        contiguous row; the float row becomes that axis's ``frac``. Every step
+        rounds exactly as the out-of-place (m, dim) expressions would.
         """
-        lower, delta = self._lower, self._delta
-        buf = np.subtract(pts, lower)
-        buf /= delta
-        np.floor(buf, out=buf)
-        idx = buf.astype(np.int64)
-        # one-step fixup: make the index decision agree with the edge values
-        # lower + idx * delta and lower + (idx + 1) * delta
-        np.multiply(idx, delta, out=buf)
-        buf += lower
-        idx -= pts < buf
-        idx += 1
-        np.multiply(idx, delta, out=buf)
-        idx -= 1
-        buf += lower
-        idx += pts >= buf
-        np.clip(idx, 0, self._n_delta - 1, out=idx)
-        np.multiply(idx, delta, out=buf)
-        buf += lower
-        frac = np.subtract(pts, buf, out=buf)
-        frac /= delta
-        np.clip(frac, 0.0, 1.0, out=frac)
-        frac[pts == self._upper] = 1.0
-        return idx, frac
+        idx, frac = np.empty(pts.T.shape, np.int64), np.empty(pts.T.shape)
+        axes = zip(self.lower, self.deltas, self.n_delta, self.upper)
+        for n, (a, d, nd, b) in enumerate(axes):
+            p, i, row = pts[:, n], idx[n], frac[n]
+            np.subtract(p, a, out=row)
+            row /= d
+            np.floor(row, out=row)
+            i[:] = row
+            # one-step fixup: make the index decision agree with the edge
+            # values a + i * d and a + (i + 1) * d
+            np.multiply(i, d, out=row)
+            row += a
+            i -= p < row
+            i += 1
+            np.multiply(i, d, out=row)
+            i -= 1
+            row += a
+            i += p >= row
+            np.minimum(i, nd - 1, out=i)  # i >= 0 holds for in-domain points
+            np.multiply(i, d, out=row)
+            row += a
+            np.subtract(p, row, out=row)
+            row /= d
+            np.clip(row, 0.0, 1.0, out=row)
+            row[p == b] = 1.0
+        return idx.T, frac.T
 
     def locate_bin(self, point) -> MultiIndex:
         """Bin containing ``point``; interior faces go to the higher-index bin.
@@ -247,25 +243,21 @@ class TensorGrid:
     def node_coords(self, node) -> np.ndarray:
         """Coordinates of a node: ``lower + index * delta`` per axis."""
         idx = self._check_multi(node, self.node_shape, "node")
-        return self._lower + np.array(idx, dtype=np.float64) * self._delta
+        return np.array(self.lower) + np.array(idx, dtype=np.float64) * self.deltas
+
+    def _edge_mesh(self, counts) -> np.ndarray:
+        """``lower + index * delta`` for every index below ``counts``, row-major."""
+        axes = [a + np.arange(c) * d for a, d, c in zip(self.lower, self.deltas, counts)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        return np.column_stack([m.ravel() for m in mesh])
 
     def node_coords_array(self) -> np.ndarray:
         """Coordinates of all nodes, shape (n_nodes, dim), row-major order."""
-        axes = [
-            self._lower[n] + np.arange(self.node_shape[n]) * self._delta[n]
-            for n in range(self.dim)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.column_stack([m.ravel() for m in mesh])
+        return self._edge_mesh(self.node_shape)
 
     def bin_lower_corners(self) -> np.ndarray:
         """Lower corner of every bin, shape (n_bins, dim), row-major order."""
-        axes = [
-            self._lower[n] + np.arange(self.n_delta[n]) * self._delta[n]
-            for n in range(self.dim)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.column_stack([m.ravel() for m in mesh])
+        return self._edge_mesh(self.n_delta)
 
     def basis_eval(self, node, point) -> float:
         """Hat function of ``node`` at ``point``.

@@ -193,8 +193,9 @@ def sample(spec: DistributionSpec, m: int, seed: int) -> np.ndarray:
         raise EmptySampleSetError(f"sample count must be >= 1, got {m}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     u = rng.random((m, spec.dim))
-    cols = [axis.ppf(u[:, n]) for n, axis in enumerate(spec.axes)]
-    return np.column_stack(cols)
+    for n, axis in enumerate(spec.axes):
+        u[:, n] = axis.ppf(u[:, n])  # in place: no second (m, dim) array
+    return u
 
 
 def exact_pdf(spec: DistributionSpec, point) -> float:

@@ -51,6 +51,17 @@ class TestSample:
         assert code == 2
         assert stderr.startswith("error:")
 
+    @pytest.mark.parametrize("m", ["inf", "-inf", "nan", "1e30", "9.3e18"])
+    def test_non_finite_or_huge_m_is_usage_error(self, tmp_path, capsys, m):
+        out = tmp_path / "x.csv"
+        code, _, stderr = run(
+            capsys, "sample", "--dist", "tgauss1d", f"--m={m}",
+            "--seed", "1", "--out", str(out),
+        )
+        assert code == 2
+        assert stderr.startswith("error: --m must be") and stderr.count("\n") == 1
+        assert not out.exists()
+
     def test_unknown_dist_is_usage_error(self, tmp_path, capsys):
         code, _, stderr = run(
             capsys, "sample", "--dist", "cauchy:0,1", "--m", "10",
@@ -218,6 +229,17 @@ class TestStudy:
             outs.append(out.read_text().splitlines())
         for line_a, line_b in zip(*outs):
             assert line_a.rsplit(",", 1)[0] == line_b.rsplit(",", 1)[0]
+
+    @pytest.mark.parametrize("m", ["inf", "-inf", "nan", "1e30"])
+    def test_non_finite_or_huge_m_is_usage_error(self, tmp_path, capsys, m):
+        out = tmp_path / "s.csv"
+        code, _, stderr = run(
+            capsys, "study", "--dist", "laplace1d", "--mode", "fixed_m",
+            f"--m={m}", "--k", "3..4", "--seed", "2", "--out", str(out),
+        )
+        assert code == 2
+        assert stderr.startswith("error: --m must be") and stderr.count("\n") == 1
+        assert not out.exists()
 
     def test_scientific_notation_m(self, tmp_path, capsys):
         out = tmp_path / "s.csv"

@@ -1,5 +1,6 @@
 """Fit, evaluation, integral, and serialization of the piecewise-linear estimator."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -17,7 +18,8 @@ from binpdf import (
     save_pdf,
 )
 
-from test_grid import hat_value
+from binpdf.estimator import _CHUNK
+from test_grid import LOCATE_GRIDS, edge_points, hat_value, rowmajor_locate
 
 
 def all_nodes_fit(grid, samples):
@@ -37,6 +39,39 @@ def all_nodes_fit(grid, samples):
         weight = sum(hat_value(grid, node, y) for y in samples)
         coeffs[flat] = weight / (m * grid.basis_integral(node))
     return coeffs
+
+
+def rowmajor_corners(grid, pts):
+    """Yield ``(chunk start, flat node index, hat weight)`` per chunk and corner,
+    from the point-major locate arithmetic, in the fit's chunk and corner order."""
+    for start in range(0, pts.shape[0], _CHUNK):
+        idx, frac = rowmajor_locate(grid, pts[start : start + _CHUNK])
+        base = np.ravel_multi_index(tuple(idx.T), grid.node_shape)
+        for offsets in itertools.product((0, 1), repeat=grid.dim):
+            w = np.ones(base.shape[0])
+            for n, o in enumerate(offsets):
+                w *= frac[:, n] if o else 1.0 - frac[:, n]
+            yield start, base + np.ravel_multi_index(offsets, grid.node_shape), w
+
+
+def rowmajor_fit(grid, samples):
+    """Oracle: the fit's scatter and finalization on point-major location."""
+    sums = np.zeros(grid.n_nodes)
+    for _, flat, w in rowmajor_corners(grid, samples):
+        np.add.at(sums, flat, w)
+    sums /= samples.shape[0]
+    nodes = sums.reshape(grid.node_shape)
+    for n, c in enumerate(grid._axis_hat_integrals()):
+        nodes /= c.reshape((-1,) + (1,) * (grid.dim - n - 1))
+    return sums
+
+
+def rowmajor_evaluate(grid, coefficients, pts):
+    """Oracle: corner-by-corner evaluation on point-major location."""
+    values = np.zeros(pts.shape[0])
+    for start, flat, w in rowmajor_corners(grid, pts):
+        values[start : start + flat.shape[0]] += w * coefficients[flat]
+    return values
 
 
 def random_grid(rng, dim, max_n=5):
@@ -222,11 +257,26 @@ class TestFineGrids:
         assert grown < 1.5 * node_bytes
 
     def test_locate_keeps_one_float_array_per_chunk(self):
-        # A 3-D chunk's location holds idx, frac and one comparison mask at
-        # its peak: 2.125x the points' bytes (3x with float temporaries).
+        # A 3-D chunk's location holds idx, frac and one axis's comparison
+        # mask at its peak: ~2.05x the points' bytes (3x with float temporaries).
         grid = TensorGrid((0.0,) * 3, (1.0,) * 3, (128,) * 3)
         pts = np.random.default_rng(63).random((1 << 18, 3))
         assert traced_peak(lambda: grid._locate_with_frac(pts)) < 2.25 * pts.nbytes
+
+
+class TestAxisMajorLocation:
+    @pytest.mark.parametrize("lower,upper,n_delta", LOCATE_GRIDS)
+    def test_fit_and_evaluate_bit_identical_to_rowmajor(self, lower, upper, n_delta):
+        grid = TensorGrid(lower, upper, n_delta)
+        rng = np.random.default_rng(64)
+        samples = edge_points(grid, rng, n_random=_CHUNK + 1000)  # a partial 2nd chunk
+        want = rowmajor_fit(grid, samples)
+        for threads in (1, 2, 3):
+            pdf = fit(grid, samples, threads=threads)
+            np.testing.assert_array_equal(pdf.coefficients, want)
+        np.testing.assert_array_equal(
+            pdf.evaluate_batch(samples), rowmajor_evaluate(grid, want, samples)
+        )
 
 
 class TestEvaluate:

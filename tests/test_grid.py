@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from binpdf import IndexOutOfRangeError, OutOfDomainError, TensorGrid
+from binpdf import IndexOutOfRangeError, OutOfDomainError, SampleOutOfDomainError, TensorGrid
 
 
 def brute_force_locate(grid, point):
@@ -45,6 +45,57 @@ def brute_force_locate_all(grid, pts):
         result[inside] = idx
     assert (result >= 0).all(), "some point matched no bin"
     return result
+
+
+def rowmajor_locate(grid, pts):
+    """Point-major (m, dim) locate arithmetic: one broadcast op per step.
+
+    The grid's axis-major location must reproduce this bit for bit: floor,
+    the one-step edge fixup, the clamp, the fraction, the clip and ``frac = 1``
+    on the upper bound.
+    """
+    lower, delta = np.array(grid.lower), np.array(grid.deltas)
+    idx = np.floor((pts - lower) / delta).astype(np.int64)
+    idx -= pts < lower + idx * delta
+    idx += pts >= lower + (idx + 1) * delta
+    idx = np.clip(idx, 0, np.array(grid.n_delta) - 1)
+    frac = np.clip((pts - (lower + idx * delta)) / delta, 0.0, 1.0)
+    frac[pts == np.array(grid.upper)] = 1.0
+    return idx, frac
+
+
+def edge_points(grid, rng, n_random=2000):
+    """Every bin edge (two ways of computing it) and its +-1-ulp neighbours on
+    every axis, combined across axes, plus random interior points."""
+    axes = []
+    for a, b, nd, d in zip(grid.lower, grid.upper, grid.n_delta, grid.deltas):
+        edges = np.concatenate([a + np.arange(nd + 1) * d, np.linspace(a, b, nd + 1)])
+        values = np.concatenate(
+            [edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), [a, b]]
+        )
+        axes.append(np.unique(np.clip(values, a, b)))
+    mesh = np.meshgrid(*axes, indexing="ij")
+    grid_pts = np.column_stack([m.ravel() for m in mesh])
+    random_pts = rng.uniform(grid.lower, grid.upper, size=(n_random, grid.dim))
+    pts = np.concatenate([grid_pts, random_pts])
+    return pts[rng.permutation(pts.shape[0])]
+
+
+# 1-, 2- and 3-D grids with unequal bounds and n_delta per axis, n_delta = 1
+# included; on (-2, 0.4, 3) lower + 3 * delta falls below upper, so the fraction
+# of points just under upper needs the clip, and on (-7.3, 1.1, 1) it lands above.
+LOCATE_GRIDS = [
+    ((-1.25,), (3.5,), (7,)),
+    ((0.1,), (0.4,), (1,)),
+    ((-1.5, -2.0), (1.5, 0.4), (6, 3)),
+    ((-2.0, 0.1, -7.3), (2.5, 0.7, 1.1), (3, 11, 1)),
+]
+
+
+def rowmajor_first_offender(grid, pts):
+    """Row-major first ``(row, axis)`` outside the closed box, or None."""
+    bad = np.argwhere(~((pts >= np.array(grid.lower)) & (pts <= np.array(grid.upper))))
+    return tuple(int(i) for i in bad[0]) if bad.shape[0] else None
 
 
 def hat_value(grid, node, point):
@@ -190,6 +241,76 @@ class TestLocateBin:
         batch = grid.locate_bins(pts)
         for i in range(100):
             assert tuple(batch[i]) == grid.locate_bin(pts[i])
+
+
+class TestAxisMajorLocate:
+    @pytest.mark.parametrize("lower,upper,n_delta", LOCATE_GRIDS)
+    def test_bit_identical_to_rowmajor_arithmetic(self, lower, upper, n_delta):
+        grid = TensorGrid(lower, upper, n_delta)
+        pts = edge_points(grid, np.random.default_rng(len(n_delta)))
+        idx, frac = grid._locate_with_frac(pts)
+        want_idx, want_frac = rowmajor_locate(grid, pts)
+        assert idx.shape == frac.shape == pts.shape
+        np.testing.assert_array_equal(idx, want_idx)
+        np.testing.assert_array_equal(frac, want_frac)
+        np.testing.assert_array_equal(np.signbit(frac), np.signbit(want_frac))
+        np.testing.assert_array_equal(grid.locate_bins(pts), want_idx)
+
+    @pytest.mark.parametrize("lower,upper,n_delta", LOCATE_GRIDS)
+    def test_single_point_matches_batch(self, lower, upper, n_delta):
+        grid = TensorGrid(lower, upper, n_delta)
+        pts = edge_points(grid, np.random.default_rng(5), n_random=0)[:200]
+        want_idx, _ = rowmajor_locate(grid, pts)
+        for p, want in zip(pts, want_idx):
+            assert grid.locate_bin(p) == tuple(want)
+
+
+class TestCheckInDomain:
+    GRID = TensorGrid((-1.0, 2.0), (1.0, 5.0), (4, 3))
+
+    def points(self, bad_cells):
+        pts = np.tile([0.5, 3.0], (10, 1))
+        for (row, axis), value in bad_cells.items():
+            pts[row, axis] = value
+        return pts
+
+    def assert_reports(self, grid, pts, as_samples):
+        want = rowmajor_first_offender(grid, pts)
+        kind = SampleOutOfDomainError if as_samples else OutOfDomainError
+        with pytest.raises(kind) as err:
+            grid.check_in_domain(pts, as_samples=as_samples)
+        assert as_samples or not isinstance(err.value, SampleOutOfDomainError)
+        assert (err.value.index, err.value.axis) == want
+        np.testing.assert_equal(err.value.value, pts[want])
+        return want
+
+    @pytest.mark.parametrize("as_samples", [False, True])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 7.0, -1.0 - 1e-12])
+    def test_reports_rowmajor_first_offender(self, value, as_samples):
+        # a later row on a lower axis must not win over an earlier row
+        pts = self.points({(5, 1): value, (7, 0): value})
+        assert self.assert_reports(self.GRID, pts, as_samples) == (5, 1)
+        # both axes of one row: the lower axis wins
+        pts = self.points({(4, 1): value, (4, 0): -value, (2, 1): 3.5})
+        assert self.assert_reports(self.GRID, pts, as_samples) == (4, 0)
+
+    @pytest.mark.parametrize("as_samples", [False, True])
+    def test_random_bad_cells_match_rowmajor_scan(self, as_samples):
+        rng = np.random.default_rng(17)
+        grid = TensorGrid(*LOCATE_GRIDS[3])
+        for _ in range(30):
+            pts = rng.uniform(grid.lower, grid.upper, size=(50, 3))
+            cells = rng.random(pts.shape) < 0.02
+            pts[cells] = rng.choice([np.nan, np.inf, -np.inf, 1e3, -1e3], size=cells.sum())
+            if cells.any():
+                self.assert_reports(grid, pts, as_samples)
+            else:
+                grid.check_in_domain(pts, as_samples=as_samples)
+
+    def test_closed_bounds_and_fortran_order_pass(self):
+        pts = np.asfortranarray(np.array([[-1.0, 2.0], [1.0, 5.0], [0.0, 3.3]]))
+        self.GRID.check_in_domain(pts)
+        self.GRID.check_in_domain(pts, as_samples=True)
 
 
 class TestNodeCoords:

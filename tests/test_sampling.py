@@ -124,6 +124,22 @@ class TestSampling:
         with pytest.raises(EmptySampleSetError):
             sample(TGAUSS, 0, 1)
 
+    @pytest.mark.parametrize("seed", [0, 3, 2024])
+    def test_equals_column_stack_of_axis_ppfs(self, seed):
+        spec = DistributionSpec(
+            (
+                TruncatedGaussian(0.5, 2.0, -5.5, 4.0),
+                Uniform(-1.0, 3.0),
+                TruncatedLaplace(0.0, 1.5, -5.5, 5.5),
+            )
+        )
+        u = np.random.Generator(np.random.Philox(key=seed)).random((5001, 3))
+        want = np.column_stack([axis.ppf(u[:, n]) for n, axis in enumerate(spec.axes)])
+        got = sample(spec, 5001, seed)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
     def test_truncated_gaussian_moments(self):
         mpmath.mp.dps = 30
         axis = TGAUSS.axes[0]
