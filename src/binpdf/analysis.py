@@ -40,17 +40,28 @@ _HOLDOUT_SEED_XOR = 0x9E3779B97F4A7C15
 # -- error metrics -------------------------------------------------------------
 
 
+def _rmse(reference_eval, approx_eval, samples, dim: int, reference_count=None) -> float:
+    """RMS difference of two evaluators at the samples; warns on a small reference."""
+    pts = as_points(samples, dim)
+    if pts.shape[0] == 0:
+        raise EmptySampleSetError("error metric needs at least one sample point")
+    if reference_count is not None and reference_count <= pts.shape[0]:
+        warnings.warn(
+            "reference histogram was built from no more samples than the "
+            "approximation is being checked on; the surrogate error is unreliable",
+            stacklevel=3,
+        )
+    diff = reference_eval(pts) - np.asarray(approx_eval(pts), dtype=np.float64)
+    return float(np.sqrt(np.mean(diff * diff)))
+
+
 def rmse_vs_exact(approx_eval, exact: DistributionSpec, samples) -> float:
     """Root mean square difference of densities at the sample points.
 
     ``approx_eval`` maps an (m, dim) array of points to m density values
     (e.g. ``pdf.evaluate_batch``).
     """
-    pts = as_points(samples, exact.dim)
-    if pts.shape[0] == 0:
-        raise EmptySampleSetError("error metric needs at least one sample point")
-    diff = exact.pdf(pts) - np.asarray(approx_eval(pts), dtype=np.float64)
-    return float(np.sqrt(np.mean(diff * diff)))
+    return _rmse(exact.pdf, approx_eval, samples, exact.dim)
 
 
 def rmse_vs_histogram(approx_eval, reference: Histogram, samples) -> float:
@@ -60,17 +71,10 @@ def rmse_vs_histogram(approx_eval, reference: Histogram, samples) -> float:
     bins) than the approximation; only the sample-count side is visible here,
     so a too-small reference triggers a warning rather than an error.
     """
-    pts = as_points(samples, reference.grid.dim)
-    if pts.shape[0] == 0:
-        raise EmptySampleSetError("error metric needs at least one sample point")
-    if reference.sample_count <= pts.shape[0]:
-        warnings.warn(
-            "reference histogram was built from no more samples than the "
-            "approximation is being checked on; the surrogate error is unreliable",
-            stacklevel=2,
-        )
-    diff = reference.evaluate_batch(pts) - np.asarray(approx_eval(pts), dtype=np.float64)
-    return float(np.sqrt(np.mean(diff * diff)))
+    return _rmse(
+        reference.evaluate_batch, approx_eval, samples, reference.grid.dim,
+        reference.sample_count,
+    )
 
 
 # -- bin-size / sample-size coupling -------------------------------------------
@@ -251,51 +255,9 @@ def convergence_study(
     *,
     grid_domain=None,
     holdout: bool = False,
-    threads: int = 1,
 ) -> StudyResult:
-    """Run one study: per level, derive (delta, m), sample, fit, measure.
-
-    Samples are nested across levels (same seed, growing prefixes). The grid
-    is built on the distribution's support box by default, on explicit
-    per-axis bounds if ``grid_domain`` is given, or on the per-level sample
-    extremes with ``grid_domain='auto'``. Errors are measured at the fitting
-    samples; with ``holdout=True`` an independently seeded set of equal size
-    is used instead. ``seconds`` is the fit wall time alone.
-    """
-    levels = [int(k) for k in levels]
-    if not levels:
-        raise ValueError("levels must be nonempty")
-    if levels != sorted(levels):
-        raise ValueError("levels must be ascending")
-    domain = _resolve_domain(spec, grid_domain)
-
-    rows = []
-    for k in levels:
-        n_delta, m = _level_params(mode, k)
-        samples = sample(spec, m, seed)
-        bounds = estimate_support(samples) if domain == "auto" else domain
-        grid = TensorGrid(
-            tuple(b[0] for b in bounds),
-            tuple(b[1] for b in bounds),
-            (n_delta,) * spec.dim,
-        )
-        t0 = time.perf_counter()
-        pdf = estimator.fit(grid, samples, threads=threads)
-        seconds = time.perf_counter() - t0
-        eval_points = (
-            sample(spec, m, seed ^ _HOLDOUT_SEED_XOR) if holdout else samples
-        )
-        error = rmse_vs_exact(pdf.evaluate_batch, spec, eval_points)
-        rows.append(StudyLevel(k, n_delta, float(grid.deltas[0]), m, error, seconds))
-
-    deltas = np.array([r.delta for r in rows])
-    ms = np.array([r.m for r in rows], dtype=np.float64)
-    errors = np.array([r.error for r in rows])
-    return StudyResult(
-        tuple(rows),
-        fitted_rate_delta=_slope_or_nan(deltas, errors),
-        fitted_rate_m=_slope_or_nan(ms, errors),
-    )
+    """Run one study: :func:`averaged_study` with the single seed ``seed``."""
+    return averaged_study(spec, mode, levels, [seed], grid_domain=grid_domain, holdout=holdout)
 
 
 def averaged_study(
@@ -306,33 +268,56 @@ def averaged_study(
     *,
     grid_domain=None,
     holdout: bool = False,
-    threads: int = 1,
 ) -> StudyResult:
-    """Average per-level errors over several seeds before fitting rates.
+    """Per seed and level, sample, fit and measure; then average over the seeds.
 
-    Damps Monte Carlo noise that would otherwise dominate desk-scale rate
-    estimates.
+    Samples are nested across levels (same seed, growing prefixes). The grid
+    is built on the distribution's support box by default, on explicit
+    per-axis bounds if ``grid_domain`` is given, or on the per-level sample
+    extremes with ``grid_domain='auto'``. Errors are measured at the fitting
+    samples; with ``holdout=True`` an independently seeded set of equal size
+    is used instead, so the domain must not be 'auto'. ``seconds`` is the fit
+    wall time alone. Averaging delta, error and seconds over the seeds damps
+    Monte Carlo noise that would otherwise dominate desk-scale rate estimates.
     """
+    levels = [int(k) for k in levels]
+    if not levels:
+        raise ValueError("levels must be nonempty")
+    if levels != sorted(levels):
+        raise ValueError("levels must be ascending")
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
-    results = [
-        convergence_study(
-            spec, mode, levels, s, grid_domain=grid_domain, holdout=holdout, threads=threads
-        )
-        for s in seeds
-    ]
-    base = results[0].rows
-    for res in results[1:]:
-        for row, ref in zip(res.rows, base):
-            if (row.k, row.n_delta, row.m) != (ref.k, ref.n_delta, ref.m):
-                raise ValueError("study levels disagree across seeds")
+    domain = _resolve_domain(spec, grid_domain)
+    if holdout and domain == "auto":
+        raise ValueError("holdout needs a fixed grid domain, not 'auto'")
+
+    # seeds outer, levels inner: levels outer page-faults ~3x as often
+    runs = [[] for _ in levels]
+    for seed in seeds:
+        for k, level_runs in zip(levels, runs):
+            n_delta, m = _level_params(mode, k)
+            samples = sample(spec, m, seed)
+            bounds = estimate_support(samples) if domain == "auto" else domain
+            grid = TensorGrid(
+                tuple(b[0] for b in bounds),
+                tuple(b[1] for b in bounds),
+                (n_delta,) * spec.dim,
+            )
+            t0 = time.perf_counter()
+            pdf = estimator.fit(grid, samples)
+            seconds = time.perf_counter() - t0
+            eval_points = (
+                sample(spec, m, seed ^ _HOLDOUT_SEED_XOR) if holdout else samples
+            )
+            error = rmse_vs_exact(pdf.evaluate_batch, spec, eval_points)
+            level_runs.append((float(grid.deltas[0]), error, seconds))
     rows = []
-    for i, ref in enumerate(base):
-        error = float(np.mean([res.rows[i].error for res in results]))
-        seconds = float(np.mean([res.rows[i].seconds for res in results]))
-        delta = float(np.mean([res.rows[i].delta for res in results]))
-        rows.append(StudyLevel(ref.k, ref.n_delta, delta, ref.m, error, seconds))
+    for k, level_runs in zip(levels, runs):
+        n_delta, m = _level_params(mode, k)
+        delta, error, seconds = (float(np.mean(column)) for column in zip(*level_runs))
+        rows.append(StudyLevel(k, n_delta, delta, m, error, seconds))
+
     deltas = np.array([r.delta for r in rows])
     ms = np.array([r.m for r in rows], dtype=np.float64)
     errors = np.array([r.error for r in rows])
@@ -349,9 +334,8 @@ def averaged_study(
 def write_study_csv(result: StudyResult, path) -> None:
     """Columns k, n_delta, delta, m, error, seconds.
 
-    Errors are rounded to 12 significant digits so files are reproducible
-    across thread counts; the seconds column is wall-clock and is the only
-    non-reproducible field.
+    Errors are rounded to 12 significant digits; the seconds column is
+    wall-clock and is the only non-reproducible field.
     """
     lines = ["k,n_delta,delta,m,error,seconds"]
     for r in result.rows:

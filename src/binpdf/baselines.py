@@ -47,8 +47,7 @@ class Histogram:
         return float(np.prod(self.grid.deltas))
 
     def evaluate(self, point) -> float:
-        p = as_point(point, self.grid.dim).reshape(1, -1)
-        return float(self.values[_flat_bins(self.grid, p)[0]])
+        return float(self.evaluate_batch(as_point(point, self.grid.dim).reshape(1, -1))[0])
 
     def evaluate_batch(self, points) -> np.ndarray:
         pts = as_points(points, self.grid.dim)
@@ -71,8 +70,7 @@ def fit_histogram(grid: TensorGrid, samples) -> Histogram:
     return Histogram(grid, values, m)
 
 
-def eval_histogram(histogram: Histogram, point) -> float:
-    return histogram.evaluate(point)
+eval_histogram = Histogram.evaluate
 
 
 # -- naive KDE ----------------------------------------------------------------
@@ -119,10 +117,7 @@ def eval_kde(spec: KdeSpec, point) -> float:
     Each call visits every sample, the O(M) cost that motivates grid-based
     estimators in the first place.
     """
-    p = as_point(point, spec.dim)
-    u = (p - spec.samples) / spec.bandwidth
-    contrib = np.prod(_kernel_values(spec.kernel, u), axis=1)
-    return float(contrib.sum() / (spec.bandwidth**spec.dim * spec.samples.shape[0]))
+    return float(eval_kde_batch(spec, as_point(point, spec.dim).reshape(1, -1))[0])
 
 
 def eval_kde_batch(spec: KdeSpec, points) -> np.ndarray:

@@ -113,21 +113,6 @@ def _parse_levels(text: str) -> list[int]:
     return levels
 
 
-def _parse_domain(text: str, dim: int) -> list[tuple[float, float]]:
-    pairs = []
-    for part in text.split(";"):
-        try:
-            lo, hi = (float(p) for p in part.split(","))
-        except ValueError as err:
-            raise UsageError(f"bad domain {text!r}; expected lo,hi[;lo,hi...]") from err
-        pairs.append((lo, hi))
-    if len(pairs) == 1:
-        pairs = pairs * dim
-    if len(pairs) != dim:
-        raise UsageError(f"domain has {len(pairs)} axes, distribution has {dim}")
-    return pairs
-
-
 def _parse_mode(text: str) -> analysis.StudyMode | str:
     if text == "fixed_m":
         return "fixed_m"
@@ -144,28 +129,23 @@ def _parse_mode(text: str) -> analysis.StudyMode | str:
     raise UsageError(f"unknown mode {text!r} (fixed_m | fixed_delta | coupled:R)")
 
 
-def _parse_vector(text: str, dim: int, what: str) -> tuple[float, ...]:
+def _per_axis(text: str, dim: int, what: str, sep: str = ",", convert=float) -> tuple:
+    """One ``convert``-ed value per axis; a single value applies to every axis."""
     try:
-        values = tuple(float(p) for p in text.split(","))
+        values = tuple(convert(p) for p in text.split(sep))
     except ValueError as err:
         raise UsageError(f"bad {what} {text!r}") from err
     if len(values) == 1:
-        values = values * dim
+        values *= dim
     if len(values) != dim:
         raise UsageError(f"{what} has {len(values)} entries, expected {dim}")
     return values
 
 
-def _parse_n_delta(text: str, dim: int) -> tuple[int, ...]:
-    try:
-        values = tuple(int(p) for p in text.split(","))
-    except ValueError as err:
-        raise UsageError(f"bad bin counts {text!r}") from err
-    if len(values) == 1:
-        values = values * dim
-    if len(values) != dim or any(v < 1 for v in values):
-        raise UsageError(f"bin counts {text!r} invalid for dimension {dim}")
-    return values
+def _pair(text: str) -> tuple[float, float]:
+    """One axis of ``--domain``: ``lo,hi``."""
+    lo, hi = (float(p) for p in text.split(","))
+    return lo, hi
 
 
 # -- atomic output -------------------------------------------------------------
@@ -237,12 +217,12 @@ def cmd_fit(args) -> int:
     else:
         if args.lower is None or args.upper is None:
             raise UsageError("either --support auto or both --lower and --upper")
-        lower = _parse_vector(args.lower, dim, "--lower")
-        upper = _parse_vector(args.upper, dim, "--upper")
-    grid = _grid(lower, upper, _parse_n_delta(args.n_delta, dim))
+        lower = _per_axis(args.lower, dim, "--lower")
+        upper = _per_axis(args.upper, dim, "--upper")
+    grid = _grid(lower, upper, _per_axis(args.n_delta, dim, "--n-delta", convert=int))
 
     t0 = time.perf_counter()
-    pdf = estimator.fit(grid, samples, threads=args.threads)
+    pdf = estimator.fit(grid, samples)
     seconds = time.perf_counter() - t0
 
     out = Path(args.out)
@@ -271,15 +251,17 @@ def cmd_study(args) -> int:
     if args.support == "auto":
         if args.domain is not None:
             raise UsageError("--support auto conflicts with --domain")
+        if args.holdout:
+            raise UsageError("--holdout conflicts with --support auto")
         grid_domain = "auto"
     elif args.domain is not None:
-        grid_domain = _parse_domain(args.domain, spec.dim)
+        grid_domain = _per_axis(args.domain, spec.dim, "--domain", sep=";", convert=_pair)
     else:
         grid_domain = None
 
     result = analysis.averaged_study(
         spec, mode, levels, seeds,
-        grid_domain=grid_domain, holdout=args.holdout, threads=args.threads,
+        grid_domain=grid_domain, holdout=args.holdout,
     )
     out = Path(args.out)
     with _atomic_path(out) as tmp:
@@ -333,7 +315,7 @@ def cmd_compare(args) -> int:
     if args.domain is None:
         bounds = analysis.estimate_support(ref_samples)
     else:
-        bounds = _parse_domain(args.domain, dim)
+        bounds = _per_axis(args.domain, dim, "--domain", sep=";", convert=_pair)
     lower = tuple(b[0] for b in bounds)
     upper = tuple(b[1] for b in bounds)
 
@@ -346,7 +328,7 @@ def cmd_compare(args) -> int:
     rows = []
     for name, params in wanted:
         if name == "fe":
-            pdf = estimator.fit(coarse_grid, coarse, threads=args.threads)
+            pdf = estimator.fit(coarse_grid, coarse)
             evaluator = pdf.evaluate_batch
             label = "fe"
         elif name == "histogram":
@@ -373,6 +355,9 @@ def cmd_compare(args) -> int:
 # -- parser --------------------------------------------------------------------
 
 
+_THREADS_HELP = "accepted (>= 1) for compatibility; affects neither results nor speed"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="binpdf", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -391,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--upper", help="comma-separated per-axis upper bounds")
     p.add_argument("--n-delta", required=True, help="per-axis bin counts")
     p.add_argument("--support", choices=["auto"], help="grid on the sample extremes")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
 
@@ -407,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--support", choices=["auto"], help="grid on per-level sample extremes")
     p.add_argument("--holdout", action="store_true",
                    help="measure errors on an independent sample set")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_study)
 
@@ -420,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-delta", required=True, help="coarse bin count")
     p.add_argument("--estimators", default="fe", help="fe,histogram,kde:B")
     p.add_argument("--domain", help="grid domain (default: reference sample extremes)")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compare)
 

@@ -11,8 +11,6 @@ is a single O(M * 2**dim) pass with an O(n_nodes) finalization.
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,8 +20,8 @@ from .errors import EmptySampleSetError
 from .grid import TensorGrid, as_point, as_points
 from .textio import load_grid_table, save_grid_table
 
-# Fixed chunk size, independent of thread count, so the scatter order (hence
-# every coefficient, bit for bit) does not depend on the level of parallelism.
+# Fixed chunk size: bounds the per-chunk working set of fit and evaluate, and
+# fixes the scatter order (hence every coefficient, bit for bit).
 _CHUNK = 1 << 18
 
 
@@ -46,26 +44,6 @@ def _corners(grid: TensorGrid, base: np.ndarray, frac: np.ndarray):
         for n, o in enumerate(offsets):
             w *= frac[:, n] if o else 1.0 - frac[:, n]
         yield flat, w
-
-
-def _located_chunks(grid: TensorGrid, pts: np.ndarray, threads: int):
-    """Yield ``_locate`` of each fixed ``_CHUNK`` of points, in chunk order.
-
-    With ``threads > 1`` a pool locates up to ``threads`` chunks ahead of the
-    consumer; results are still yielded in chunk order.
-    """
-    chunks = (pts[start : start + _CHUNK] for start in range(0, pts.shape[0], _CHUNK))
-    if threads <= 1:
-        yield from (_locate(grid, chunk) for chunk in chunks)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending = deque()
-        for chunk in chunks:
-            pending.append(pool.submit(_locate, grid, chunk))
-            if len(pending) == threads:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
 
 
 def _eval_points(grid: TensorGrid, coefficients: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -100,9 +78,7 @@ class PiecewiseLinearPdf:
 
     def evaluate(self, point) -> float:
         """Density value at a single point (exactly F_j at node j)."""
-        p = as_point(point, self.grid.dim).reshape(1, -1)
-        self.grid.check_in_domain(p)
-        return float(_eval_points(self.grid, self.coefficients, p)[0])
+        return float(self.evaluate_batch(as_point(point, self.grid.dim).reshape(1, -1))[0])
 
     def evaluate_batch(self, points) -> np.ndarray:
         """Elementwise :meth:`evaluate`, order preserving."""
@@ -123,19 +99,24 @@ def fit(grid: TensorGrid, samples, *, threads: int = 1) -> PiecewiseLinearPdf:
     Samples outside the domain, NaN and infinite coordinates included, are an
     error, not silently dropped (dropping would break the unit integral);
     re-grid explicitly if the support was misjudged. Fixed-size chunks of
-    samples scatter their corner weights into one node array in chunk order;
-    ``threads`` parallelizes point location of upcoming chunks while the
-    scatter stays in chunk order, so the coefficients are bit-identical for
-    every thread count. Memory is one ``n_nodes`` array plus a fixed
-    per-chunk working set.
+    samples scatter their corner weights into one node array in chunk order.
+    Memory is one ``n_nodes`` array plus a fixed per-chunk working set.
+
+    ``threads`` must be an integer >= 1 and affects neither the result nor
+    the speed: ``np.add.at`` holds the GIL, so a second thread gains nothing.
+    It is accepted so that existing callers keep working.
 
     Raises
     ------
+    ValueError
+        If ``threads`` is not an integer >= 1.
     EmptySampleSetError
         If no samples are given.
     SampleOutOfDomainError
         Identifying the first offending sample.
     """
+    if not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     pts = as_points(samples, grid.dim)
     m = pts.shape[0]
     if m == 0:
@@ -143,10 +124,9 @@ def fit(grid: TensorGrid, samples, *, threads: int = 1) -> PiecewiseLinearPdf:
     grid.check_in_domain(pts, as_samples=True)
 
     sums = np.zeros(grid.n_nodes)
-    for base, frac in _located_chunks(grid, pts, threads):
-        for flat, w in _corners(grid, base, frac):
+    for start in range(0, m, _CHUNK):
+        for flat, w in _corners(grid, *_locate(grid, pts[start : start + _CHUNK])):
             np.add.at(sums, flat, w)
-        del base, frac  # release this chunk before the next one is located
 
     # divide by M * C_j in place, C_j being the product of per-axis factors
     sums /= m

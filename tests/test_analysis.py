@@ -239,6 +239,31 @@ class TestConvergenceStudy:
                 np.mean([s.rows[i].error for s in singles]), rel=1e-14
             )
 
+    def test_averaged_auto_domain_is_the_mean_of_single_seed_studies(self):
+        seeds = [1, 2, 3]
+        singles = [
+            convergence_study(UNIFORM, Coupled(2), [2, 3], s, grid_domain="auto")
+            for s in seeds
+        ]
+        avg = averaged_study(UNIFORM, Coupled(2), [2, 3], seeds, grid_domain="auto")
+        for i, row in enumerate(avg.rows):
+            assert row.delta == np.mean([s.rows[i].delta for s in singles])
+            assert row.error == np.mean([s.rows[i].error for s in singles])
+        # per-seed extremes differ, so the averaged delta is not any one seed's
+        assert len({s.rows[0].delta for s in singles}) == len(seeds)
+
+    @pytest.mark.parametrize("study, seed", [(convergence_study, 0), (averaged_study, [0, 1])])
+    def test_holdout_with_auto_domain_is_rejected_before_sampling(
+        self, monkeypatch, study, seed
+    ):
+        # held-out points can fall outside the fitting samples' extremes
+        def no_sampling(*args):
+            raise AssertionError("sampled before rejecting the arguments")
+
+        monkeypatch.setattr("binpdf.analysis.sample", no_sampling)
+        with pytest.raises(ValueError, match="holdout"):
+            study(UNIFORM, Coupled(2), [2, 3], seed, grid_domain="auto", holdout=True)
+
 
 @pytest.mark.slow
 def test_coupled_rate_windows_on_smooth_gaussians():

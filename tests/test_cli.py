@@ -230,6 +230,16 @@ class TestStudy:
         for line_a, line_b in zip(*outs):
             assert line_a.rsplit(",", 1)[0] == line_b.rsplit(",", 1)[0]
 
+    def test_holdout_with_auto_support_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code, _, stderr = run(
+            capsys, "study", "--dist", "uniform1d", "--mode", "coupled:2",
+            "--k", "2..4", "--support", "auto", "--holdout", "--out", str(out),
+        )
+        assert code == 2
+        assert stderr.splitlines() == ["error: --holdout conflicts with --support auto"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("m", ["inf", "-inf", "nan", "1e30"])
     def test_non_finite_or_huge_m_is_usage_error(self, tmp_path, capsys, m):
         out = tmp_path / "s.csv"
@@ -318,6 +328,29 @@ class TestCompare:
         )
         assert code == 2
         assert stderr.startswith("error:") and message in stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fit", "--lower=-1", "--upper=1", "--n-delta", "0"], "subdivision count"),
+    (["fit", "--lower=-1", "--upper=1", "--n-delta", "4,4,4"], "--n-delta has 3 entries"),
+    (["fit", "--lower", "abc", "--upper=1", "--n-delta", "4"], "bad --lower"),
+    (["fit", "--lower", "0,0,0", "--upper=1", "--n-delta", "4"], "--lower has 3 entries"),
+    (["study", "--dist", "tgauss2d", "--mode", "coupled:2", "--k", "2", "--domain=1,2,3"],
+     "bad --domain"),
+    (["compare", "--ref-n-delta", "4", "--n-delta", "2", "--domain=0,1;0,1;0,1"],
+     "--domain has 3 entries"),
+])
+def test_malformed_per_axis_value_is_one_usage_error(tmp_path, capsys, argv, message):
+    samples = tmp_path / "s.csv"
+    samples.write_text("0.5,0.5\n0.6,0.6\n")
+    out = tmp_path / "out.csv"
+    if argv[0] != "study":
+        argv = argv + ["--samples", str(samples)]
+    code, _, stderr = run(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert stderr.startswith("error:") and stderr.count("\n") == 1
+    assert message in stderr
+    assert not out.exists()
 
 
 class TestParserBasics:

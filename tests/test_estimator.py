@@ -162,6 +162,12 @@ class TestFitProperties:
                 base.coefficients, fit(grid, samples, threads=threads).coefficients
             )
 
+    @pytest.mark.parametrize("threads", [0, -1, 1.5])
+    def test_thread_count_must_be_a_positive_integer(self, threads):
+        grid = TensorGrid((0.0,), (1.0,), (4,))
+        with pytest.raises(ValueError, match="threads"):
+            fit(grid, [0.5], threads=threads)
+
     def test_node_weight_sums_match_exact_per_node_sums(self):
         # one in-order accumulator over several chunks: every node's weight
         # sum agrees with a correctly rounded (fsum) sum of its hat weights
