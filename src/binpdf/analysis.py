@@ -279,6 +279,8 @@ def averaged_study(
     is used instead, so the domain must not be 'auto'. ``seconds`` is the fit
     wall time alone. Averaging delta, error and seconds over the seeds damps
     Monte Carlo noise that would otherwise dominate desk-scale rate estimates.
+    Bad arguments, and on a fixed domain a bad grid, raise ``ValueError``
+    before the first draw.
     """
     levels = [int(k) for k in levels]
     if not levels:
@@ -288,22 +290,23 @@ def averaged_study(
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
+    params = [_level_params(mode, k) for k in levels]
     domain = _resolve_domain(spec, grid_domain)
     if holdout and domain == "auto":
         raise ValueError("holdout needs a fixed grid domain, not 'auto'")
+    # on a fixed domain every level's grid is built, and checked, before any draw
+    grids = [
+        None if domain == "auto" else TensorGrid(*zip(*domain), (n_delta,) * spec.dim)
+        for n_delta, _ in params
+    ]
 
     # seeds outer, levels inner: levels outer page-faults ~3x as often
     runs = [[] for _ in levels]
     for seed in seeds:
-        for k, level_runs in zip(levels, runs):
-            n_delta, m = _level_params(mode, k)
+        for (n_delta, m), grid, level_runs in zip(params, grids, runs):
             samples = sample(spec, m, seed)
-            bounds = estimate_support(samples) if domain == "auto" else domain
-            grid = TensorGrid(
-                tuple(b[0] for b in bounds),
-                tuple(b[1] for b in bounds),
-                (n_delta,) * spec.dim,
-            )
+            if grid is None:
+                grid = TensorGrid(*zip(*estimate_support(samples)), (n_delta,) * spec.dim)
             t0 = time.perf_counter()
             pdf = estimator.fit(grid, samples)
             seconds = time.perf_counter() - t0
@@ -313,8 +316,7 @@ def averaged_study(
             error = rmse_vs_exact(pdf.evaluate_batch, spec, eval_points)
             level_runs.append((float(grid.deltas[0]), error, seconds))
     rows = []
-    for k, level_runs in zip(levels, runs):
-        n_delta, m = _level_params(mode, k)
+    for k, (n_delta, m), level_runs in zip(levels, params, runs):
         delta, error, seconds = (float(np.mean(column)) for column in zip(*level_runs))
         rows.append(StudyLevel(k, n_delta, delta, m, error, seconds))
 

@@ -191,9 +191,10 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _grid(lower, upper, n_delta) -> TensorGrid:
+def _grid(bounds, n_delta) -> TensorGrid:
+    """Grid on one ``(lo, hi)`` pair per axis; a rejected grid is a usage error."""
     try:
-        return TensorGrid(lower, upper, n_delta)
+        return TensorGrid(*zip(*bounds), n_delta)
     except ValueError as err:
         raise UsageError(str(err)) from err
 
@@ -212,14 +213,11 @@ def cmd_fit(args) -> int:
         if args.lower is not None or args.upper is not None:
             raise UsageError("--support auto conflicts with --lower/--upper")
         bounds = analysis.estimate_support(samples)
-        lower = tuple(b[0] for b in bounds)
-        upper = tuple(b[1] for b in bounds)
     else:
         if args.lower is None or args.upper is None:
             raise UsageError("either --support auto or both --lower and --upper")
-        lower = _per_axis(args.lower, dim, "--lower")
-        upper = _per_axis(args.upper, dim, "--upper")
-    grid = _grid(lower, upper, _per_axis(args.n_delta, dim, "--n-delta", convert=int))
+        bounds = zip(_per_axis(args.lower, dim, "--lower"), _per_axis(args.upper, dim, "--upper"))
+    grid = _grid(bounds, _per_axis(args.n_delta, dim, "--n-delta", convert=int))
 
     t0 = time.perf_counter()
     pdf = estimator.fit(grid, samples)
@@ -246,7 +244,10 @@ def cmd_study(args) -> int:
             raise UsageError("--mode fixed_delta requires --n-delta")
         mode = analysis.FixedDelta(_parse_count(args.n_delta, "--n-delta"))
     levels = _parse_levels(args.k)
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [args.seed]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [args.seed]
+    except ValueError as err:
+        raise UsageError(f"bad --seeds {args.seeds!r}") from err
 
     if args.support == "auto":
         if args.domain is not None:
@@ -259,10 +260,12 @@ def cmd_study(args) -> int:
     else:
         grid_domain = None
 
-    result = analysis.averaged_study(
-        spec, mode, levels, seeds,
-        grid_domain=grid_domain, holdout=args.holdout,
-    )
+    try:  # every argument is checked before the first draw
+        result = analysis.averaged_study(
+            spec, mode, levels, seeds, grid_domain=grid_domain, holdout=args.holdout,
+        )
+    except ValueError as err:
+        raise UsageError(str(err)) from err
     out = Path(args.out)
     with _atomic_path(out) as tmp:
         analysis.write_study_csv(result, tmp)
@@ -316,14 +319,10 @@ def cmd_compare(args) -> int:
         bounds = analysis.estimate_support(ref_samples)
     else:
         bounds = _per_axis(args.domain, dim, "--domain", sep=";", convert=_pair)
-    lower = tuple(b[0] for b in bounds)
-    upper = tuple(b[1] for b in bounds)
 
-    reference = baselines.fit_histogram(
-        _grid(lower, upper, (ref_n,) * dim), ref_samples[:ref_m]
-    )
+    reference = baselines.fit_histogram(_grid(bounds, (ref_n,) * dim), ref_samples[:ref_m])
     coarse = samples[:fit_m]
-    coarse_grid = _grid(lower, upper, (coarse_n,) * dim)
+    coarse_grid = _grid(bounds, (coarse_n,) * dim)
 
     rows = []
     for name, params in wanted:
@@ -436,6 +435,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except MemoryError as err:
+        print(f"error: out of memory: {err}", file=sys.stderr)
         return 1
 
 

@@ -10,51 +10,14 @@ is a single O(M * 2**dim) pass with an O(n_nodes) finalization.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import EmptySampleSetError
-from .grid import TensorGrid, as_point, as_points
+from .grid import _CHUNK, TensorGrid, as_point, as_points  # noqa: F401 (re-exports _CHUNK)
 from .textio import load_grid_table, save_grid_table
-
-# Fixed chunk size: bounds the per-chunk working set of fit and evaluate, and
-# fixes the scatter order (hence every coefficient, bit for bit).
-_CHUNK = 1 << 18
-
-
-def _locate(grid: TensorGrid, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat node index of each point's lowest bin corner and its fractions."""
-    idx, frac = grid._locate_with_frac(pts)
-    return np.ravel_multi_index(tuple(idx.T), grid.node_shape), frac
-
-
-def _corners(grid: TensorGrid, base: np.ndarray, frac: np.ndarray):
-    """Yield ``(flat node index, hat weight)`` for each of the 2**dim bin corners.
-
-    Both are buffers reused for every corner (fresh per-corner arrays churn the
-    allocator), so consume them before asking for the next corner.
-    """
-    flat, w = np.empty_like(base), np.empty(base.shape[0])
-    for offsets in itertools.product((0, 1), repeat=grid.dim):
-        np.add(base, np.ravel_multi_index(offsets, grid.node_shape), out=flat)
-        w.fill(1.0)
-        for n, o in enumerate(offsets):
-            w *= frac[:, n] if o else 1.0 - frac[:, n]
-        yield flat, w
-
-
-def _eval_points(grid: TensorGrid, coefficients: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Evaluate ``sum_j F_j * hat_j`` at in-domain points (m, dim)."""
-    values = np.zeros(pts.shape[0])
-    for start in range(0, pts.shape[0], _CHUNK):
-        out = values[start : start + _CHUNK]
-        for flat, w in _corners(grid, *_locate(grid, pts[start : start + _CHUNK])):
-            w *= coefficients[flat]
-            out += w
-    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,7 +49,11 @@ class PiecewiseLinearPdf:
         if pts.shape[0] == 0:
             return np.empty(0)
         self.grid.check_in_domain(pts)
-        return _eval_points(self.grid, self.coefficients, pts)
+        values = np.zeros(pts.shape[0])
+        for start, flat, w in self.grid._stencil(pts):
+            w *= self.coefficients[flat]
+            values[start : start + w.shape[0]] += w
+        return values
 
     def integral(self) -> float:
         """Integral over the domain: sum of F_j * C_j."""
@@ -124,9 +91,8 @@ def fit(grid: TensorGrid, samples, *, threads: int = 1) -> PiecewiseLinearPdf:
     grid.check_in_domain(pts, as_samples=True)
 
     sums = np.zeros(grid.n_nodes)
-    for start in range(0, m, _CHUNK):
-        for flat, w in _corners(grid, *_locate(grid, pts[start : start + _CHUNK])):
-            np.add.at(sums, flat, w)
+    for _, flat, w in grid._stencil(pts):
+        np.add.at(sums, flat, w)
 
     # divide by M * C_j in place, C_j being the product of per-axis factors
     sums /= m

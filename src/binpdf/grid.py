@@ -4,8 +4,9 @@ A :class:`TensorGrid` subdivides an axis-aligned box into congruent
 hyper-rectangular bins. Nodes are the bin vertices; each node carries a
 continuous, piecewise multilinear hat function that is 1 at its node, 0 at
 every other node, and supported on the bins touching the node. The module
-provides point location, node coordinates, hat evaluation, and the exact
-(closed-form) integral of each hat over the box.
+provides point location, node coordinates, the 2**dim corner stencil of hat
+weights that fit, evaluation and :meth:`TensorGrid.basis_eval` all consume,
+and the exact (closed-form) integral of each hat over the box.
 
 Point location uses direct index arithmetic, ``i = floor((y - a) / delta)``,
 followed by a one-step correction against the bin edge values so that the
@@ -26,6 +27,10 @@ import numpy as np
 from .errors import IndexOutOfRangeError, OutOfDomainError, SampleOutOfDomainError
 
 MultiIndex = tuple[int, ...]
+
+# Fixed chunk size of the stencil: bounds the per-chunk working set of fit and
+# evaluate, and fixes the scatter order (hence every coefficient, bit for bit).
+_CHUNK = 1 << 18
 
 
 def as_points(points, dim: int) -> np.ndarray:
@@ -226,10 +231,7 @@ class TensorGrid:
         The exact upper boundary is clamped into the last bin. Raises
         :class:`OutOfDomainError` for points outside the closed box.
         """
-        p = as_point(point, self.dim).reshape(1, -1)
-        self.check_in_domain(p)
-        idx, _ = self._locate_with_frac(p)
-        return tuple(int(i) for i in idx[0])
+        return tuple(int(i) for i in self.locate_bins(as_point(point, self.dim)[None])[0])
 
     def locate_bins(self, points) -> np.ndarray:
         """Vectorized :meth:`locate_bin`; returns an (m, dim) int array."""
@@ -237,6 +239,30 @@ class TensorGrid:
         self.check_in_domain(pts)
         idx, _ = self._locate_with_frac(pts)
         return idx
+
+    def _stencil(self, pts: np.ndarray):
+        """Yield ``(chunk start, flat node index, hat weight)`` per corner.
+
+        Runs over fixed ``_CHUNK`` slices of in-domain points, and within each
+        over the 2**dim corners of every point's bin in lexicographic offset
+        order. The index and weight arrays are buffers reused for every corner
+        of a chunk, so consume them before asking for the next corner.
+        """
+        for start in range(0, pts.shape[0], _CHUNK):
+            yield from self._chunk_stencil(start, pts[start : start + _CHUNK])
+
+    def _chunk_stencil(self, start: int, pts: np.ndarray):
+        # a frame of its own, so one chunk's location is freed before the next
+        idx, frac = self._locate_with_frac(pts)
+        base = np.ravel_multi_index(tuple(idx.T), self.node_shape)
+        del idx
+        flat, w = np.empty_like(base), np.empty(base.shape[0])
+        for offsets in itertools.product((0, 1), repeat=self.dim):
+            np.add(base, np.ravel_multi_index(offsets, self.node_shape), out=flat)
+            w.fill(1.0)
+            for n, o in enumerate(offsets):
+                w *= frac[:, n] if o else 1.0 - frac[:, n]
+            yield start, flat, w
 
     # -- nodes and basis -----------------------------------------------------
 
@@ -260,26 +286,19 @@ class TensorGrid:
         return self._edge_mesh(self.n_delta)
 
     def basis_eval(self, node, point) -> float:
-        """Hat function of ``node`` at ``point``.
+        """Hat function of ``node`` at ``point``: its weight in the point's stencil.
 
         Product over axes of ``max(0, 1 - |y_n - node_n| / delta_n)``,
         computed from the located bin's fractional offsets so that the value
         is exactly 1 at the node itself and exactly 0 at every other node.
         """
-        idx = self._check_multi(node, self.node_shape, "node")
-        p = as_point(point, self.dim).reshape(1, -1)
+        flat = self.node_flat_index(node)
+        p = as_point(point, self.dim)[None]
         self.check_in_domain(p)
-        bin_idx, frac = self._locate_with_frac(p)
-        out = 1.0
-        for n, i in enumerate(idx):
-            b = int(bin_idx[0, n])
-            if i == b:
-                out *= 1.0 - float(frac[0, n])
-            elif i == b + 1:
-                out *= float(frac[0, n])
-            else:
-                return 0.0
-        return out
+        for _, corner, w in self._stencil(p):
+            if corner[0] == flat:
+                return float(w[0])
+        return 0.0
 
     def basis_integral(self, node) -> float:
         """Exact integral of the node's hat function over the domain.
@@ -289,10 +308,7 @@ class TensorGrid:
         the closed form.
         """
         idx = self._check_multi(node, self.node_shape, "node")
-        out = 1.0
-        for i, nd, d in zip(idx, self.n_delta, self.deltas):
-            out *= d / 2.0 if i == 0 or i == nd else d
-        return out
+        return math.prod(float(c[i]) for c, i in zip(self._axis_hat_integrals(), idx))
 
     def _axis_hat_integrals(self) -> list[np.ndarray]:
         """Per-axis 1-D hat integrals: ``delta``, halved at both end nodes."""

@@ -173,9 +173,8 @@ class DistributionSpec:
 
     def pdf(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
-        squeeze = pts.ndim == 1
-        if squeeze:
-            pts = pts.reshape(-1, self.dim) if self.dim > 1 else pts.reshape(-1, 1)
+        if pts.ndim == 1:
+            pts = pts.reshape(-1, self.dim)
         out = np.ones(pts.shape[0])
         for n, axis in enumerate(self.axes):
             out *= axis.pdf(pts[:, n])

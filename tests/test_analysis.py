@@ -264,6 +264,22 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="holdout"):
             study(UNIFORM, Coupled(2), [2, 3], seed, grid_domain="auto", holdout=True)
 
+    @pytest.mark.parametrize("levels, grid_domain, message", [
+        ([2, 3], [(1.0, 0.0)], "lower < upper"),
+        ([2, 3], [(0.0, math.nan)], "lower < upper"),
+        ([2, 3], [(-1.0, math.inf)], "lower < upper"),
+        ([0, 1], None, "level k must be >= 1"),
+    ])
+    def test_bad_domain_or_level_is_rejected_before_sampling(
+        self, monkeypatch, levels, grid_domain, message
+    ):
+        def no_sampling(*args):
+            raise AssertionError("sampled before rejecting the arguments")
+
+        monkeypatch.setattr("binpdf.analysis.sample", no_sampling)
+        with pytest.raises(ValueError, match=message):
+            averaged_study(UNIFORM, Coupled(2), levels, [0, 1], grid_domain=grid_domain)
+
 
 @pytest.mark.slow
 def test_coupled_rate_windows_on_smooth_gaussians():

@@ -330,6 +330,9 @@ class TestCompare:
         assert stderr.startswith("error:") and message in stderr
 
 
+STUDY = ["study", "--dist", "uniform1d", "--mode", "coupled:2", "--k", "2..3"]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["fit", "--lower=-1", "--upper=1", "--n-delta", "0"], "subdivision count"),
     (["fit", "--lower=-1", "--upper=1", "--n-delta", "4,4,4"], "--n-delta has 3 entries"),
@@ -339,6 +342,12 @@ class TestCompare:
      "bad --domain"),
     (["compare", "--ref-n-delta", "4", "--n-delta", "2", "--domain=0,1;0,1;0,1"],
      "--domain has 3 entries"),
+    (STUDY + ["--domain=1,0"], "need lower < upper"),
+    (STUDY + ["--domain=0,nan"], "need lower < upper"),
+    (STUDY + ["--seeds", "a"], "bad --seeds 'a'"),
+    (STUDY + ["--seeds", "1,,2"], "bad --seeds '1,,2'"),
+    (["study", "--dist", "uniform1d", "--mode", "coupled:1", "--k", "0..2"],
+     "level k must be >= 1"),
 ])
 def test_malformed_per_axis_value_is_one_usage_error(tmp_path, capsys, argv, message):
     samples = tmp_path / "s.csv"
@@ -350,6 +359,35 @@ def test_malformed_per_axis_value_is_one_usage_error(tmp_path, capsys, argv, mes
     assert code == 2
     assert stderr.startswith("error:") and stderr.count("\n") == 1
     assert message in stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--domain=1,0"], ["--seeds", "1,,2"], ["--mode", "coupled:1", "--k", "0..2"],
+])
+def test_study_argument_errors_precede_the_first_draw(tmp_path, capsys, monkeypatch, flags):
+    def no_sampling(*args):
+        raise AssertionError("sampled before rejecting the arguments")
+
+    monkeypatch.setattr("binpdf.analysis.sample", no_sampling)
+    code, _, stderr = run(capsys, *STUDY, *flags, "--out", str(tmp_path / "s.csv"))
+    assert code == 2 and stderr.startswith("error:")
+
+
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr("binpdf.estimator.fit", no_memory)
+    samples = tmp_path / "s.csv"
+    samples.write_text("0.5,0.5\n0.6,0.6\n")
+    out = tmp_path / "pdf.csv"
+    code, _, stderr = run(
+        capsys, "fit", "--samples", str(samples), "--lower=0", "--upper=1",
+        "--n-delta", "1000000", "--out", str(out),
+    )
+    assert code == 1
+    assert stderr == "error: out of memory: Unable to allocate 7.28 TiB for an array\n"
     assert not out.exists()
 
 

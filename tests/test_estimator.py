@@ -285,6 +285,29 @@ class TestAxisMajorLocation:
         )
 
 
+class TestOneStencil:
+    @pytest.mark.parametrize("lower, upper, n_delta", [
+        ((-1.0,), (2.0,), (5,)),
+        ((0.0, -1.5), (1.0, 2.0), (3, 4)),
+        ((-0.3, 0.0, 1.0), (0.7, 0.5, 4.0), (2, 3, 2)),
+    ])
+    def test_basis_eval_is_a_unit_coefficient_density(self, lower, upper, n_delta):
+        # basis_eval reads its node's weight from the same stencil that
+        # evaluation sums, so the two agree bit for bit
+        grid = TensorGrid(lower, upper, n_delta)
+        rng = np.random.default_rng(65)
+        pts = np.concatenate(
+            [grid.node_coords_array(), rng.uniform(grid.lower, grid.upper, (40, grid.dim))]
+        )
+        for flat in range(grid.n_nodes):
+            node = grid.node_multi_index(flat)
+            unit = np.zeros(grid.n_nodes)
+            unit[flat] = 1.0
+            want = PiecewiseLinearPdf(grid, unit, 1).evaluate_batch(pts)
+            got = np.array([grid.basis_eval(node, p) for p in pts])
+            np.testing.assert_array_equal(got, want)
+
+
 class TestEvaluate:
     def test_node_values_are_exact(self):
         rng = np.random.default_rng(31)
