@@ -30,7 +30,8 @@ from .errors import (
     UnsupportedOrderError,
 )
 from .grid import TensorGrid, as_points
-from .sampling import DistributionSpec, sample
+from .sampling import DistributionSpec, check_seed, sample
+from .textio import write_text
 
 # XOR mask applied to the base seed when drawing an independent held-out
 # evaluation set, keeping it disjoint from the fitting stream.
@@ -222,6 +223,8 @@ class StudyResult:
 
 def _level_params(mode: StudyMode, k: int) -> tuple[int, int]:
     """(n_delta, m) for one level; neither depends on the domain bounds."""
+    if isinstance(mode, (FixedM, FixedDelta)) and k < 0:
+        raise ValueError(f"level k must be >= 0, got {k}")
     if isinstance(mode, FixedM):
         return 2**k, int(mode.m)
     if isinstance(mode, FixedDelta):
@@ -283,13 +286,13 @@ def averaged_study(
     before the first draw.
     """
     levels = [int(k) for k in levels]
-    if not levels:
-        raise ValueError("levels must be nonempty")
-    if levels != sorted(levels):
-        raise ValueError("levels must be ascending")
+    if not levels or levels != sorted(levels):
+        raise ValueError(f"levels must be nonempty and ascending, got {levels}")
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
+    for seed in seeds:
+        check_seed(seed)
     params = [_level_params(mode, k) for k in levels]
     domain = _resolve_domain(spec, grid_domain)
     if holdout and domain == "auto":
@@ -344,7 +347,7 @@ def write_study_csv(result: StudyResult, path) -> None:
         lines.append(
             f"{r.k},{r.n_delta},{r.delta:.17g},{r.m},{r.error:.12g},{r.seconds:.6g}"
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def write_plot_script(csv_path, script_path, *, title: str = "convergence study") -> None:
@@ -365,4 +368,4 @@ set xlabel 'sample count'
 plot '{csv_name}' using 4:5 with linespoints pt 5 title 'error vs sample count'
 unset multiplot
 """
-    Path(script_path).write_text(text)
+    write_text(script_path, text)

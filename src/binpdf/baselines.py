@@ -134,7 +134,7 @@ def eval_kde_batch(spec: KdeSpec, points) -> np.ndarray:
 
 
 def save_histogram(histogram: Histogram, path) -> Path:
-    """Write ``<path>`` (flat bin index, bin lower corner, value) plus sidecar."""
+    """Publish ``<path>`` (flat bin index, bin lower corner, value) plus sidecar."""
     grid = histogram.grid
     return save_grid_table(
         path, grid, ("bin_index", "corner", "value"), grid.bin_lower_corners(),

@@ -1,9 +1,9 @@
 """Command-line front end: sample, fit, study, and compare.
 
 Every command is deterministic given identical flags (seeds included) and
-writes output files atomically (temp file + rename). Exit codes: 0 success,
-2 usage error, 1 runtime or data error; failures print a line starting with
-``error:`` on standard error.
+writes its files with the library writers, which publish atomically. Exit
+codes: 0 success, 2 usage error, 1 runtime or data error; failures print a
+line starting with ``error:`` on standard error.
 
 Distributions are written in a small axis-spec language, one spec per axis
 joined by ';':
@@ -21,9 +21,8 @@ Gaussians with sd 2 and 1 on [-5.5, 5.5]^2).
 from __future__ import annotations
 
 import argparse
-import contextlib
+import functools
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -97,27 +96,27 @@ def _parse_dist(text: str) -> sampling.DistributionSpec:
 
 
 def _parse_levels(text: str) -> list[int]:
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        try:
-            levels = list(range(int(lo), int(hi) + 1))
-        except ValueError as err:
-            raise UsageError(f"bad level range {text!r}") from err
-    else:
-        try:
-            levels = [int(p) for p in text.split(",")]
-        except ValueError as err:
-            raise UsageError(f"bad level list {text!r}") from err
-    if not levels or levels != sorted(levels):
-        raise UsageError(f"levels must be a nonempty ascending range, got {text!r}")
-    return levels
+    """``LO..HI`` or ``K1,K2,...``; the study rejects empty or unsorted levels."""
+    try:
+        if ".." in text:
+            lo, _, hi = text.partition("..")
+            return list(range(int(lo), int(hi) + 1))
+        return [int(p) for p in text.split(",")]
+    except ValueError as err:
+        raise UsageError(f"bad levels {text!r}") from err
 
 
-def _parse_mode(text: str) -> analysis.StudyMode | str:
+def _parse_mode(args) -> analysis.StudyMode:
+    """``--mode`` with the ``--m`` or ``--n-delta`` it needs."""
+    text = args.mode
     if text == "fixed_m":
-        return "fixed_m"
+        if args.m is None:
+            raise UsageError("--mode fixed_m requires --m")
+        return analysis.FixedM(_parse_count(args.m, "--m"))
     if text == "fixed_delta":
-        return "fixed_delta"
+        if args.n_delta is None:
+            raise UsageError("--mode fixed_delta requires --n-delta")
+        return analysis.FixedDelta(_parse_count(args.n_delta, "--n-delta"))
     if text.startswith("coupled:"):
         try:
             r = int(text.split(":", 1)[1])
@@ -148,45 +147,17 @@ def _pair(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-# -- atomic output -------------------------------------------------------------
-
-
-@contextlib.contextmanager
-def _atomic_path(path: Path):
-    """Yield a temp path in the same directory; rename over ``path`` on success."""
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
-
-
-def _publish_with_sidecar(write, out: Path) -> None:
-    """Write a CSV+JSON pair under temp names, then rename both."""
-    tmp_csv = out.with_name(f".{out.name}.tmp.csv")
-    tmp_sidecar = tmp_csv.with_suffix(".json")
-    try:
-        write(tmp_csv)
-        os.replace(tmp_csv, out)
-        os.replace(tmp_sidecar, textio.sidecar_path(out))
-    finally:
-        for tmp in (tmp_csv, tmp_sidecar):
-            if tmp.exists():
-                tmp.unlink()
-
-
 # -- commands ------------------------------------------------------------------
 
 
 def cmd_sample(args) -> int:
     spec = _parse_dist(args.dist)
     m = _parse_count(args.m, "--m")
-    points = sampling.sample(spec, m, args.seed)
-    out = Path(args.out)
-    with _atomic_path(out) as tmp:
-        sampling.write_samples_csv(tmp, points, seed=args.seed)
+    try:  # the seed is the one argument sample() can reject with ValueError
+        points = sampling.sample(spec, m, args.seed)
+    except ValueError as err:
+        raise UsageError(f"bad --seed: {err}") from err
+    sampling.write_samples_csv(args.out, points, seed=args.seed)
     print(f"rows: {m}")
     return 0
 
@@ -207,6 +178,9 @@ def _load_samples(path: str) -> np.ndarray:
 
 
 def cmd_fit(args) -> int:
+    out = Path(args.out)
+    if textio.sidecar_path(out) == out:
+        raise UsageError(f"--out {out} would be overwritten by its .json sidecar")
     samples = _load_samples(args.samples)
     dim = samples.shape[1]
     if args.support == "auto":
@@ -223,8 +197,7 @@ def cmd_fit(args) -> int:
     pdf = estimator.fit(grid, samples)
     seconds = time.perf_counter() - t0
 
-    out = Path(args.out)
-    _publish_with_sidecar(lambda tmp: estimator.save_pdf(pdf, tmp), out)
+    estimator.save_pdf(pdf, out)
     print(f"samples: {pdf.sample_count}")
     print(f"bins: {grid.n_bins}")
     print(f"integral: {pdf.integral():.12g}")
@@ -233,16 +206,12 @@ def cmd_fit(args) -> int:
 
 
 def cmd_study(args) -> int:
+    out = Path(args.out)
+    script = out.with_suffix(".gp")
+    if script == out:
+        raise UsageError(f"--out {out} would be overwritten by its .gp plot script")
     spec = _parse_dist(args.dist)
-    mode = _parse_mode(args.mode)
-    if mode == "fixed_m":
-        if args.m is None:
-            raise UsageError("--mode fixed_m requires --m")
-        mode = analysis.FixedM(_parse_count(args.m, "--m"))
-    elif mode == "fixed_delta":
-        if args.n_delta is None:
-            raise UsageError("--mode fixed_delta requires --n-delta")
-        mode = analysis.FixedDelta(_parse_count(args.n_delta, "--n-delta"))
+    mode = _parse_mode(args)
     levels = _parse_levels(args.k)
     try:
         seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [args.seed]
@@ -266,38 +235,36 @@ def cmd_study(args) -> int:
         )
     except ValueError as err:
         raise UsageError(str(err)) from err
-    out = Path(args.out)
-    with _atomic_path(out) as tmp:
-        analysis.write_study_csv(result, tmp)
-    script = out.with_suffix(".gp")
-    with _atomic_path(script) as tmp:
-        analysis.write_plot_script(out, tmp, title=f"{args.dist} {args.mode}")
+    analysis.write_study_csv(result, out)
+    analysis.write_plot_script(out, script, title=f"{args.dist} {args.mode}")
     print(f"delta-rate: {result.fitted_rate_delta:.12g}")
     print(f"m-rate: {result.fitted_rate_m:.12g}")
     return 0
 
 
-def _parse_estimators(text: str) -> list[tuple[str, dict]]:
+def _parse_estimators(text: str) -> list[tuple[str, object]]:
+    """``(label, make_evaluator)`` pairs; ``make_evaluator(grid, samples)`` fits
+    one estimator and returns its batch evaluator."""
     wanted = []
     for part in text.split(","):
         if part == "fe":
-            wanted.append(("fe", {}))
+            wanted.append(("fe", lambda g, s: estimator.fit(g, s).evaluate_batch))
         elif part == "histogram":
-            wanted.append(("histogram", {}))
+            wanted.append(("histogram", lambda g, s: baselines.fit_histogram(g, s).evaluate_batch))
         elif part.startswith("kde:"):
             pieces = part.split(":")
-            kernel = "triangular"
-            if len(pieces) == 3:
-                kernel = pieces[1]
-                if kernel not in baselines.KERNELS:
-                    raise UsageError(f"unknown kde kernel {kernel!r}")
+            kernel = pieces[1] if len(pieces) == 3 else "triangular"
+            if len(pieces) > 3 or kernel not in baselines.KERNELS:
+                raise UsageError(f"bad kde estimator {part!r} (kde:B | kde:KERNEL:B)")
             try:
                 bandwidth = float(pieces[-1])
             except ValueError as err:
                 raise UsageError(f"bad kde bandwidth in {part!r}") from err
             if bandwidth <= 0:
                 raise UsageError(f"kde bandwidth must be > 0, got {bandwidth}")
-            wanted.append(("kde", {"kernel": kernel, "bandwidth": bandwidth}))
+            wanted.append((f"kde:{kernel}:{bandwidth:g}", lambda g, s, k=kernel, b=bandwidth:
+                           functools.partial(baselines.eval_kde_batch,
+                                             baselines.KdeSpec(k, b, s))))
         else:
             raise UsageError(f"unknown estimator {part!r} (fe | histogram | kde:B)")
     return wanted
@@ -324,30 +291,13 @@ def cmd_compare(args) -> int:
     coarse = samples[:fit_m]
     coarse_grid = _grid(bounds, (coarse_n,) * dim)
 
-    rows = []
-    for name, params in wanted:
-        if name == "fe":
-            pdf = estimator.fit(coarse_grid, coarse)
-            evaluator = pdf.evaluate_batch
-            label = "fe"
-        elif name == "histogram":
-            hist = baselines.fit_histogram(coarse_grid, coarse)
-            evaluator = hist.evaluate_batch
-            label = "histogram"
-        else:
-            kde = baselines.KdeSpec(params["kernel"], params["bandwidth"], coarse)
-            evaluator = lambda pts, k=kde: baselines.eval_kde_batch(k, pts)
-            label = f"kde:{params['kernel']}:{params['bandwidth']:g}"
+    lines = ["estimator,n_delta,m,ref_n_delta,ref_m,rmse"]
+    for label, make_evaluator in wanted:
+        evaluator = make_evaluator(coarse_grid, coarse)
         rmse = analysis.rmse_vs_histogram(evaluator, reference, coarse)
-        rows.append((label, rmse))
+        lines.append(f"{label},{coarse_n},{fit_m},{ref_n},{ref_m},{rmse:.12g}")
         print(f"{label}: {rmse:.12g}")
-
-    out = Path(args.out)
-    with _atomic_path(out) as tmp:
-        lines = ["estimator,n_delta,m,ref_n_delta,ref_m,rmse"]
-        for label, rmse in rows:
-            lines.append(f"{label},{coarse_n},{fit_m},{ref_n},{ref_m},{rmse:.12g}")
-        tmp.write_text("\n".join(lines) + "\n")
+    textio.write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -430,10 +380,7 @@ def main(argv=None) -> int:
         print(f"error: sample row {err.index}: coordinate {err.value!r} on axis "
               f"{err.axis} is {where}", file=sys.stderr)
         return 1
-    except BinPdfError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
+    except (BinPdfError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except MemoryError as err:

@@ -109,7 +109,7 @@ def fit(grid: TensorGrid, samples, *, threads: int = 1) -> PiecewiseLinearPdf:
 
 
 def save_pdf(pdf: PiecewiseLinearPdf, path) -> Path:
-    """Write ``<path>`` (CSV) and a ``.json`` sidecar; returns the sidecar path."""
+    """Publish ``<path>`` (CSV, not ``.json``) and a ``.json`` sidecar; returns the sidecar."""
     grid = pdf.grid
     return save_grid_table(
         path, grid, ("node_index", "coord", "coefficient"), grid.node_coords_array(),

@@ -181,15 +181,23 @@ class DistributionSpec:
         return out
 
 
+def check_seed(seed: int) -> None:
+    """Raise ``ValueError`` unless ``seed`` is a valid Philox key."""
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"seed {seed} is outside the valid range [0, 2**128)")
+
+
 def sample(spec: DistributionSpec, m: int, seed: int) -> np.ndarray:
     """Draw ``m`` i.i.d. samples, shape (m, dim), deterministically from ``seed``.
 
     For a fixed seed the first ``m1`` rows of a larger draw equal the
-    ``m1``-row draw exactly, so growing sample sets are nested.
+    ``m1``-row draw exactly, so growing sample sets are nested. A seed
+    outside ``[0, 2**128)`` raises ``ValueError``.
     """
     m = int(m)
     if m < 1:
         raise EmptySampleSetError(f"sample count must be >= 1, got {m}")
+    check_seed(seed)
     rng = np.random.Generator(np.random.Philox(key=seed))
     u = rng.random((m, spec.dim))
     for n, axis in enumerate(spec.axes):
@@ -214,7 +222,8 @@ def write_samples_csv(path, samples: np.ndarray, *, seed: int | None = None) -> 
     The header reads ``# dim=D rows=M`` plus `` seed=S`` when a seed is given.
     The bytes equal those of ``np.savetxt(path, samples, fmt="%.17g",
     delimiter=",", header=...)``; rows are formatted in fixed blocks, so the
-    writer holds one block's text at a time, never the whole file's.
+    writer holds one block's text at a time, never the whole file's. The file
+    is published atomically (see ``textio``).
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim == 1:

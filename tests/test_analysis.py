@@ -280,6 +280,23 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match=message):
             averaged_study(UNIFORM, Coupled(2), levels, [0, 1], grid_domain=grid_domain)
 
+    @pytest.mark.parametrize("mode, levels, seeds, message", [
+        (Coupled(2), [2, 3], [1, -1], "seed -1 is outside"),
+        (Coupled(2), [2, 3], [2**128], "seed 340282366920938463463374607431768211456 is"),
+        (FixedM(100), [-1, 0], [0], "level k must be >= 0, got -1"),
+        (FixedDelta(4), [-1, 0], [0], "level k must be >= 0, got -1"),
+    ])
+    def test_bad_seed_or_negative_level_is_rejected_before_sampling(
+        self, monkeypatch, mode, levels, seeds, message
+    ):
+        # with 'auto' no grid is built before the draws, so only the checks stop them
+        def no_sampling(*args):
+            raise AssertionError("sampled before rejecting the arguments")
+
+        monkeypatch.setattr("binpdf.analysis.sample", no_sampling)
+        with pytest.raises(ValueError, match=message):
+            averaged_study(UNIFORM, mode, levels, seeds, grid_domain="auto")
+
 
 @pytest.mark.slow
 def test_coupled_rate_windows_on_smooth_gaussians():

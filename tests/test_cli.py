@@ -1,5 +1,6 @@
 """Command-line interface: flags, exit codes, files, and determinism."""
 
+import errno
 import os
 import subprocess
 import sys
@@ -10,7 +11,15 @@ import numpy as np
 import pytest
 
 import binpdf
-from binpdf import DistributionSpec, TruncatedGaussian, load_pdf, read_samples_csv, sample
+from binpdf import (
+    DistributionSpec,
+    TruncatedGaussian,
+    load_pdf,
+    read_samples_csv,
+    sample,
+    write_samples_csv,
+)
+from binpdf import textio
 from binpdf.cli import main
 
 NAN_ROW = "# dim=2 rows=3\n0.5,0.25\nnan,0.1\n-1.0,2.0\n"
@@ -60,6 +69,16 @@ class TestSample:
         )
         assert code == 2
         assert stderr.startswith("error: --m must be") and stderr.count("\n") == 1
+        assert not out.exists()
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code, _, stderr = run(
+            capsys, "sample", "--dist", "uniform1d", "--m", "10", "--seed=-1",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert stderr == "error: bad --seed: seed -1 is outside the valid range [0, 2**128)\n"
         assert not out.exists()
 
     def test_unknown_dist_is_usage_error(self, tmp_path, capsys):
@@ -342,6 +361,10 @@ STUDY = ["study", "--dist", "uniform1d", "--mode", "coupled:2", "--k", "2..3"]
      "bad --domain"),
     (["compare", "--ref-n-delta", "4", "--n-delta", "2", "--domain=0,1;0,1;0,1"],
      "--domain has 3 entries"),
+    (["compare", "--ref-n-delta", "4", "--n-delta", "2", "--estimators", "kde:gaussian:x:0.5"],
+     "bad kde estimator 'kde:gaussian:x:0.5'"),
+    (["compare", "--ref-n-delta", "4", "--n-delta", "2", "--estimators", "kde:cosine:0.5"],
+     "bad kde estimator 'kde:cosine:0.5'"),
     (STUDY + ["--domain=1,0"], "need lower < upper"),
     (STUDY + ["--domain=0,nan"], "need lower < upper"),
     (STUDY + ["--seeds", "a"], "bad --seeds 'a'"),
@@ -364,6 +387,9 @@ def test_malformed_per_axis_value_is_one_usage_error(tmp_path, capsys, argv, mes
 
 @pytest.mark.parametrize("flags", [
     ["--domain=1,0"], ["--seeds", "1,,2"], ["--mode", "coupled:1", "--k", "0..2"],
+    ["--seeds", "1,-1"],
+    ["--mode", "fixed_delta", "--n-delta", "4", "--k=-1..1"],
+    ["--mode", "fixed_m", "--m", "100", "--k=-1..1", "--support", "auto"],
 ])
 def test_study_argument_errors_precede_the_first_draw(tmp_path, capsys, monkeypatch, flags):
     def no_sampling(*args):
@@ -372,6 +398,65 @@ def test_study_argument_errors_precede_the_first_draw(tmp_path, capsys, monkeypa
     monkeypatch.setattr("binpdf.analysis.sample", no_sampling)
     code, _, stderr = run(capsys, *STUDY, *flags, "--out", str(tmp_path / "s.csv"))
     assert code == 2 and stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--samples", "s.csv", "--support", "auto", "--n-delta", "4", "--out", "pdf.json"],
+    [*STUDY, "--out", "study.gp"],
+])
+def test_output_its_companion_file_would_overwrite_is_usage_error(
+    tmp_path, capsys, monkeypatch, argv
+):
+    def no_samples(*args):
+        raise AssertionError("read or drew samples before rejecting --out")
+
+    monkeypatch.setattr("binpdf.sampling.read_samples_csv", no_samples)
+    monkeypatch.setattr("binpdf.analysis.sample", no_samples)
+    monkeypatch.chdir(tmp_path)
+    code, _, stderr = run(capsys, *argv)
+    assert code == 2
+    assert stderr.startswith(f"error: --out {argv[-1]} would be overwritten")
+    assert stderr.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, first, second, outputs, failing", [
+    (["sample", "--dist", "mixed2d", "--m", "300", "--out", "s.csv"],
+     ["--seed", "1"], ["--seed", "2"], ["s.csv"], "s.csv"),
+    (["fit", "--samples", "in.csv", "--support", "auto", "--out", "pdf.csv"],
+     ["--n-delta", "4"], ["--n-delta", "8"], ["pdf.csv", "pdf.json"], "pdf.json"),
+    ([*STUDY, "--out", "st.csv"],
+     ["--seed", "1"], ["--seed", "2"], ["st.csv", "st.gp"], "st.csv"),
+    (["compare", "--samples", "in.csv", "--ref-n-delta", "8", "--m", "100", "--out", "cmp.csv"],
+     ["--n-delta", "4"], ["--n-delta", "2"], ["cmp.csv"], "cmp.csv"),
+])
+def test_failed_write_keeps_old_outputs_and_leaves_no_temp(
+    tmp_path, capsys, monkeypatch, argv, first, second, outputs, failing
+):
+    monkeypatch.chdir(tmp_path)
+    write_samples_csv("in.csv", np.random.default_rng(5).normal(size=(200, 1)))
+    assert run(capsys, *argv, *first)[0] == 0
+    before = {name: Path(name).read_bytes() for name in outputs}
+
+    def open_failing_partway(path, mode="r"):
+        # the file of ``failing`` gets half of its first write, then the disk is "full"
+        fh = open(path, mode)
+        if Path(path).name == f".{failing}.tmp":
+            write = fh.write
+
+            def write_half(text):
+                write(text[: len(text) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            fh.write = write_half
+        return fh
+
+    monkeypatch.setattr(textio, "open", open_failing_partway, raising=False)
+    code, _, stderr = run(capsys, *argv, *second)
+    assert code == 1
+    assert stderr == "error: [Errno 28] No space left on device\n"
+    assert {name: Path(name).read_bytes() for name in outputs} == before
+    assert list(tmp_path.glob(".*.tmp")) == []
 
 
 def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):

@@ -124,6 +124,11 @@ class TestSampling:
         with pytest.raises(EmptySampleSetError):
             sample(TGAUSS, 0, 1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_outside_the_philox_key_range_is_named(self, seed):
+        with pytest.raises(ValueError, match=rf"^seed {seed} .*\[0, 2\*\*128\)$"):
+            sample(TGAUSS, 10, seed)
+
     @pytest.mark.parametrize("seed", [0, 3, 2024])
     def test_equals_column_stack_of_axis_ppfs(self, seed):
         spec = DistributionSpec(

@@ -11,7 +11,7 @@ from binpdf import (
     save_pdf,
     write_samples_csv,
 )
-from binpdf.textio import _BLOCK_ROWS
+from binpdf.textio import _BLOCK_ROWS, save_grid_table
 
 # bins per axis that put each table over one block but not on a block multiple
 N_DELTA = {1: (1 << 17) + 5, 2: 300, 3: 40}
@@ -90,3 +90,17 @@ class TestGridTables:
             header=header, comments="",
         )
         assert (tmp_path / "h.csv").read_bytes() == expected
+
+    def test_table_that_its_sidecar_would_overwrite_is_rejected(self, tmp_path):
+        grid = TensorGrid((0.0,), (1.0,), (2,))
+        histogram = fit_histogram(grid, np.array([0.25, 0.75]))
+        pdf = PiecewiseLinearPdf(grid, np.ones(3), 2)
+        for save in (
+            lambda path: save_pdf(pdf, path),
+            lambda path: save_histogram(histogram, path),
+            lambda path: save_grid_table(path, grid, ("i", "x", "v"), np.zeros((3, 1)),
+                                         np.ones(3), 2),
+        ):
+            with pytest.raises(ValueError, match="overwritten by its .json sidecar"):
+                save(tmp_path / "table.json")
+        assert list(tmp_path.iterdir()) == []
