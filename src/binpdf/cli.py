@@ -371,6 +371,8 @@ def main(argv=None) -> int:
         print("error: --threads must be >= 1", file=sys.stderr)
         return 2
     try:
+        if not Path(args.out).name:  # checked before anything is read or drawn
+            raise UsageError(f"--out {args.out!r} does not name a file")
         return args.func(args)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -8,8 +8,9 @@ bit-identical across platforms and, for the same seed, an m1-sample set is
 always a prefix of any larger m2-sample set. Normalization constants are
 computed from the truncation bounds, never hardcoded.
 
-``scipy.special`` is imported by the truncated-Gaussian methods that need it,
-on first use, so importing this module (and the CLI) does not load scipy.
+``scipy.special`` is imported when the first truncated Gaussian is built (its
+mass is checked then), so importing this module (and the CLI) does not load
+scipy.
 """
 
 from __future__ import annotations
@@ -25,8 +26,63 @@ from .errors import EmptySampleSetError
 from .textio import write_csv
 
 
+def _special():
+    import scipy.special
+
+    return scipy.special
+
+
+class _TruncatedAxis:
+    """A location-scale density restricted to [lo, hi] and renormalized.
+
+    A family supplies ``_loc_scale``, its standard kernel ``_kernel`` with
+    normalizer ``_norm`` (the untruncated density is ``_kernel(z) / (_norm *
+    scale)`` at ``z = (x - loc) / scale``) and the standard cdf ``_std_cdf``
+    with its inverse ``_std_ppf``. A window above the location runs on its
+    mirror image, by a negated scale: ``F(z_hi) - F(z_lo)`` cancels when both
+    are near 1, while the mirrored lower tail keeps its relative precision.
+    That needs a symmetric kernel; a uniform window never lies above ``lo``.
+    """
+
+    def __post_init__(self):
+        if not self.lo < self.hi:
+            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
+        if not self.mass > 0:
+            raise ValueError(f"[{self.lo}, {self.hi}] holds no probability in double precision")
+
+    def _frame(self):
+        """``(loc, s, F(w_lo), F(w_hi) - F(w_lo))`` at ``w = (x - loc) / s``; mirrored: s < 0."""
+        loc, scale = self._loc_scale
+        if self.lo > loc:
+            scale = -scale
+        f_lo = self._std_cdf((self.lo - loc) / scale)
+        return loc, scale, f_lo, self._std_cdf((self.hi - loc) / scale) - f_lo
+
+    @property
+    def mass(self) -> float:
+        """Probability the untruncated density assigns to [lo, hi]."""
+        return float(abs(self._frame()[3]))
+
+    def pdf(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        loc, scale = self._loc_scale
+        out = self._kernel((x - loc) / scale) / (self._norm * scale * self.mass)
+        return np.where((x >= self.lo) & (x <= self.hi), out, 0.0)
+
+    def cdf(self, x: np.ndarray) -> np.ndarray:
+        loc, scale, f_lo, mass = self._frame()
+        out = (self._std_cdf((np.asarray(x, dtype=np.float64) - loc) / scale) - f_lo) / mass
+        return np.clip(out, 0.0, 1.0)
+
+    def ppf(self, u: np.ndarray) -> np.ndarray:
+        loc, scale, f_lo, mass = self._frame()
+        x = loc + scale * self._std_ppf(f_lo + np.asarray(u, dtype=np.float64) * mass)
+        # clip absorbs inverse-CDF roundoff at the truncation bounds
+        return np.clip(x, self.lo, self.hi)
+
+
 @dataclass(frozen=True)
-class TruncatedGaussian:
+class TruncatedGaussian(_TruncatedAxis):
     """Gaussian(mean, sd) restricted to [lo, hi] and renormalized."""
 
     mean: float
@@ -34,74 +90,33 @@ class TruncatedGaussian:
     lo: float
     hi: float
 
+    _loc_scale = property(lambda self: (self.mean, self.sd))
+    _norm = math.sqrt(2.0 * math.pi)
+    _kernel = staticmethod(lambda z: np.exp(-0.5 * z * z))
+    _std_cdf = staticmethod(lambda z: _special().ndtr(z))
+    _std_ppf = staticmethod(lambda p: _special().ndtri(p))
+
     def __post_init__(self):
         if not self.sd > 0:
             raise ValueError(f"sd must be > 0, got {self.sd}")
-        if not self.lo < self.hi:
-            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-
-    @property
-    def mass(self) -> float:
-        """Probability the untruncated Gaussian assigns to [lo, hi].
-
-        Equals ``(erf((hi - mean) / (sd * sqrt(2))) - erf((lo - mean) /
-        (sd * sqrt(2)))) / 2``.
-        """
-        from scipy.special import ndtr
-
-        return float(
-            ndtr((self.hi - self.mean) / self.sd) - ndtr((self.lo - self.mean) / self.sd)
-        )
-
-    def pdf(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        z = (x - self.mean) / self.sd
-        out = np.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * self.sd * self.mass)
-        return np.where((x >= self.lo) & (x <= self.hi), out, 0.0)
-
-    def cdf(self, x: np.ndarray) -> np.ndarray:
-        from scipy.special import ndtr
-
-        x = np.asarray(x, dtype=np.float64)
-        lo_cdf = ndtr((self.lo - self.mean) / self.sd)
-        out = (ndtr((x - self.mean) / self.sd) - lo_cdf) / self.mass
-        return np.clip(out, 0.0, 1.0)
-
-    def ppf(self, u: np.ndarray) -> np.ndarray:
-        from scipy.special import ndtr, ndtri
-
-        lo_cdf = ndtr((self.lo - self.mean) / self.sd)
-        x = self.mean + self.sd * ndtri(lo_cdf + u * self.mass)
-        # clip absorbs inverse-CDF roundoff at the truncation bounds
-        return np.clip(x, self.lo, self.hi)
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
-class Uniform:
-    """Constant density 1 / (hi - lo) on [lo, hi]."""
+class Uniform(_TruncatedAxis):
+    """Constant density 1 / (hi - lo) on [lo, hi]: location lo, scale hi - lo."""
 
     lo: float
     hi: float
 
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-
-    def pdf(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        inside = (x >= self.lo) & (x <= self.hi)
-        return np.where(inside, 1.0 / (self.hi - self.lo), 0.0)
-
-    def cdf(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-
-    def ppf(self, u: np.ndarray) -> np.ndarray:
-        return self.lo + np.asarray(u, dtype=np.float64) * (self.hi - self.lo)
+    _loc_scale = property(lambda self: (self.lo, self.hi - self.lo))
+    _norm = 1.0
+    _kernel = staticmethod(lambda z: 1.0)
+    _std_cdf = _std_ppf = staticmethod(lambda p: p)  # on [0, 1]; cdf clips the rest
 
 
 @dataclass(frozen=True)
-class TruncatedLaplace:
+class TruncatedLaplace(_TruncatedAxis):
     """Laplace(location, scale) restricted to [lo, hi] and renormalized.
 
     For the centered symmetric case on [-T, T] the normalizing mass reduces
@@ -113,38 +128,20 @@ class TruncatedLaplace:
     lo: float
     hi: float
 
+    _loc_scale = property(lambda self: (self.location, self.scale))
+    _norm = 2.0
+    _kernel = staticmethod(lambda z: np.exp(-np.abs(z)))
+    _std_ppf = staticmethod(lambda p: np.where(p < 0.5, np.log(2.0 * p), -np.log(2.0 * (1.0 - p))))
+
+    @staticmethod
+    def _std_cdf(z):
+        tail = 0.5 * np.exp(-np.abs(z))  # exp(-|z|): neither branch can overflow
+        return np.where(z < 0, tail, 1.0 - tail)
+
     def __post_init__(self):
         if not self.scale > 0:
             raise ValueError(f"scale must be > 0, got {self.scale}")
-        if not self.lo < self.hi:
-            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-
-    def _std_cdf(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=np.float64)
-        return np.where(z < 0, 0.5 * np.exp(z), 1.0 - 0.5 * np.exp(-z))
-
-    @property
-    def mass(self) -> float:
-        zlo = (self.lo - self.location) / self.scale
-        zhi = (self.hi - self.location) / self.scale
-        return float(self._std_cdf(zhi) - self._std_cdf(zlo))
-
-    def pdf(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        out = np.exp(-np.abs(x - self.location) / self.scale) / (2.0 * self.scale * self.mass)
-        return np.where((x >= self.lo) & (x <= self.hi), out, 0.0)
-
-    def cdf(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        zlo = self._std_cdf((self.lo - self.location) / self.scale)
-        out = (self._std_cdf((x - self.location) / self.scale) - zlo) / self.mass
-        return np.clip(out, 0.0, 1.0)
-
-    def ppf(self, u: np.ndarray) -> np.ndarray:
-        zlo = self._std_cdf((self.lo - self.location) / self.scale)
-        p = zlo + np.asarray(u, dtype=np.float64) * self.mass
-        z = np.where(p < 0.5, np.log(2.0 * p), -np.log(2.0 * (1.0 - p)))
-        return np.clip(self.location + self.scale * z, self.lo, self.hi)
+        super().__post_init__()
 
 
 AxisDistribution = TruncatedGaussian | Uniform | TruncatedLaplace

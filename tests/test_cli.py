@@ -420,6 +420,44 @@ def test_output_its_companion_file_would_overwrite_is_usage_error(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("out", ["/", "."])
+@pytest.mark.parametrize("argv", [
+    ["sample", "--dist", "tgauss1d", "--m", "10"],
+    ["fit", "--samples", "s.csv", "--support", "auto", "--n-delta", "4"],
+    ["compare", "--samples", "s.csv", "--ref-n-delta", "4", "--n-delta", "2"],
+    STUDY,
+], ids=["sample", "fit", "compare", "study"])
+def test_out_without_a_file_name_is_usage_error(tmp_path, capsys, monkeypatch, argv, out):
+    def no_samples(*args):
+        raise AssertionError("read or drew samples before rejecting --out")
+
+    for name in ("sampling.read_samples_csv", "sampling.sample", "analysis.sample"):
+        monkeypatch.setattr(f"binpdf.{name}", no_samples)
+    monkeypatch.chdir(tmp_path)
+    code, _, stderr = run(capsys, *argv, "--out", out)
+    assert code == 2
+    assert stderr == f"error: --out {out!r} does not name a file\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--dist", "tgauss:0,1,40,41", "--m", "10"],
+    ["study", "--dist", "laplace:0,1,800,801", "--mode", "coupled:2", "--k", "2..3"],
+], ids=["sample", "study"])
+def test_window_without_probability_is_usage_error(tmp_path, capsys, monkeypatch, argv):
+    def no_sampling(*args):
+        raise AssertionError("drew samples from a window without probability")
+
+    monkeypatch.setattr("binpdf.sampling.sample", no_sampling)
+    monkeypatch.setattr("binpdf.analysis.sample", no_sampling)
+    code, _, stderr = run(capsys, *argv, "--out", str(tmp_path / "out.csv"))
+    assert code == 2
+    assert stderr.startswith(f"error: invalid distribution '{argv[2]}': ")
+    assert stderr.endswith("holds no probability in double precision\n")
+    assert stderr.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv, first, second, outputs, failing", [
     (["sample", "--dist", "mixed2d", "--m", "300", "--out", "s.csv"],
      ["--seed", "1"], ["--seed", "2"], ["s.csv"], "s.csv"),
@@ -488,8 +526,8 @@ class TestParserBasics:
 
 
 def test_fit_and_compare_do_not_import_scipy(tmp_path):
-    # scipy.special is loaded by the truncated-Gaussian sampler on first use
-    # only; a fresh interpreter shows which commands pull it in
+    # scipy.special is loaded when the first truncated Gaussian is built,
+    # and only then; a fresh interpreter shows which commands pull it in
     script = textwrap.dedent(f"""
         import sys
         from binpdf.cli import main

@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import kstest, truncnorm
 
 from binpdf import (
     DistributionSpec,
@@ -171,6 +172,52 @@ class TestSampling:
         # 0.001-significance Kolmogorov threshold: sqrt(-ln(alpha/2)/2) / sqrt(n)
         threshold = math.sqrt(-math.log(0.0005) / 2.0) / math.sqrt(n)
         assert stat < threshold
+
+
+def mp_std_cdf(family, z):
+    z = mpmath.mpf(z)
+    if family is TruncatedGaussian:
+        return mpmath.ncdf(z)
+    return mpmath.exp(z) / 2 if z < 0 else 1 - mpmath.exp(-z) / 2
+
+
+def mp_std_kernel(family, z):
+    z = mpmath.mpf(z)
+    return mpmath.npdf(z) if family is TruncatedGaussian else mpmath.exp(-abs(z)) / 2
+
+
+class TestFarTailWindows:
+    """A window far above the location is as exact as its mirror image below it."""
+
+    @pytest.mark.parametrize("family, lo, hi", [
+        (TruncatedGaussian, 6.0, 7.0), (TruncatedGaussian, 8.0, 9.0),
+        (TruncatedGaussian, 10.0, 11.0),
+        (TruncatedLaplace, 30.0, 31.0), (TruncatedLaplace, 36.0, 37.0),
+    ])
+    def test_pdf_and_cdf_against_mpmath(self, family, lo, hi):
+        mpmath.mp.dps = 50
+        for a, b in [(lo, hi), (-hi, -lo)]:
+            axis = family(0.0, 1.0, a, b)
+            mass = mp_std_cdf(family, b) - mp_std_cdf(family, a)
+            x = a + (b - a) * np.array([0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0])
+            pdf = [mp_std_kernel(family, xi) / mass for xi in x]
+            cdf = [(mp_std_cdf(family, xi) - mp_std_cdf(family, a)) / mass for xi in x]
+            np.testing.assert_allclose(axis.pdf(x), np.array(pdf, dtype=float), rtol=1e-12)
+            np.testing.assert_allclose(axis.cdf(x), np.array(cdf, dtype=float), rtol=1e-12)
+
+    def test_kolmogorov_smirnov_far_above_the_mean(self):
+        spec = DistributionSpec((TruncatedGaussian(0.0, 1.0, 8.0, 9.0),))
+        pts = sample(spec, 100_000, 2024)[:, 0]
+        assert kstest(pts, truncnorm(8.0, 9.0).cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("axis", [
+        (TruncatedGaussian, 0.0, 1.0, 40.0, 41.0), (TruncatedGaussian, 0.0, 1.0, -41.0, -40.0),
+        (TruncatedLaplace, 0.0, 1.0, 800.0, 801.0), (Uniform, -1e308, 1e308),
+    ], ids=["tgauss-above", "tgauss-below", "laplace", "uniform-overflow"])
+    def test_window_without_probability_is_rejected(self, axis):
+        family, *params = axis
+        with pytest.raises(ValueError, match="holds no probability in double precision"):
+            family(*params)
 
 
 class TestCsvRoundTrip:
