@@ -39,6 +39,7 @@ from .errors import (
     BinPdfError,
     DegenerateSupportError,
     EmptySampleSetError,
+    GridTooLargeError,
     IndexOutOfRangeError,
     NonpositiveBandwidthError,
     NonpositiveValueError,
@@ -71,6 +72,7 @@ __all__ = [
     "EmptySampleSetError",
     "FixedDelta",
     "FixedM",
+    "GridTooLargeError",
     "Histogram",
     "IndexOutOfRangeError",
     "KdeSpec",

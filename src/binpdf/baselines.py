@@ -17,13 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptySampleSetError, NonpositiveBandwidthError
-from .grid import TensorGrid, as_point, as_points
+from .grid import _CHUNK, TensorGrid, as_point, as_points
 from .textio import load_grid_table, save_grid_table
 
 
-def _flat_bins(grid: TensorGrid, pts: np.ndarray, *, as_samples: bool = False) -> np.ndarray:
-    """Row-major flat bin index of each point, after the grid's domain check."""
-    grid.check_in_domain(pts, as_samples=as_samples)
+def _flat_bins(grid: TensorGrid, pts: np.ndarray) -> np.ndarray:
+    """Row-major flat bin index of each in-domain point."""
     idx, _ = grid._locate_with_frac(pts)
     return np.ravel_multi_index(tuple(idx.T), grid.bin_shape)
 
@@ -53,7 +52,12 @@ class Histogram:
         pts = as_points(points, self.grid.dim)
         if pts.shape[0] == 0:
             return np.empty(0)
-        return self.values[_flat_bins(self.grid, pts)]
+        self.grid.check_in_domain(pts)
+        out = np.empty(pts.shape[0])
+        for start in range(0, pts.shape[0], _CHUNK):  # fixed chunks bound the memory
+            chunk = slice(start, start + _CHUNK)
+            out[chunk] = self.values[_flat_bins(self.grid, pts[chunk])]
+        return out
 
     def integral(self) -> float:
         return float(self.values.sum() * self.bin_volume)
@@ -65,7 +69,12 @@ def fit_histogram(grid: TensorGrid, samples) -> Histogram:
     m = pts.shape[0]
     if m == 0:
         raise EmptySampleSetError("cannot fit a histogram to zero samples")
-    counts = np.bincount(_flat_bins(grid, pts, as_samples=True), minlength=grid.n_bins)
+    grid.check_in_domain(pts, as_samples=True)
+    counts = np.zeros(grid.n_bins, np.int64)  # integer sums: exact in any chunking
+    for start in range(0, m, _CHUNK):  # fixed chunks bound the memory
+        # no name holds a chunk's bins, so they are freed before the next is located
+        counts += np.bincount(_flat_bins(grid, pts[start : start + _CHUNK]),
+                              minlength=grid.n_bins)
     values = counts / (m * float(np.prod(grid.deltas)))
     return Histogram(grid, values, m)
 

@@ -29,6 +29,10 @@ class IndexOutOfRangeError(BinPdfError):
     """A node or bin multi-index is outside the grid's valid range."""
 
 
+class GridTooLargeError(BinPdfError):
+    """A grid's node array would not fit in the machine's physical memory."""
+
+
 class EmptySampleSetError(BinPdfError):
     """An operation that needs at least one sample received none."""
 

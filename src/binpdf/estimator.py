@@ -10,12 +10,13 @@ is a single O(M * 2**dim) pass with an O(n_nodes) finalization.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptySampleSetError
+from .errors import EmptySampleSetError, GridTooLargeError
 from .grid import _CHUNK, TensorGrid, as_point, as_points  # noqa: F401 (re-exports _CHUNK)
 from .textio import load_grid_table, save_grid_table
 
@@ -60,6 +61,15 @@ class PiecewiseLinearPdf:
         return float(self.coefficients @ self.grid.basis_integrals())
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where ``os.sysconf`` cannot tell."""
+    try:
+        pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        return None
+    return pages * page_size if pages > 0 and page_size > 0 else None
+
+
 def fit(grid: TensorGrid, samples, *, threads: int = 1) -> PiecewiseLinearPdf:
     """Fit the estimator to samples lying in the grid domain.
 
@@ -79,6 +89,10 @@ def fit(grid: TensorGrid, samples, *, threads: int = 1) -> PiecewiseLinearPdf:
         If ``threads`` is not an integer >= 1.
     EmptySampleSetError
         If no samples are given.
+    GridTooLargeError
+        If the node array (8 bytes per node) would exceed physical memory;
+        checked before it is allocated, since under overcommit the
+        allocation itself may succeed and the process be killed later.
     SampleOutOfDomainError
         Identifying the first offending sample.
     """
@@ -88,6 +102,12 @@ def fit(grid: TensorGrid, samples, *, threads: int = 1) -> PiecewiseLinearPdf:
     m = pts.shape[0]
     if m == 0:
         raise EmptySampleSetError("cannot fit a density to zero samples")
+    memory = _physical_memory()
+    if memory is not None and 8 * grid.n_nodes > memory:
+        raise GridTooLargeError(
+            f"a grid of {grid.n_nodes} nodes needs {8 * grid.n_nodes} bytes of "
+            f"coefficients, more than the {memory} bytes of physical memory"
+        )
     grid.check_in_domain(pts, as_samples=True)
 
     sums = np.zeros(grid.n_nodes)

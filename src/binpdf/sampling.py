@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptySampleSetError
-from .textio import write_csv
+from .textio import read_twin, write_csv_with_twin
 
 
 def _special():
@@ -220,7 +220,8 @@ def write_samples_csv(path, samples: np.ndarray, *, seed: int | None = None) -> 
     The bytes equal those of ``np.savetxt(path, samples, fmt="%.17g",
     delimiter=",", header=...)``; rows are formatted in fixed blocks, so the
     writer holds one block's text at a time, never the whole file's. The file
-    is published atomically (see ``textio``).
+    is published atomically, together with its binary twin ``.NAME.npy``,
+    which :func:`read_samples_csv` reads instead of parsing (see ``textio``).
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim == 1:
@@ -228,18 +229,22 @@ def write_samples_csv(path, samples: np.ndarray, *, seed: int | None = None) -> 
     header = f"# dim={samples.shape[1]} rows={samples.shape[0]}"
     if seed is not None:
         header += f" seed={seed}"
-    write_csv(path, header, samples)
+    write_csv_with_twin(path, header, samples)
 
 
 def read_samples_csv(path) -> np.ndarray:
     """Read a sample CSV back into an (m, dim) array.
 
+    When the file's twin holds the digest of its bytes, the array comes from
+    the twin, bit for bit what parsing gives; otherwise the file is parsed.
     Raises :class:`EmptySampleSetError` naming the file when it holds no
     sample rows (empty or header only).
     """
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        data = np.loadtxt(Path(path), delimiter=",", comments="#", ndmin=2)
+    data = read_twin(path)
+    if data is None:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(Path(path), delimiter=",", comments="#", ndmin=2)
     if data.shape[0] == 0:
         raise EmptySampleSetError(f"sample file {path} holds no samples")
     return data

@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from binpdf import (
     load_histogram,
     save_histogram,
 )
+from binpdf.grid import _CHUNK
 
 
 def brute_force_counts(grid, samples):
@@ -90,6 +92,32 @@ class TestHistogram:
         with pytest.raises(SampleOutOfDomainError) as err:
             fit_histogram(TensorGrid((0.0,), (1.0,), (2,)), [0.25, value])
         assert err.value.index == 1
+
+    def test_chunked_fit_and_evaluate_equal_one_whole_pass(self):
+        rng = np.random.default_rng(65)
+        grid = TensorGrid((-1.0, 0.0), (2.0, 1.0), (7, 5))
+        samples = rng.uniform((-1, 0), (2, 1), size=(2 * _CHUNK + 5, 2))
+        samples[:3] = [(-1.0, 0.0), (2.0, 1.0), (0.5, 0.2)]  # both bounds and a face
+        flat = np.ravel_multi_index(tuple(grid.locate_bins(samples).T), grid.bin_shape)
+        h = fit_histogram(grid, samples)
+        values = np.bincount(flat, minlength=grid.n_bins) / (samples.shape[0] * h.bin_volume)
+        np.testing.assert_array_equal(h.values, values)
+        np.testing.assert_array_equal(h.evaluate_batch(samples), values[flat])
+
+    def test_fit_memory_does_not_grow_with_the_sample_count(self):
+        grid = TensorGrid((0.0, 0.0), (1.0, 1.0), (64, 64))
+        samples = np.random.default_rng(66).random((1_000_000, 2))
+
+        def peak(pts):
+            tracemalloc.start()
+            try:
+                fit_histogram(grid, pts)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # one chunk's location dominates both; unchunked, 1M points peak at ~3x
+        assert peak(samples) <= 1.1 * peak(samples[:300_000])
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(64)

@@ -460,7 +460,7 @@ def test_window_without_probability_is_usage_error(tmp_path, capsys, monkeypatch
 
 @pytest.mark.parametrize("argv, first, second, outputs, failing", [
     (["sample", "--dist", "mixed2d", "--m", "300", "--out", "s.csv"],
-     ["--seed", "1"], ["--seed", "2"], ["s.csv"], "s.csv"),
+     ["--seed", "1"], ["--seed", "2"], ["s.csv", ".s.csv.npy"], "s.csv"),
     (["fit", "--samples", "in.csv", "--support", "auto", "--out", "pdf.csv"],
      ["--n-delta", "4"], ["--n-delta", "8"], ["pdf.csv", "pdf.json"], "pdf.json"),
     ([*STUDY, "--out", "st.csv"],
@@ -511,6 +511,21 @@ def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
     )
     assert code == 1
     assert stderr == "error: out of memory: Unable to allocate 7.28 TiB for an array\n"
+    assert not out.exists()
+
+
+def test_grid_beyond_physical_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("binpdf.estimator._physical_memory", lambda: 1000)
+    samples = tmp_path / "s.csv"
+    samples.write_text("0.5,0.5\n0.6,0.6\n")
+    out = tmp_path / "pdf.csv"
+    code, _, stderr = run(
+        capsys, "fit", "--samples", str(samples), "--lower=0", "--upper=1",
+        "--n-delta", "64", "--out", str(out),
+    )
+    assert code == 1
+    assert stderr == ("error: a grid of 4225 nodes needs 33800 bytes of coefficients, "
+                      "more than the 1000 bytes of physical memory\n")
     assert not out.exists()
 
 

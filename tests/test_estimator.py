@@ -9,6 +9,7 @@ import pytest
 
 from binpdf import (
     EmptySampleSetError,
+    GridTooLargeError,
     OutOfDomainError,
     PiecewiseLinearPdf,
     SampleOutOfDomainError,
@@ -268,6 +269,33 @@ class TestFineGrids:
         grid = TensorGrid((0.0,) * 3, (1.0,) * 3, (128,) * 3)
         pts = np.random.default_rng(63).random((1 << 18, 3))
         assert traced_peak(lambda: grid._locate_with_frac(pts)) < 2.25 * pts.nbytes
+
+
+class TestMemoryBound:
+    """The node array is checked against physical memory before it is
+    allocated; the memory figure is patched, so nothing large is allocated."""
+
+    GRID = TensorGrid((0.0,), (1.0,), (99,))  # 100 nodes, 800 bytes
+
+    def test_grid_beyond_physical_memory_raises_before_allocating(self, monkeypatch):
+        monkeypatch.setattr("binpdf.estimator._physical_memory", lambda: 799)
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated the node array")
+
+        monkeypatch.setattr(np, "zeros", no_allocation)
+        with pytest.raises(GridTooLargeError, match="100 nodes needs 800 bytes"):
+            fit(self.GRID, [0.5])
+
+    @pytest.mark.parametrize("memory", [800, None])
+    def test_grid_within_memory_or_unknown_memory_fits(self, monkeypatch, memory):
+        monkeypatch.setattr("binpdf.estimator._physical_memory", lambda: memory)
+        assert fit(self.GRID, [0.5]).integral() == pytest.approx(1.0)
+
+    def test_physical_memory_is_none_or_a_real_size(self):
+        from binpdf.estimator import _physical_memory
+
+        assert _physical_memory() is None or _physical_memory() > 2**20
 
 
 class TestAxisMajorLocation:
