@@ -65,6 +65,8 @@ def _parse_count(text: str, what: str) -> int:
     if not math.isfinite(number):
         raise UsageError(f"{what} must be a finite number, got {text!r}")
     value = int(number)
+    if value != number:
+        raise UsageError(f"{what} must be a whole number, got {text!r}")
     if value < 1:
         raise UsageError(f"{what} must be >= 1, got {text}")
     if value > np.iinfo(np.intp).max:
@@ -274,6 +276,9 @@ def cmd_compare(args) -> int:
     samples = _load_samples(args.samples)
     ref_samples = _load_samples(args.ref_samples) if args.ref_samples else samples
     dim = samples.shape[1]
+    if ref_samples.shape[1] != dim:
+        raise UsageError(f"--samples {args.samples} has dimension {dim} but --ref-samples "
+                         f"{args.ref_samples} has dimension {ref_samples.shape[1]}")
     ref_m = _parse_count(args.ref_m, "--ref-m") if args.ref_m else ref_samples.shape[0]
     fit_m = _parse_count(args.m, "--m") if args.m else samples.shape[0]
     if ref_m > ref_samples.shape[0] or fit_m > samples.shape[0]:

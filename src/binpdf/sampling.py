@@ -218,10 +218,11 @@ def write_samples_csv(path, samples: np.ndarray, *, seed: int | None = None) -> 
 
     The header reads ``# dim=D rows=M`` plus `` seed=S`` when a seed is given.
     The bytes equal those of ``np.savetxt(path, samples, fmt="%.17g",
-    delimiter=",", header=...)``; rows are formatted in fixed blocks, so the
-    writer holds one block's text at a time, never the whole file's. The file
-    is published atomically, together with its binary twin ``.NAME.npy``,
-    which :func:`read_samples_csv` reads instead of parsing (see ``textio``).
+    delimiter=",", header=...)``; rows are formatted in numpy, in fixed
+    blocks, so the writer holds one block's text at a time, never the whole
+    file's. The file is published atomically, together with its binary twin
+    ``.NAME.npy``, which :func:`read_samples_csv` reads instead of parsing;
+    either both files are new or neither is (see ``textio``).
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim == 1:

@@ -1,17 +1,27 @@
 """CSV files shared by samples, fitted densities and histograms.
 
 Floats are written with 17 significant digits, which round-trips float64
-exactly. Rows are formatted in fixed blocks with one ``%`` operation per
-block: the bytes are those of ``np.savetxt``, which formats one row per
-Python call, at a fraction of the interpreter overhead, and only one block's
-text and Python floats are held at a time.
+exactly. Every CSV's bytes are those ``np.savetxt(fmt="%.17g",
+delimiter=",")`` writes, made in numpy rather than one Python ``%`` call per
+row: rows are formatted in fixed blocks, and only one block's text is held
+at a time. Per value, Dekker's error-free product gives the 17-digit decimal
+mantissa exactly, a 4-digit table turns it into text with its trailing zeros
+dropped, and the sign, point and exponent of ``%g`` are laid out around it
+(see ``_format_block``). Values outside the range the product is exact for
+(magnitudes below 1e-6 or from 1e17 up, subnormals, infinities and NaN) are
+formatted with ``%`` one by one. An integral float below 1e17 reads the same
+as ``%d``, so index columns take the same path.
 
 A density or histogram is stored as a table (flat index, per-axis
 coordinates, value) plus a ``.json`` sidecar holding the grid metadata.
 
-Every writer publishes atomically: a hidden ``.NAME.tmp`` beside the target
-is renamed over it once complete, and a write that raises leaves the target
-as it was and removes the temp.
+Every writer publishes atomically: a hidden ``.NAME.tmp`` beside each target
+is renamed over it once all are complete. A writer of several files renames
+them one by one, and keeps each replaced file as a hidden hard link
+``.NAME.bak`` until the last rename is done; if a rename fails, the files
+already renamed are put back, so either every file is new or none is. A
+write that raises leaves the targets as they were and removes the temps and
+backups.
 
 A sample CSV gets a binary twin, the hidden ``.NAME.npy`` beside it: the
 SHA-256 digest of the CSV's bytes, then the array as an ``.npy`` payload.
@@ -33,10 +43,8 @@ import numpy as np
 
 from .grid import TensorGrid
 
-_FLOAT_FMT = "%.17g"
-
-# Rows per formatting block; a 2-D block's string and floats take a few MB.
-_BLOCK_ROWS = 1 << 16
+# Rows per formatting block; a 2-D block's text and temporaries take a few MB.
+_BLOCK_ROWS = 1 << 14
 
 # Bytes per read while hashing a CSV.
 _HASH_BLOCK = 1 << 20
@@ -45,17 +53,36 @@ _HASH_BLOCK = 1 << 20
 @contextlib.contextmanager
 def _published(*paths):
     """Yield one binary file per path, open on its temp name; when the block
-    returns, close them all, then rename each temp over its path."""
+    returns, close them all, then rename each temp over its path, putting the
+    replaced files back if a rename fails."""
     paths = [Path(p) for p in paths]
     tmps = [p.with_name(f".{p.name}.tmp") for p in paths]
+    backups = [p.with_name(f".{p.name}.bak") for p in paths]
+    renamed = []  # (path, its backup, or None when there was no file to keep)
     try:
         with contextlib.ExitStack() as stack:
             yield [stack.enter_context(open(tmp, "wb")) for tmp in tmps]
-        for tmp, path in zip(tmps, paths):
+        for tmp, path, backup in zip(tmps, paths, backups):
+            backup.unlink(missing_ok=True)
+            try:
+                os.link(path, backup, follow_symlinks=False)
+            except FileNotFoundError:
+                backup = None  # nothing to put back: undoing removes the new file
+            except OSError:  # a directory, which the rename rejects, or no hard links
+                pass
             os.replace(tmp, path)
+            renamed.append((path, backup))
+    except BaseException:
+        for path, backup in reversed(renamed):
+            if backup is None:
+                path.unlink()
+            elif backup.exists():  # else the old file could not be kept
+                os.replace(backup, path)
+        raise
     finally:
-        for tmp in tmps:
+        for tmp, backup in zip(tmps, backups):
             tmp.unlink(missing_ok=True)
+            backup.unlink(missing_ok=True)
 
 
 def write_text(path, text: str) -> None:
@@ -64,16 +91,155 @@ def write_text(path, text: str) -> None:
         fh.write(text.encode())
 
 
-def _csv_pieces(header: str, table: np.ndarray, index_column: bool):
+# -- %.17g text in numpy -----------------------------------------------------------
+#
+# A value's text is laid out in a field of six little-endian uint64 words, 48
+# bytes, of which the NUL bytes are dropped at the end:
+#
+#   word 0    sign, "0.000" lead of fixed notation below 1, first digit, point slot
+#   words 1-4 digits 2..17, four per word, each followed by its point slot
+#   word 5    exponent ("e-06"), separator ("," or "\n")
+#
+# Digit i (0-based) is byte 6 + 2i of the field, and the slot for a point
+# after it is byte 7 + 2i.
+
+_WORD = np.dtype("<u8")
+_FIELD_BYTES = 48
+_SEPARATOR = np.uint64(0xFF << 32)  # the separator's byte in word 5
+
+# Values the kernel leaves to % are padded to five words, space for NUL: the
+# text of a %.17g value never exceeds 24 bytes ("-1.7976931348623157e+308").
+_PADDED_FMT = "%-40.17g"
+_NUL_FOR_SPACE = bytes.maketrans(b" ", b"\0")
+
+
+def _words(texts) -> np.ndarray:
+    """Each ASCII text, NUL-padded to 8 bytes, as one word."""
+    return np.array(texts, dtype="S8").view(_WORD)
+
+
+def _digit_words() -> np.ndarray:
+    """Word ``c`` holds the four digits of ``c`` (0..9999) at even bytes; word
+    ``10000 + c`` the same without their trailing zeros.
+
+    Built per file rather than at import, where its temporaries would add to
+    the peak memory of a process that imports binpdf to draw samples."""
+    number = np.arange(10_000, dtype=np.int16)[:, None]
+    digits = (number // np.array([1000, 100, 10, 1], np.int16) % 10).astype(np.uint8)
+    full = np.zeros((10_000, 8), np.uint8)
+    full[:, ::2] = digits + ord("0")
+    trimmed = full.copy()
+    trimmed[:, ::2] *= np.cumsum(digits[:, ::-1], axis=1, dtype=np.int16)[:, ::-1] > 0
+    return np.concatenate([full, trimmed]).view(_WORD).ravel()
+
+
+def _veltkamp(a):
+    """Split ``a`` into halves of at most 26 significant bits, ``hi + lo == a``."""
+    c = a * 134217729.0  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+# 10**p for p = 0..22, the powers of ten float64 holds exactly, and their
+# halves; the tables below are indexed by p, the decimal exponent being 16 - p
+_POW10 = np.array([float(10**p) for p in range(23)])
+_POW10_HI, _POW10_LO = _veltkamp(_POW10)
+_LEADS = _words(["\0" + ("0." + "0" * (p - 17) if 17 <= p <= 20 else "") for p in range(23)])
+_EXPONENTS = _words([f"e-{p - 16:02d}" if p > 20 else "" for p in range(23)])
+
+
+def _scaled(a, p):
+    """``a * 10**p`` as ``hi + lo`` exactly (Dekker's two-product; numpy has
+    no fused multiply-add)."""
+    b_hi, b_lo = _POW10_HI[p], _POW10_LO[p]
+    hi = a * _POW10[p]
+    a_hi, a_lo = _veltkamp(a)
+    return hi, ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _outside(hi, lo):
+    """Whether ``hi + lo`` lies outside [1e16, 1e17)."""
+    return (hi < 1e16) | ((hi == 1e16) & (lo < 0)) | (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+
+
+def _format_block(values: np.ndarray, words: np.ndarray, digit_words: np.ndarray) -> bytes:
+    """The bytes ``"%.17g"`` gives ``values``, each followed by the separator
+    in its field of ``words`` (see above), which holds at least one field per
+    value; ``digit_words`` is the table :func:`_digit_words` builds."""
+    n = values.size
+    a = np.abs(values)
+    zero = a == 0
+    exact = (a >= 1e-6) & (a < 1e17)  # here 10**(16 - exponent) is exact
+    a = np.where(exact, a, 1.0)  # zeros and the values left to % are written as 1 first
+
+    # the 17-digit mantissa: round-half-even(a * 10**p) in [1e16, 1e17)
+    p = 16 - np.floor(np.log10(a)).astype(np.intp)
+    np.clip(p, 0, 22, out=p)
+    hi, lo = _scaled(a, p)
+    redo = np.flatnonzero(_outside(hi, lo))  # log10 can miss the decade near a power of ten
+    if redo.size:
+        p[redo] = np.clip(p[redo] + np.where(hi[redo] <= 1e16, 1, -1), 0, 22)
+        hi[redo], lo[redo] = _scaled(a[redo], p[redo])
+        exact[redo[_outside(hi[redo], lo[redo])]] = False
+    # hi >= 2**53 is an even integer, so hi + rint(lo) is hi + lo rounded half
+    # to even. It never carries into 10**17: in this range the double below a
+    # power of ten lies more than half a unit of the 17th digit under it.
+    mantissa = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    exponent = 16 - p
+
+    first, rest = np.divmod(mantissa, 10**16)
+    first[zero] = 0
+    chunks = np.empty((4, n), np.intp)
+    upper, lower = np.divmod(rest, 10**8)
+    chunks[0], chunks[1] = np.divmod(upper, 10**4)
+    chunks[2], chunks[3] = np.divmod(lower, 10**4)
+    trailing = np.ones(n, bool)  # only zeros follow: drop this chunk's trailing zeros
+    for chunk in chunks[::-1]:
+        empty = chunk == 0
+        chunk += trailing * 10_000
+        trailing &= empty
+
+    field = words[:n]
+    field[:, 0] = (_LEADS[p] | np.signbit(values) * np.uint64(ord("-"))
+                   | (first + ord("0")).astype(_WORD) << np.uint64(48))
+    field[:, 1:5] = digit_words[chunks.T]
+    field[:, 5] = field[:, 5] & _SEPARATOR | _EXPONENTS[p]
+
+    text = field.view(np.uint8)
+    flat = text.reshape(-1)
+    starts = np.arange(n) * _FIELD_BYTES
+    # a point after digit `exponent` in fixed notation, after the first in
+    # exponent notation, if a digit follows it
+    after = np.where(exponent < -4, 0, exponent)
+    slot = starts + 7 + 2 * np.maximum(after, 0)
+    flat[slot[(after >= 0) & (flat[slot + 1] != 0)]] = ord(".")
+    # fixed notation keeps the integer part's zeros that the table dropped
+    whole = np.flatnonzero((exponent > 0) & (flat[starts + 6 + 2 * np.maximum(exponent, 0)] == 0))
+    if whole.size:
+        digits = text[whole, 6:40:2]
+        digits[(digits == 0) & (np.arange(17) <= exponent[whole, None])] = ord("0")
+        text[whole, 6:40:2] = digits
+
+    odd = np.flatnonzero(~(exact | zero))
+    if odd.size:
+        texts = (_PADDED_FMT * odd.size % tuple(values[odd].tolist())).encode()
+        field[odd, :5] = np.frombuffer(texts.translate(_NUL_FOR_SPACE), _WORD).reshape(-1, 5)
+        field[odd, 5] &= _SEPARATOR
+    return field.tobytes().translate(None, b"\0")
+
+
+def _csv_pieces(header: str, table: np.ndarray):
     """The CSV's bytes: the header line, then one piece per block of rows."""
-    fmts = [_FLOAT_FMT] * table.shape[1]
-    if index_column:
-        fmts[0] = "%d"
-    row_fmt = ",".join(fmts) + "\n"
+    table = np.asarray(table, dtype=np.float64)
+    rows, cols = min(_BLOCK_ROWS, table.shape[0]), table.shape[1]
+    words = np.zeros((rows, cols, _FIELD_BYTES // 8), _WORD)
+    words[..., 5] = ord(",") << 32
+    words[:, -1, 5] = ord("\n") << 32
+    words = words.reshape(rows * cols, _FIELD_BYTES // 8)
+    digit_words = _digit_words()
     yield f"{header}\n".encode()
     for start in range(0, table.shape[0], _BLOCK_ROWS):
-        block = table[start:start + _BLOCK_ROWS]
-        yield ((row_fmt * block.shape[0]) % tuple(block.ravel().tolist())).encode()
+        yield _format_block(table[start:start + _BLOCK_ROWS].ravel(), words, digit_words)
 
 
 def _twin_path(path) -> Path:
@@ -95,7 +261,7 @@ def write_csv_with_twin(path, header: str, table: np.ndarray) -> None:
     # the twin is renamed first: if the CSV's rename then fails, the CSV is
     # as it was, and the new twin does not match it
     with _published(_twin_path(path), path) as (twin, fh):
-        for piece in _csv_pieces(header, table, index_column=False):
+        for piece in _csv_pieces(header, table):
             fh.write(piece)
             digest.update(piece)
         twin.write(digest.digest())
@@ -161,7 +327,7 @@ def save_grid_table(
         "sample_count": sample_count,
     }
     with _published(path, sidecar) as (fh, meta_fh):
-        for piece in _csv_pieces(header, table, index_column=True):
+        for piece in _csv_pieces(header, table):
             fh.write(piece)
         meta_fh.write((json.dumps(meta, indent=2) + "\n").encode())
     return sidecar

@@ -385,6 +385,49 @@ def test_malformed_per_axis_value_is_one_usage_error(tmp_path, capsys, argv, mes
     assert not out.exists()
 
 
+COMPARE = ["compare", "--samples", "in.csv", "--ref-n-delta", "8", "--n-delta", "4"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["sample", "--dist", "tgauss1d", "--m", "2.7"], "--m"),
+    (["study", "--dist", "uniform1d", "--mode", "fixed_m", "--m", "100.5", "--k", "2..3"],
+     "--m"),
+    (["study", "--dist", "uniform1d", "--mode", "fixed_delta", "--n-delta", "2.5",
+      "--k", "2..3"], "--n-delta"),
+    ([*COMPARE, "--m", "10.5"], "--m"),
+    ([*COMPARE, "--ref-m", "1e-1"], "--ref-m"),
+    (["compare", "--samples", "in.csv", "--ref-n-delta", "8", "--n-delta", "2.5"], "--n-delta"),
+    (["compare", "--samples", "in.csv", "--ref-n-delta", "8.25", "--n-delta", "4"],
+     "--ref-n-delta"),
+])
+def test_count_that_is_not_whole_is_one_usage_error(tmp_path, capsys, monkeypatch, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    write_samples_csv("in.csv", np.random.default_rng(5).normal(size=(200, 1)))
+    code, _, stderr = run(capsys, *argv, "--out", "out.csv")
+    assert code == 2
+    assert stderr.startswith(f"error: {flag} must be a whole number, got ")
+    assert stderr.count("\n") == 1
+    assert not Path("out.csv").exists()
+
+
+def test_compare_files_of_different_dimensions_is_usage_error(tmp_path, capsys, monkeypatch):
+    def no_fit(*args):
+        raise AssertionError("fitted before rejecting the sample files")
+
+    monkeypatch.setattr("binpdf.baselines.fit_histogram", no_fit)
+    monkeypatch.setattr("binpdf.estimator.fit", no_fit)
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(6)
+    write_samples_csv("two.csv", rng.normal(size=(100, 2)))
+    write_samples_csv("one.csv", rng.normal(size=(100, 1)))
+    code, _, stderr = run(capsys, *COMPARE[:2], "two.csv", "--ref-samples", "one.csv",
+                          *COMPARE[3:], "--out", "cmp.csv")
+    assert code == 2
+    assert stderr == ("error: --samples two.csv has dimension 2 but --ref-samples one.csv "
+                      "has dimension 1\n")
+    assert not Path("cmp.csv").exists()
+
+
 @pytest.mark.parametrize("flags", [
     ["--domain=1,0"], ["--seeds", "1,,2"], ["--mode", "coupled:1", "--k", "0..2"],
     ["--seeds", "1,-1"],
@@ -495,6 +538,19 @@ def test_failed_write_keeps_old_outputs_and_leaves_no_temp(
     assert stderr == "error: [Errno 28] No space left on device\n"
     assert {name: Path(name).read_bytes() for name in outputs} == before
     assert list(tmp_path.glob(".*.tmp")) == []
+
+
+def test_fit_whose_sidecar_cannot_be_replaced_keeps_the_old_table(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_samples_csv("s.csv", np.random.default_rng(7).normal(size=(200, 2)))
+    Path("pdf.csv").write_text("old table\n")
+    Path("pdf.json").mkdir()  # the table's rename succeeds, the sidecar's fails
+    code, _, stderr = run(capsys, "fit", "--samples", "s.csv", "--support", "auto",
+                          "--n-delta", "8", "--out", "pdf.csv")
+    assert code == 1 and stderr.startswith("error:") and stderr.count("\n") == 1
+    assert Path("pdf.csv").read_text() == "old table\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [".s.csv.npy", "pdf.csv", "pdf.json",
+                                                          "s.csv"]
 
 
 def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):

@@ -1,10 +1,14 @@
 """The block CSV writer: byte-identical to ``np.savetxt`` for every file kind;
-and the sample CSV's binary twin, which reads back exactly what parsing gives."""
+publication of several files, all or none; and the sample CSV's binary twin,
+which reads back exactly what parsing gives."""
 
+import errno
 import io
+import os
 import shutil
 import tempfile
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +18,7 @@ from hypothesis import strategies as st
 
 from binpdf import (
     EmptySampleSetError,
+    Histogram,
     PiecewiseLinearPdf,
     TensorGrid,
     fit_histogram,
@@ -22,6 +27,7 @@ from binpdf import (
     save_pdf,
     write_samples_csv,
 )
+from binpdf import textio
 from binpdf.textio import _BLOCK_ROWS, read_twin, save_grid_table
 
 # bins per axis that put each table over one block but not on a block multiple
@@ -119,10 +125,10 @@ class TestGridTables:
 
 # -- the binary twin of a sample CSV ---------------------------------------------
 
-# bit patterns: -0.0, the smallest subnormal and the largest finite value (both
+# bit patterns: +-0.0, the smallest subnormal and the largest finite value (both
 # signs), +-inf, and NaNs with either sign, quiet or signalling, with payloads
 SPECIAL_BITS = [
-    0x8000000000000000, 0x0000000000000001, 0x8000000000000001,
+    0x0000000000000000, 0x8000000000000000, 0x0000000000000001, 0x8000000000000001,
     0x7FEFFFFFFFFFFFFF, 0xFFEFFFFFFFFFFFFF, 0x7FF0000000000000, 0xFFF0000000000000,
     0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFF4000000000000,
     0x7FFFFFFFFFFFFFFF, 0xFFF8DEADBEEF0001,
@@ -142,14 +148,126 @@ def assert_same_bits(got, expected):
 @st.composite
 def tables(draw):
     """Random float64 bit patterns (every exponent, NaN payloads included),
+    a share of them replaced by magnitudes spread evenly over 1e-8..1e18,
     with some special values dropped in, in C or Fortran order."""
     rows, cols = draw(st.sampled_from(ROWS)), draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     bits = np.frombuffer(rng.bytes(8 * rows * cols), np.uint64).reshape(rows, cols).copy()
+    decimal = rng.random(bits.shape) < draw(st.floats(0, 1))
+    spread = 10.0 ** rng.uniform(-8, 18, bits.shape) * rng.choice([-1.0, 1.0], bits.shape)
+    bits[decimal] = spread.view(np.uint64)[decimal]
     for special in draw(st.lists(st.sampled_from(SPECIAL_BITS), max_size=2 * len(SPECIAL_BITS))):
         bits.flat[rng.integers(bits.size)] = special
     table = bits.view(np.float64)
     return np.asfortranarray(table) if draw(st.booleans()) else table
+
+
+def grid_table_bytes_equal_savetxt(tmp_path, values):
+    """save_pdf and save_histogram of ``values`` on 1-D grids give the bytes of
+    np.savetxt with a %d index column."""
+    grid = TensorGrid((-3.25,), (1e7 / 3,), (values.size,))
+    for save, kind, header, table in [
+        (save_histogram, Histogram, "bin_index,corner0,value",
+         np.column_stack([np.arange(grid.n_bins), grid.bin_lower_corners(), values])),
+        (save_pdf, PiecewiseLinearPdf, "node_index,coord0,coefficient",
+         np.column_stack([np.arange(grid.n_nodes), grid.node_coords_array(),
+                          np.append(values, values[:1])])),
+    ]:
+        save(kind(grid, table[:, -1], 7), tmp_path / "table.csv")
+        expected = savetxt_bytes(tmp_path / "ref.csv", table, fmt=["%d", "%.17g", "%.17g"],
+                                 header=header, comments="")
+        assert (tmp_path / "table.csv").read_bytes() == expected
+
+
+class TestKernel:
+    """Every CSV writer against np.savetxt, value by value."""
+
+    @settings(derandomize=True, database=None, max_examples=15, deadline=None)
+    @given(tables())
+    def test_bytes_equal_savetxt_for_any_table(self, table):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            write_samples_csv(tmp / "s.csv", table)
+            header = f"dim={table.shape[1]} rows={table.shape[0]}"
+            expected = savetxt_bytes(tmp / "ref.csv", table, fmt="%.17g", header=header)
+            assert (tmp / "s.csv").read_bytes() == expected
+            grid_table_bytes_equal_savetxt(tmp, table.ravel())
+
+    def test_decades_rounding_and_ties(self, tmp_path):
+        powers = np.array([float(f"1e{k}") for k in range(-8, 19)])
+        # 17 nines parse to the next power of ten, or the double nearest it
+        nines = np.array([float(f"9.9999999999999999e{k}") for k in range(-8, 18)])
+        ties = [1 + 2**-17, 3 + 5 * 2**-17, 1e15 + 0.5, 2.0**53 + 2, 2.0**56 + 16, 0.5]
+        values = np.concatenate([
+            edges for middle in (powers, nines)
+            for edges in (middle, np.nextafter(middle, 0), np.nextafter(middle, np.inf))
+        ] + [ties])
+        values = np.concatenate([values, -values])
+        for table in (values.reshape(-1, 1), values.reshape(-1, 2)):
+            write_samples_csv(tmp_path / "s.csv", table)
+            expected = savetxt_bytes(tmp_path / "ref.csv", table, fmt="%.17g",
+                                     header=f"dim={table.shape[1]} rows={table.shape[0]}")
+            assert (tmp_path / "s.csv").read_bytes() == expected
+        grid_table_bytes_equal_savetxt(tmp_path, values)
+        fields = set((tmp_path / "s.csv").read_text().replace(",", "\n").splitlines())
+        assert {"1.0000076293945312", "-3.0000381469726562", "1000000000000000.5"} <= fields
+
+    def test_no_mantissa_in_the_exact_range_rounds_up_a_decade(self):
+        # the largest double below 10**(e + 1) still has a 17-digit mantissa below 10**17
+        for e in range(-7, 17):
+            power = Fraction(10) ** (e + 1)
+            below = float(power)
+            if Fraction(below) >= power:
+                below = np.nextafter(below, 0)
+            assert power - Fraction(below) > Fraction(10) ** (e - 16) / 2
+
+
+# -- publication of several files ------------------------------------------------
+
+
+def write_pdf(path, value):
+    grid = TensorGrid((0.0,), (1.0,), (3,))
+    save_pdf(PiecewiseLinearPdf(grid, np.full(4, value), int(value)), path)
+
+
+WRITERS = {
+    "samples": (lambda path, value: write_samples_csv(path, np.full((3, 2), value)),
+                lambda path: path.with_name(f".{path.name}.npy")),
+    "pdf": (write_pdf, lambda path: path.with_suffix(".json")),
+}
+
+
+class TestPublication:
+    @pytest.mark.parametrize("old", [True, False], ids=["over old files", "new files"])
+    @pytest.mark.parametrize("failing", [0, 1], ids=["first rename", "second rename"])
+    @pytest.mark.parametrize("writer", list(WRITERS))
+    def test_failed_rename_leaves_every_file_as_it_was(
+        self, tmp_path, monkeypatch, writer, failing, old
+    ):
+        write, companion = WRITERS[writer]
+        path = tmp_path / "out.csv"
+        if old:
+            write(path, 1.0)
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        assert len(before) == (2 if old else 0)
+        replace, renames = os.replace, []
+
+        def replace_failing_once(src, dst):
+            renames.append(Path(dst).name)
+            if len(renames) == failing + 1:
+                raise OSError(errno.EIO, "rename failed")
+            replace(src, dst)
+
+        monkeypatch.setattr(textio.os, "replace", replace_failing_once)
+        with pytest.raises(OSError, match="rename failed"):
+            write(path, 2.0)
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+        names = {path.name, companion(path).name}
+        assert len(renames) > failing and set(renames) <= names
+
+        monkeypatch.setattr(textio.os, "replace", replace)
+        write(path, 3.0)
+        assert {f.name for f in tmp_path.iterdir()} == names
 
 
 class TestTwin:
