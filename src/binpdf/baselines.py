@@ -98,8 +98,9 @@ class KdeSpec:
     def __post_init__(self):
         if self.kernel not in KERNELS:
             raise ValueError(f"unknown kernel {self.kernel!r}; expected one of {KERNELS}")
-        if not self.bandwidth > 0:
-            raise NonpositiveBandwidthError(f"bandwidth must be > 0, got {self.bandwidth}")
+        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
+            raise NonpositiveBandwidthError(
+                f"bandwidth must be finite and > 0, got {self.bandwidth}")
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim == 1:
             samples = samples.reshape(-1, 1)

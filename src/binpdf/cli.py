@@ -193,7 +193,8 @@ def cmd_fit(args) -> int:
         if args.lower is None or args.upper is None:
             raise UsageError("either --support auto or both --lower and --upper")
         bounds = zip(_per_axis(args.lower, dim, "--lower"), _per_axis(args.upper, dim, "--upper"))
-    grid = _grid(bounds, _per_axis(args.n_delta, dim, "--n-delta", convert=int))
+    grid = _grid(bounds, _per_axis(args.n_delta, dim, "--n-delta",
+                                   convert=functools.partial(_parse_count, what="--n-delta")))
 
     t0 = time.perf_counter()
     pdf = estimator.fit(grid, samples)
@@ -262,8 +263,8 @@ def _parse_estimators(text: str) -> list[tuple[str, object]]:
                 bandwidth = float(pieces[-1])
             except ValueError as err:
                 raise UsageError(f"bad kde bandwidth in {part!r}") from err
-            if bandwidth <= 0:
-                raise UsageError(f"kde bandwidth must be > 0, got {bandwidth}")
+            if not (math.isfinite(bandwidth) and bandwidth > 0):
+                raise UsageError(f"kde bandwidth must be finite and > 0, got {bandwidth}")
             wanted.append((f"kde:{kernel}:{bandwidth:g}", lambda g, s, k=kernel, b=bandwidth:
                            functools.partial(baselines.eval_kde_batch,
                                              baselines.KdeSpec(k, b, s))))

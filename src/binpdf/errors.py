@@ -38,7 +38,7 @@ class EmptySampleSetError(BinPdfError):
 
 
 class NonpositiveBandwidthError(BinPdfError):
-    """A kernel bandwidth must be strictly positive."""
+    """A kernel bandwidth must be finite and strictly positive."""
 
 
 class DegenerateSupportError(BinPdfError):

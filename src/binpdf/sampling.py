@@ -8,13 +8,14 @@ bit-identical across platforms and, for the same seed, an m1-sample set is
 always a prefix of any larger m2-sample set. Normalization constants are
 computed from the truncation bounds, never hardcoded.
 
-``scipy.special`` is imported when the first truncated Gaussian is built (its
-mass is checked then), so importing this module (and the CLI) does not load
-scipy.
+The Gaussian quantile is Wichura's Algorithm AS 241 (PPND16; Wichura 1988,
+*Appl. Stat.* 37(3)) and its cdf comes from ``math.erfc``, so the runtime
+needs numpy alone and a Gaussian sample's bits depend on no scipy version.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -26,10 +27,73 @@ from .errors import EmptySampleSetError
 from .textio import read_twin, write_csv_with_twin
 
 
-def _special():
-    import scipy.special
+_SQRT2 = math.sqrt(2.0)
+_PPF_ROWS = 2**16  # rows per block in sample()
 
-    return scipy.special
+# AS 241 (numerator, denominator) coefficients, constant term first: the
+# central branch in r = 0.180625 - q**2, and the tails in s - 1.6 for s <= 5
+# and in s - 5 beyond, where s = sqrt(-log(min(p, 1 - p))).
+_AS241_CENTRAL = (
+    (3.3871328727963666080e0, 1.3314166789178437745e+2, 1.9715909503065514427e+3,
+     1.3731693765509461125e+4, 4.5921953931549871457e+4, 6.7265770927008700853e+4,
+     3.3430575583588128105e+4, 2.5090809287301226727e+3),
+    (1.0, 4.2313330701600911252e+1, 6.8718700749205790830e+2, 5.3941960214247511077e+3,
+     2.1213794301586595867e+4, 3.9307895800092710610e+4, 2.8729085735721942674e+4,
+     5.2264952788528545610e+3),
+)
+_AS241_NEAR = (
+    (1.42343711074968357734e0, 4.63033784615654529590e0, 5.76949722146069140550e0,
+     3.64784832476320460504e0, 1.27045825245236838258e0, 2.41780725177450611770e-1,
+     2.27238449892691845833e-2, 7.74545014278341407640e-4),
+    (1.0, 2.05319162663775882187e0, 1.67638483018380384940e0, 6.89767334985100004550e-1,
+     1.48103976427480074590e-1, 1.51986665636164571966e-2, 5.47593808499534494600e-4,
+     1.05075007164441684324e-9),
+)
+_AS241_FAR = (
+    (6.65790464350110377720e0, 5.46378491116411436990e0, 1.78482653991729133580e0,
+     2.96560571828504891230e-1, 2.65321895265761230930e-2, 1.24266094738807843860e-3,
+     2.71155556874348757815e-5, 2.01033439929228813265e-7),
+    (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.48753612908506148525e-2,
+     7.86869131145613259100e-4, 1.84631831751005468180e-5, 1.42151175831644588870e-7,
+     2.04426310338993978564e-15),
+)
+
+
+def _ratio(branch, r: np.ndarray) -> np.ndarray:
+    """``numerator(r) / denominator(r)`` of one AS 241 branch, by in-place Horner."""
+    num, den = (np.full_like(r, coeffs[-1]) for coeffs in branch)
+    for acc, coeffs in zip((num, den), branch):
+        for c in coeffs[-2::-1]:
+            acc *= r
+            acc += c
+    num /= den
+    return num
+
+
+def _ndtri(p) -> np.ndarray:
+    """Standard normal quantile by Wichura's AS 241 (PPND16), element by element.
+
+    Within 1e-15 relative of the exact quantile of the double ``p``; ``p = 0``
+    gives ``-inf``, ``p = 1`` gives ``inf``, and NaN or ``p`` outside [0, 1]
+    gives NaN, as ``scipy.special.ndtri`` does.
+    """
+    shape = np.shape(p)
+    p = np.asarray(p, dtype=np.float64).reshape(-1)  # flat, for the tail's indices
+    q = p - 0.5
+    x = _ratio(_AS241_CENTRAL, 0.180625 - q * q)
+    x *= q
+    tail = np.flatnonzero(~(np.abs(q) <= 0.425))  # NaN lands here too
+    if tail.size:
+        pt = p[tail]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
+            xt = _ratio(_AS241_NEAR, s - 1.6)
+            far = np.flatnonzero(~(s <= 5.0))
+            if far.size:
+                t = s[far] - 5.0  # inf at p = 0 or 1, where the ratio is not
+                xt[far] = np.where(t == np.inf, t, _ratio(_AS241_FAR, t))
+        x[tail] = np.copysign(xt, q[tail])
+    return x.reshape(shape)
 
 
 class _TruncatedAxis:
@@ -42,6 +106,8 @@ class _TruncatedAxis:
     mirror image, by a negated scale: ``F(z_hi) - F(z_lo)`` cancels when both
     are near 1, while the mirrored lower tail keeps its relative precision.
     That needs a symmetric kernel; a uniform window never lies above ``lo``.
+    A family may also override ``_std_mass``, the ``F(w) - F(w_lo)`` behind
+    the mass and the cdf, with a form that cancels less.
     """
 
     def __post_init__(self):
@@ -51,12 +117,15 @@ class _TruncatedAxis:
             raise ValueError(f"[{self.lo}, {self.hi}] holds no probability in double precision")
 
     def _frame(self):
-        """``(loc, s, F(w_lo), F(w_hi) - F(w_lo))`` at ``w = (x - loc) / s``; mirrored: s < 0."""
+        """``(loc, s, w_lo, F(w_hi) - F(w_lo))`` at ``w = (x - loc) / s``; mirrored: s < 0."""
         loc, scale = self._loc_scale
         if self.lo > loc:
             scale = -scale
-        f_lo = self._std_cdf((self.lo - loc) / scale)
-        return loc, scale, f_lo, self._std_cdf((self.hi - loc) / scale) - f_lo
+        w_lo = (self.lo - loc) / scale
+        return loc, scale, w_lo, self._std_mass(w_lo, (self.hi - loc) / scale)
+
+    def _std_mass(self, w_lo, w):
+        return self._std_cdf(w) - self._std_cdf(w_lo)
 
     @property
     def mass(self) -> float:
@@ -70,13 +139,14 @@ class _TruncatedAxis:
         return np.where((x >= self.lo) & (x <= self.hi), out, 0.0)
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
-        loc, scale, f_lo, mass = self._frame()
-        out = (self._std_cdf((np.asarray(x, dtype=np.float64) - loc) / scale) - f_lo) / mass
+        loc, scale, w_lo, mass = self._frame()
+        out = self._std_mass(w_lo, (np.asarray(x, dtype=np.float64) - loc) / scale) / mass
         return np.clip(out, 0.0, 1.0)
 
     def ppf(self, u: np.ndarray) -> np.ndarray:
-        loc, scale, f_lo, mass = self._frame()
-        x = loc + scale * self._std_ppf(f_lo + np.asarray(u, dtype=np.float64) * mass)
+        loc, scale, w_lo, mass = self._frame()
+        p = self._std_cdf(w_lo) + np.asarray(u, dtype=np.float64) * mass
+        x = loc + scale * self._std_ppf(p)
         # clip absorbs inverse-CDF roundoff at the truncation bounds
         return np.clip(x, self.lo, self.hi)
 
@@ -93,8 +163,15 @@ class TruncatedGaussian(_TruncatedAxis):
     _loc_scale = property(lambda self: (self.mean, self.sd))
     _norm = math.sqrt(2.0 * math.pi)
     _kernel = staticmethod(lambda z: np.exp(-0.5 * z * z))
-    _std_cdf = staticmethod(lambda z: _special().ndtr(z))
-    _std_ppf = staticmethod(lambda p: _special().ndtri(p))
+    _std_cdf = staticmethod(lambda z: 0.5 * math.erfc(-z / _SQRT2))
+    _std_ppf = staticmethod(_ndtri)
+
+    @staticmethod
+    @functools.partial(np.vectorize, otypes=[float])
+    def _std_mass(w_lo, w):
+        if w_lo <= 0.0 <= w:  # the two erf terms add: nothing cancels in a narrow window
+            return 0.5 * (math.erf(w / _SQRT2) - math.erf(w_lo / _SQRT2))
+        return TruncatedGaussian._std_cdf(w) - TruncatedGaussian._std_cdf(w_lo)
 
     def __post_init__(self):
         if not self.sd > 0:
@@ -197,8 +274,12 @@ def sample(spec: DistributionSpec, m: int, seed: int) -> np.ndarray:
     check_seed(seed)
     rng = np.random.Generator(np.random.Philox(key=seed))
     u = rng.random((m, spec.dim))
-    for n, axis in enumerate(spec.axes):
-        u[:, n] = axis.ppf(u[:, n])  # in place: no second (m, dim) array
+    # in place, a row block at a time: no second (m, dim) array, and the ppf
+    # temporaries stay in cache; every ppf is elementwise, so no bit changes
+    for start in range(0, m, _PPF_ROWS):
+        rows = u[start:start + _PPF_ROWS]
+        for n, axis in enumerate(spec.axes):
+            rows[:, n] = axis.ppf(rows[:, n])
     return u
 
 

@@ -165,6 +165,11 @@ class TestKde:
         with pytest.raises(ValueError, match="kernel"):
             KdeSpec("box", 1.0, [0.0])
 
+    @pytest.mark.parametrize("bandwidth", [-1.0, math.inf, -math.inf, math.nan])
+    def test_bandwidth_that_is_not_finite_and_positive(self, bandwidth):
+        with pytest.raises(NonpositiveBandwidthError, match="finite and > 0"):
+            KdeSpec("triangular", bandwidth, [0.0])
+
 
 class TestKdeNodeIdentity:
     """Triangular KDE with bandwidth = delta reproduces the estimator's

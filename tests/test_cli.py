@@ -106,6 +106,18 @@ class TestFit:
         pdf = load_pdf(out)
         np.testing.assert_array_equal(pdf.coefficients, [1.0, 1.0, 1.0])
 
+    def test_n_delta_in_exponent_notation_is_a_count(self, tmp_path, capsys):
+        # fit parses --n-delta like every other count flag: 1e1 is 10 bins
+        samples = tmp_path / "two.csv"
+        samples.write_text("0.25\n0.75\n")
+        code, stdout, _ = run(
+            capsys, "fit", "--samples", str(samples), "--lower", "0",
+            "--upper", "1", "--n-delta", "1e1", "--out", str(tmp_path / "pdf.csv"),
+        )
+        assert code == 0
+        assert "bins: 10" in stdout
+        assert load_pdf(tmp_path / "pdf.csv").coefficients.shape == (11,)
+
     def test_support_auto_uses_sample_extremes(self, tmp_path, capsys):
         samples = tmp_path / "u.csv"
         code, _, _ = run(
@@ -323,6 +335,19 @@ class TestCompare:
         assert code == 2
         assert stderr.startswith("error:")
 
+    @pytest.mark.parametrize("kde", ["kde:inf", "kde:nan", "kde:gaussian:-inf", "kde:1e400"])
+    def test_non_finite_bandwidth_is_usage_error(self, tmp_path, capsys, kde):
+        samples = tmp_path / "s.csv"
+        samples.write_text("0.5\n0.6\n")
+        out = tmp_path / "c.csv"
+        code, stdout, stderr = run(
+            capsys, "compare", "--samples", str(samples), "--ref-n-delta", "4",
+            "--n-delta", "2", "--estimators", kde, "--out", str(out),
+        )
+        assert code == 2
+        assert stderr.startswith("error: kde bandwidth must be finite and > 0, got ")
+        assert stderr.count("\n") == 1 and stdout == ""
+        assert not out.exists()
 
     def test_non_finite_sample_is_data_error(self, tmp_path, capsys):
         samples = tmp_path / "bad.csv"
@@ -353,7 +378,7 @@ STUDY = ["study", "--dist", "uniform1d", "--mode", "coupled:2", "--k", "2..3"]
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["fit", "--lower=-1", "--upper=1", "--n-delta", "0"], "subdivision count"),
+    (["fit", "--lower=-1", "--upper=1", "--n-delta", "0"], "--n-delta must be >= 1"),
     (["fit", "--lower=-1", "--upper=1", "--n-delta", "4,4,4"], "--n-delta has 3 entries"),
     (["fit", "--lower", "abc", "--upper=1", "--n-delta", "4"], "bad --lower"),
     (["fit", "--lower", "0,0,0", "--upper=1", "--n-delta", "4"], "--lower has 3 entries"),
@@ -395,6 +420,7 @@ COMPARE = ["compare", "--samples", "in.csv", "--ref-n-delta", "8", "--n-delta", 
     (["study", "--dist", "uniform1d", "--mode", "fixed_delta", "--n-delta", "2.5",
       "--k", "2..3"], "--n-delta"),
     ([*COMPARE, "--m", "10.5"], "--m"),
+    (["fit", "--samples", "in.csv", "--lower=-9", "--upper=9", "--n-delta", "2.5"], "--n-delta"),
     ([*COMPARE, "--ref-m", "1e-1"], "--ref-m"),
     (["compare", "--samples", "in.csv", "--ref-n-delta", "8", "--n-delta", "2.5"], "--n-delta"),
     (["compare", "--samples", "in.csv", "--ref-n-delta", "8.25", "--n-delta", "4"],
@@ -596,28 +622,27 @@ class TestParserBasics:
         assert "sample" in capsys.readouterr().out
 
 
-def test_fit_and_compare_do_not_import_scipy(tmp_path):
-    # scipy.special is loaded when the first truncated Gaussian is built,
-    # and only then; a fresh interpreter shows which commands pull it in
+def test_no_command_imports_scipy(tmp_path):
+    # the runtime needs numpy alone: a fresh interpreter runs every command,
+    # the truncated Gaussian ones included, and loads no scipy module
     script = textwrap.dedent(f"""
         import sys
         from binpdf.cli import main
 
-        def scipy_loaded():
-            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
         samples = {str(tmp_path / "s.csv")!r}
         with open(samples, "w") as fh:
             fh.write("0.1,0.2\\n0.5,0.4\\n0.9,0.7\\n")
-        assert scipy_loaded() == [], scipy_loaded()
+        assert main(["sample", "--dist", "tgauss1d", "--m", "1000", "--seed", "3",
+                     "--out", {str(tmp_path / "g.csv")!r}]) == 0
         assert main(["fit", "--samples", samples, "--support", "auto", "--n-delta", "4",
                      "--out", {str(tmp_path / "p.csv")!r}]) == 0
         assert main(["compare", "--samples", samples, "--ref-n-delta", "4",
                      "--n-delta", "2", "--out", {str(tmp_path / "c.csv")!r}]) == 0
-        assert scipy_loaded() == [], scipy_loaded()
-        assert main(["sample", "--dist", "tgauss1d", "--m", "1000", "--seed", "3",
-                     "--out", {str(tmp_path / "g.csv")!r}]) == 0
-        assert "scipy.special" in sys.modules
+        assert main(["study", "--dist", "tgauss1d", "--mode", "coupled:2", "--k", "2..3",
+                     "--seeds", "1,2", "--out", {str(tmp_path / "study.csv")!r}]) == 0
+        assert main(["--help"]) == 0
+        loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+        assert loaded == [], loaded
     """)
     src = str(Path(binpdf.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

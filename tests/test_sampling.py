@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtri
 from scipy.stats import kstest, truncnorm
 
 from binpdf import (
@@ -20,6 +21,7 @@ from binpdf import (
     sample,
     write_samples_csv,
 )
+from binpdf.sampling import _ndtri
 
 TGAUSS = DistributionSpec((TruncatedGaussian(0.0, 1.0, -5.5, 5.5),))
 LAPLACE = DistributionSpec((TruncatedLaplace(0.0, 1.5, -5.5, 5.5),))
@@ -218,6 +220,62 @@ class TestFarTailWindows:
         family, *params = axis
         with pytest.raises(ValueError, match="holds no probability in double precision"):
             family(*params)
+
+
+class TestNarrowWindows:
+    """A window at the location keeps its relative precision however narrow."""
+
+    @pytest.mark.parametrize("width", [1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+    def test_pdf_against_mpmath(self, width):
+        mpmath.mp.dps = 50
+        for lo, hi in [(0.0, width), (-width / 2, width / 2)]:
+            axis = TruncatedGaussian(0.0, 1.0, lo, hi)
+            mass = mpmath.ncdf(hi) - mpmath.ncdf(lo)
+            x = lo + (hi - lo) * np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+            pdf = [mpmath.npdf(xi) / mass for xi in x]
+            np.testing.assert_allclose(axis.pdf(x), np.array(pdf, dtype=float), rtol=1e-14, atol=0)
+
+
+class TestNormalQuantile:
+    """The AS 241 quantile against the exact quantile of each double ``p``."""
+
+    def test_against_mpmath(self):
+        mpmath.mp.dps = 50
+        p = np.concatenate([
+            10.0 ** np.linspace(-300, math.log10(0.5), 3000, endpoint=False),
+            1.0 - 10.0 ** np.linspace(-15, math.log10(0.5), 1500, endpoint=False),
+        ])
+        rel = []
+        for pi, start, got in zip(p, ndtri(p), _ndtri(p)):
+            # Newton on ncdf(x) = p from scipy's value, which is within a few ulps
+            x, target = mpmath.mpf(float(start)), mpmath.mpf(float(pi))
+            for _ in range(3):
+                x -= (mpmath.ncdf(x) - target) / mpmath.npdf(x)
+            rel.append(float(abs((mpmath.mpf(float(got)) - x) / x)))
+        assert max(rel) <= 1e-15
+        assert np.median(rel) <= 2e-16
+
+    def test_edge_values(self):
+        x = _ndtri(np.array([0.0, 1.0, np.nan, 0.5, -0.25, 1.25]))
+        assert x[:2].tolist() == [-np.inf, np.inf]
+        assert np.isnan(x[2]) and x[3] == 0.0 and np.isnan(x[4:]).all()
+
+    def test_element_by_element(self):
+        p = np.concatenate([[0.0, 1.0, np.nan, 0.075, 0.925, 1e-11, 1e-12, 5e-324],
+                            np.random.default_rng(4).random(200)])
+        whole = _ndtri(p)
+        one_by_one = np.array([_ndtri(p[i:i + 1])[0] for i in range(p.size)])
+        np.testing.assert_array_equal(whole, one_by_one)
+        np.testing.assert_array_equal(_ndtri(p[::-1]), whole[::-1])
+        np.testing.assert_array_equal(_ndtri(p[:200].reshape(20, 10)), whole[:200].reshape(20, 10))
+        assert _ndtri(p[5]).shape == () and _ndtri(p[5]) == whole[5]  # a scalar in the far tail
+
+    def test_scalar_and_2d_ppf_match_the_1d_ppf(self):
+        axis = TruncatedGaussian(0.0, 1.0, -5.5, 5.5)
+        u = np.random.default_rng(8).random(60)
+        want = axis.ppf(u)
+        np.testing.assert_array_equal(axis.ppf(u.reshape(6, 10)), want.reshape(6, 10))
+        assert [axis.ppf(ui) for ui in u] == want.tolist()
 
 
 class TestCsvRoundTrip:
