@@ -4,10 +4,11 @@ The accuracy of a fitted density depends on both the bin width and the sample
 count, so convergence is studied three ways: shrinking the bin width at a
 fixed large sample count, growing the sample count at a fixed small bin
 width, and coupling the two through ``M = N_delta**(2 r)`` so discretization
-and sampling errors shrink together. Each study level draws nested samples
-(same seed, growing prefix), fits the estimator, measures the RMSE of the
-density values at the sample points against the exact density, and records
-the fit wall time; rates are least-squares slopes in log-log space.
+and sampling errors shrink together. Each seed draws its samples once; each
+study level takes a growing prefix of that draw (nested samples), fits the
+estimator, measures the RMSE of the density values at the sample points
+against the exact density, and records the fit wall time; rates are
+least-squares slopes in log-log space.
 """
 
 from __future__ import annotations
@@ -303,21 +304,23 @@ def averaged_study(
         for n_delta, _ in params
     ]
 
-    # seeds outer, levels inner: levels outer page-faults ~3x as often
+    # seeds outer, levels inner: levels outer page-faults ~3x as often. One draw
+    # per seed serves every level: the m-sample draw is its first m rows.
+    max_m = max(m for _, m in params)
     runs = [[] for _ in levels]
     for seed in seeds:
+        drawn = sample(spec, max_m, seed)
+        held_out = sample(spec, max_m, seed ^ _HOLDOUT_SEED_XOR) if holdout else drawn
         for (n_delta, m), grid, level_runs in zip(params, grids, runs):
-            samples = sample(spec, m, seed)
+            samples = drawn[:m]
             if grid is None:
                 grid = TensorGrid(*zip(*estimate_support(samples)), (n_delta,) * spec.dim)
             t0 = time.perf_counter()
             pdf = estimator.fit(grid, samples)
             seconds = time.perf_counter() - t0
-            eval_points = (
-                sample(spec, m, seed ^ _HOLDOUT_SEED_XOR) if holdout else samples
-            )
-            error = rmse_vs_exact(pdf.evaluate_batch, spec, eval_points)
+            error = rmse_vs_exact(pdf.evaluate_batch, spec, held_out[:m])
             level_runs.append((float(grid.deltas[0]), error, seconds))
+        del drawn, held_out, samples  # free this seed's draw before the next one's
     rows = []
     for k, (n_delta, m), level_runs in zip(levels, params, runs):
         delta, error, seconds = (float(np.mean(column)) for column in zip(*level_runs))

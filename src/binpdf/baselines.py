@@ -17,14 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptySampleSetError, NonpositiveBandwidthError
-from .grid import _CHUNK, TensorGrid, as_point, as_points
+from .grid import _CHUNK, TensorGrid, _ravel_rows, as_point, as_points
 from .textio import load_grid_table, save_grid_table
 
 
 def _flat_bins(grid: TensorGrid, pts: np.ndarray) -> np.ndarray:
     """Row-major flat bin index of each in-domain point."""
     idx, _ = grid._locate_with_frac(pts)
-    return np.ravel_multi_index(tuple(idx.T), grid.bin_shape)
+    return _ravel_rows(idx.T, grid.bin_shape)
 
 
 @dataclass(frozen=True, eq=False)

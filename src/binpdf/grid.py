@@ -12,7 +12,13 @@ Point location uses direct index arithmetic, ``i = floor((y - a) / delta)``,
 followed by a one-step correction against the bin edge values so that the
 returned bin agrees exactly with edge comparisons even for points within one
 ulp of a face. Points on interior faces belong to the higher-index bin; the
-exact upper domain boundary is clamped into the last bin.
+exact upper domain boundary is clamped into the last bin. The correction runs
+only where the within-bin fraction lies within ``tau = 16 eps (|a| + |b| + (b
+- a)) / delta`` of 0 or 1, over three times the worst rounding of the computed
+edges relative to ``delta``: every other point provably keeps its first index
+and fraction, so the results are the bits of correcting every point. Each
+corner weight is the left-to-right product of per-axis factors, the leading
+axes' product shared by the two corners along the last axis.
 """
 
 from __future__ import annotations
@@ -31,6 +37,8 @@ MultiIndex = tuple[int, ...]
 # Fixed chunk size of the stencil: bounds the per-chunk working set of fit and
 # evaluate, and fixes the scatter order (hence every coefficient, bit for bit).
 _CHUNK = 1 << 18
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def as_points(points, dim: int) -> np.ndarray:
@@ -54,6 +62,42 @@ def as_point(point, dim: int) -> np.ndarray:
     if p.shape != (dim,):
         raise ValueError(f"expected a point of dimension {dim}, got shape {p.shape}")
     return p
+
+
+def _settle(p, i, row, a: float, d: float, nd: int, b: float) -> None:
+    """Exact location on one axis, in place, from ``i = floor((p - a) / d)``.
+
+    A one-step fix-up makes ``i`` agree with the edge values ``a + i * d`` and
+    ``a + (i + 1) * d``, then clamps it into the last bin; ``row`` receives
+    ``(p - (a + i * d)) / d``, clipped to [0, 1] and exactly 1 where ``p == b``.
+    """
+    np.multiply(i, d, out=row)
+    row += a
+    i -= p < row
+    i += 1
+    np.multiply(i, d, out=row)
+    i -= 1
+    row += a
+    i += p >= row
+    np.minimum(i, nd - 1, out=i)  # i >= 0 holds for in-domain points
+    np.multiply(i, d, out=row)
+    row += a
+    np.subtract(p, row, out=row)
+    row /= d
+    np.clip(row, 0.0, 1.0, out=row)
+    row[p == b] = 1.0
+
+
+def _ravel_rows(idx: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Row-major flat index of (dim, m) int64 indices, built in place in ``idx[0]``.
+
+    The same integers as ``np.ravel_multi_index`` for indices within ``shape``.
+    """
+    flat = idx[0]
+    for row, size in zip(idx[1:], shape[1:]):
+        flat *= size
+        flat += row
+    return flat
 
 
 @dataclass(frozen=True)
@@ -92,6 +136,9 @@ class TensorGrid:
                 raise ValueError(f"axis {n}: subdivision count must be >= 1, got {nd}")
         if self.n_nodes > np.iinfo(np.intp).max:
             raise ValueError(f"{self.n_nodes} nodes exceed the largest flat index")
+        for n, d in enumerate(self.deltas):  # point location divides by d
+            if not 0.0 < d < math.inf:
+                raise ValueError(f"axis {n}: bin width {d} must be finite and > 0")
 
     # -- derived shape data ------------------------------------------------
 
@@ -195,8 +242,31 @@ class TensorGrid:
 
         Works axis-major: both are transposed views of (dim, m) buffers filled
         one axis at a time against scalar bounds, so every step runs over one
-        contiguous row; the float row becomes that axis's ``frac``. Every step
-        rounds exactly as the out-of-place (m, dim) expressions would.
+        contiguous row; the float row becomes that axis's ``frac``.
+
+        Each axis first takes ``i = trunc((p - a) / d)``, which is the floor
+        as ``p >= a``, and ``frac = fl(fl(p - e) / d)`` at the computed edge
+        ``e = fl(fl(i * d) + a)``. Only points with ``frac`` outside ``[tau,
+        1 - tau]`` go through :func:`_settle`, the exact fix-up, and the rest
+        provably need none. With ``S = |a| + |b| + (b - a)``, an edge
+        ``fl(fl(k * d) + a)``, ``0 <= k <= n_delta + 1``, lies within ``2 eps
+        S`` of ``a + k * d``, and the edge ``n_delta`` within ``3 eps S`` of
+        ``b``. So:
+
+        - ``frac >= tau > 0`` gives ``p > e``: the decrement stays off;
+        - ``frac <= 1 - tau`` gives ``p - e <= (1 - tau)(1 + eps) d``, below
+          the next edge, which is at least ``d - 4 eps S`` above ``e``, once
+          ``tau > eps + 4 eps S / d``: the increment stays off;
+        - ``i = n_delta``, and ``p == b`` with ``i = n_delta - 1``, put
+          ``frac`` within ``3 eps S / d + eps`` of 0 or 1: flagged. Any other
+          ``i`` at ``p == b`` or above ``n_delta``, or one not exact in
+          float64, needs ``n_delta * eps`` near 1, where ``tau > 1/2`` flags
+          every point.
+
+        An unflagged point thus has ``0 <= i < n_delta`` and ``0 < frac <
+        1``, which the clamp, the clip and ``frac = 1`` at ``b`` leave as they
+        are: it gets the fix-up's bits. As ``S / d >= n_delta >= 1``, ``tau =
+        5 eps S / d`` would do; ``16 eps S / d`` leaves a margin of more than 3.
         """
         idx, frac = np.empty(pts.T.shape, np.int64), np.empty(pts.T.shape)
         axes = zip(self.lower, self.deltas, self.n_delta, self.upper)
@@ -204,25 +274,20 @@ class TensorGrid:
             p, i, row = pts[:, n], idx[n], frac[n]
             np.subtract(p, a, out=row)
             row /= d
-            np.floor(row, out=row)
-            i[:] = row
-            # one-step fixup: make the index decision agree with the edge
-            # values a + i * d and a + (i + 1) * d
-            np.multiply(i, d, out=row)
-            row += a
-            i -= p < row
-            i += 1
-            np.multiply(i, d, out=row)
-            i -= 1
-            row += a
-            i += p >= row
-            np.minimum(i, nd - 1, out=i)  # i >= 0 holds for in-domain points
+            i[:] = row  # truncation is floor here, since p - a >= 0
             np.multiply(i, d, out=row)
             row += a
             np.subtract(p, row, out=row)
             row /= d
-            np.clip(row, 0.0, 1.0, out=row)
-            row[p == b] = 1.0
+            tau = 16.0 * _EPS * (abs(a) + abs(b) + (b - a)) / d
+            inside = row >= tau
+            inside &= row <= 1.0 - tau
+            near = np.flatnonzero(np.logical_not(inside, out=inside))
+            del inside
+            if near.size:
+                i_near, frac_near = i[near], np.empty(near.size)
+                _settle(p[near], i_near, frac_near, a, d, nd, b)
+                i[near], row[near] = i_near, frac_near
         return idx.T, frac.T
 
     def locate_bin(self, point) -> MultiIndex:
@@ -246,23 +311,43 @@ class TensorGrid:
         Runs over fixed ``_CHUNK`` slices of in-domain points, and within each
         over the 2**dim corners of every point's bin in lexicographic offset
         order. The index and weight arrays are buffers reused for every corner
-        of a chunk, so consume them before asking for the next corner.
+        of a chunk, so consume them before asking for the next corner; the
+        index array is read-only, since the next corner's index is stepped
+        from it.
         """
         for start in range(0, pts.shape[0], _CHUNK):
             yield from self._chunk_stencil(start, pts[start : start + _CHUNK])
 
     def _chunk_stencil(self, start: int, pts: np.ndarray):
         # a frame of its own, so one chunk's location is freed before the next
-        idx, frac = self._locate_with_frac(pts)
-        base = np.ravel_multi_index(tuple(idx.T), self.node_shape)
-        del idx
-        flat, w = np.empty_like(base), np.empty(base.shape[0])
-        for offsets in itertools.product((0, 1), repeat=self.dim):
-            np.add(base, np.ravel_multi_index(offsets, self.node_shape), out=flat)
-            w.fill(1.0)
-            for n, o in enumerate(offsets):
-                w *= frac[:, n] if o else 1.0 - frac[:, n]
-            yield start, flat, w
+        idx, frac = (a.T for a in self._locate_with_frac(pts))  # (dim, m) rows
+        flat = _ravel_rows(idx, self.node_shape)  # stepped from corner to corner
+        corner = flat.view()
+        corner.flags.writeable = False  # a consumer's write would move later corners
+        # the other index rows are free now: one holds the leading product, one w
+        lead = idx[1].view(np.float64) if self.dim > 1 else None
+        w = idx[2].view(np.float64) if self.dim > 2 else np.empty(flat.shape[0])
+        *leading, last = frac
+        strides = [math.prod(self.node_shape[n + 1 :]) for n in range(self.dim - 1)]
+        at = 0  # the offset that flat holds from each point's lowest corner node
+        for offsets in itertools.product((0, 1), repeat=self.dim - 1):
+            # a weight multiplies its axis factors, f or 1 - f, left to right; the
+            # product of the leading ones serves both corners along the last axis
+            prod = None
+            for f, o in zip(leading, offsets):
+                if not o:
+                    f = np.subtract(1.0, f, out=lead if prod is None else w)
+                prod = f if prod is None else np.multiply(prod, f, out=lead)
+            to = sum(o * s for o, s in zip(offsets, strides))
+            flat += to - at
+            np.subtract(1.0, last, out=w)
+            if prod is not None:
+                w *= prod
+            yield start, corner, w
+            flat += 1  # the last axis has stride 1
+            at = to + 1
+            np.multiply(last, 1.0 if prod is None else prod, out=w)
+            yield start, corner, w
 
     # -- nodes and basis -----------------------------------------------------
 

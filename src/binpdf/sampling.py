@@ -215,6 +215,14 @@ class TruncatedLaplace(_TruncatedAxis):
         tail = 0.5 * np.exp(-np.abs(z))  # exp(-|z|): neither branch can overflow
         return np.where(z < 0, tail, 1.0 - tail)
 
+    @staticmethod
+    def _std_mass(w_lo, w):
+        # where w_lo <= 0 <= w the two halves add: nothing cancels in a narrow window
+        # (_frame mirrors windows above the location, so w_lo <= 0 always)
+        at_loc = -0.5 * (np.expm1(-np.maximum(w, 0.0)) + np.expm1(w_lo))
+        cdf = TruncatedLaplace._std_cdf
+        return np.where((w_lo <= 0.0) & (w >= 0.0), at_loc, cdf(w) - cdf(w_lo))
+
     def __post_init__(self):
         if not self.scale > 0:
             raise ValueError(f"scale must be > 0, got {self.scale}")

@@ -1,6 +1,7 @@
 """Error metrics, coupling rule, support estimation, rate fits, and studies."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -223,6 +224,35 @@ class TestConvergenceStudy:
         held = convergence_study(TGAUSS, Coupled(2), [3], 7, holdout=True)
         assert held.rows[0].m == base.rows[0].m
         assert held.rows[0].error != base.rows[0].error
+
+    @pytest.mark.parametrize("mode, grid_domain, holdout", [
+        (Coupled(2), None, False),
+        (FixedM(5000), None, True),
+        (FixedDelta(16), "auto", False),
+    ])
+    def test_one_draw_per_seed_gives_the_per_level_draws_result(
+        self, monkeypatch, mode, grid_domain, holdout
+    ):
+        levels, seeds = [2, 3, 4], [3, 4]
+        # a one-level study draws exactly that level's samples for each seed
+        want = {
+            k: averaged_study(TGAUSS, mode, [k], seeds, grid_domain=grid_domain,
+                              holdout=holdout).rows[0]
+            for k in levels
+        }
+        calls = []
+
+        def counted(spec, m, seed):
+            calls.append(seed)
+            return sample(spec, m, seed)
+
+        monkeypatch.setattr("binpdf.analysis.sample", counted)
+        got = averaged_study(TGAUSS, mode, levels, seeds, grid_domain=grid_domain,
+                             holdout=holdout)
+        assert len(calls) == len(seeds) * (2 if holdout else 1)
+        assert sorted(row.k for row in got.rows) == levels
+        for row in got.rows:
+            assert replace(row, seconds=0.0) == replace(want[row.k], seconds=0.0)
 
     def test_levels_validation(self):
         with pytest.raises(ValueError):

@@ -382,6 +382,8 @@ STUDY = ["study", "--dist", "uniform1d", "--mode", "coupled:2", "--k", "2..3"]
     (["fit", "--lower=-1", "--upper=1", "--n-delta", "4,4,4"], "--n-delta has 3 entries"),
     (["fit", "--lower", "abc", "--upper=1", "--n-delta", "4"], "bad --lower"),
     (["fit", "--lower", "0,0,0", "--upper=1", "--n-delta", "4"], "--lower has 3 entries"),
+    (["fit", "--lower=-1e308,0", "--upper=1e308,1", "--n-delta", "4"],
+     "axis 0: bin width inf must be finite and > 0"),
     (["study", "--dist", "tgauss2d", "--mode", "coupled:2", "--k", "2", "--domain=1,2,3"],
      "bad --domain"),
     (["compare", "--ref-n-delta", "4", "--n-delta", "2", "--domain=0,1;0,1;0,1"],

@@ -264,8 +264,8 @@ class TestFineGrids:
         assert grown < 1.5 * node_bytes
 
     def test_locate_keeps_one_float_array_per_chunk(self):
-        # A 3-D chunk's location holds idx, frac and one axis's comparison
-        # mask at its peak: ~2.05x the points' bytes (3x with float temporaries).
+        # A 3-D chunk's location holds idx, frac and two of one axis's comparison
+        # masks at its peak: ~2.08x the points' bytes (3x with float temporaries).
         grid = TensorGrid((0.0,) * 3, (1.0,) * 3, (128,) * 3)
         pts = np.random.default_rng(63).random((1 << 18, 3))
         assert traced_peak(lambda: grid._locate_with_frac(pts)) < 2.25 * pts.nbytes

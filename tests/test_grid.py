@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from binpdf import IndexOutOfRangeError, OutOfDomainError, SampleOutOfDomainError, TensorGrid
+from binpdf.grid import _settle as settle
 
 
 def brute_force_locate(grid, point):
@@ -84,12 +87,40 @@ def edge_points(grid, rng, n_random=2000):
 # 1-, 2- and 3-D grids with unequal bounds and n_delta per axis, n_delta = 1
 # included; on (-2, 0.4, 3) lower + 3 * delta falls below upper, so the fraction
 # of points just under upper needs the clip, and on (-7.3, 1.1, 1) it lands above.
+# The last four are where the fix-up tolerance decides: offset domains whose edges
+# round coarsely relative to delta, 2**16 + 1 bins, and an axis whose delta is
+# below ulp(lower), so that every point there takes the fix-up.
 LOCATE_GRIDS = [
     ((-1.25,), (3.5,), (7,)),
     ((0.1,), (0.4,), (1,)),
     ((-1.5, -2.0), (1.5, 0.4), (6, 3)),
     ((-2.0, 0.1, -7.3), (2.5, 0.7, 1.1), (3, 11, 1)),
+    ((1e6,), (1e6 + 1,), (1000,)),
+    ((-3e8,), (7e8,), (97,)),
+    ((0.0,), (1.0,), (2**16 + 1,)),
+    ((1e6, -1.0), (1e6 + 1e-9, 1.0), (100, 4)),
 ]
+
+
+# derandomized: every run draws the same examples, so the suite stays reproducible
+PROPERTY = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+
+
+@st.composite
+def random_grids(draw):
+    """Grids of 1-3 axes, offset up to 1e9 and as narrow as 1e-9, with few
+    enough bins that ``edge_points`` stays small."""
+    dim = draw(st.integers(1, 3))
+    most = {1: 3000, 2: 16, 3: 4}[dim]
+    lower, upper = [], []
+    for _ in range(dim):
+        a = draw(st.floats(-1e9, 1e9))
+        b = a + draw(st.floats(1e-9, 1e9))
+        assume(a < b)
+        lower.append(a)
+        upper.append(b)
+    return TensorGrid(lower, upper, draw(st.lists(st.integers(1, most), min_size=dim,
+                                                  max_size=dim)))
 
 
 def rowmajor_first_offender(grid, pts):
@@ -131,6 +162,14 @@ class TestConstruction:
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError, match=">= 1"):
             TensorGrid((0.0,), (1.0,), (0,))
+
+    @pytest.mark.parametrize("lower, upper, n_delta, width", [
+        (-1e308, 1e308, 2, "inf"),  # upper - lower overflows
+        (0.0, 5e-324, 2, "0.0"),  # the width underflows
+    ])
+    def test_rejects_zero_or_infinite_bin_width(self, lower, upper, n_delta, width):
+        with pytest.raises(ValueError, match=f"bin width {width} must be finite and > 0"):
+            TensorGrid((0.0, lower), (1.0, upper), (4, n_delta))
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="equal length"):
@@ -255,6 +294,31 @@ class TestAxisMajorLocate:
         np.testing.assert_array_equal(frac, want_frac)
         np.testing.assert_array_equal(np.signbit(frac), np.signbit(want_frac))
         np.testing.assert_array_equal(grid.locate_bins(pts), want_idx)
+
+    def test_every_point_takes_the_fix_up_when_delta_is_below_an_ulp(self, monkeypatch):
+        grid = TensorGrid(*LOCATE_GRIDS[-1])
+        assert grid.deltas[0] < np.spacing(grid.lower[0])
+        pts = edge_points(grid, np.random.default_rng(9))
+        settled = []
+
+        def counted(p, *args):
+            settled.append(p.size)
+            return settle(p, *args)
+
+        monkeypatch.setattr("binpdf.grid._settle", counted)
+        grid._locate_with_frac(pts)
+        assert settled[0] == pts.shape[0]  # the first axis: every point
+        assert 0 < settled[1] < pts.shape[0] / 2  # the second: edge points only
+
+    @PROPERTY
+    @given(random_grids(), st.integers(0, 2**32 - 1))
+    def test_random_grids_are_bit_identical_to_rowmajor_arithmetic(self, grid, seed):
+        pts = edge_points(grid, np.random.default_rng(seed), n_random=200)
+        idx, frac = grid._locate_with_frac(pts)
+        want_idx, want_frac = rowmajor_locate(grid, pts)
+        np.testing.assert_array_equal(idx, want_idx)
+        np.testing.assert_array_equal(frac, want_frac)
+        np.testing.assert_array_equal(np.signbit(frac), np.signbit(want_frac))
 
     @pytest.mark.parametrize("lower,upper,n_delta", LOCATE_GRIDS)
     def test_single_point_matches_batch(self, lower, upper, n_delta):

@@ -235,6 +235,17 @@ class TestNarrowWindows:
             pdf = [mpmath.npdf(xi) / mass for xi in x]
             np.testing.assert_allclose(axis.pdf(x), np.array(pdf, dtype=float), rtol=1e-14, atol=0)
 
+    @pytest.mark.parametrize("width", [1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+    def test_laplace_mass_and_pdf_against_mpmath(self, width):
+        mpmath.mp.dps = 50
+        for lo, hi in [(0.0, width), (-width / 2, width / 2)]:
+            axis = TruncatedLaplace(0.0, 1.0, lo, hi)
+            mass = mp_std_cdf(TruncatedLaplace, hi) - mp_std_cdf(TruncatedLaplace, lo)
+            assert axis.mass == pytest.approx(float(mass), rel=1e-14, abs=0)
+            x = lo + (hi - lo) * np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+            pdf = [mp_std_kernel(TruncatedLaplace, xi) / mass for xi in x]
+            np.testing.assert_allclose(axis.pdf(x), np.array(pdf, dtype=float), rtol=1e-14, atol=0)
+
 
 class TestNormalQuantile:
     """The AS 241 quantile against the exact quantile of each double ``p``."""
