@@ -26,12 +26,17 @@ import math
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import analysis, baselines, estimator, sampling, textio
 from .errors import BinPdfError, SampleOutOfDomainError
-from .grid import TensorGrid
+
+# numpy and the library modules are imported by the commands that run them,
+# so that --help and usage errors caught by the parser load neither.
+if TYPE_CHECKING:
+    import numpy as np
+
+    from . import analysis, sampling
+    from .grid import TensorGrid
 
 _PRESETS = {
     "tgauss1d": "tgauss:0,1,-5.5,5.5",
@@ -69,12 +74,14 @@ def _parse_count(text: str, what: str) -> int:
         raise UsageError(f"{what} must be a whole number, got {text!r}")
     if value < 1:
         raise UsageError(f"{what} must be >= 1, got {text}")
-    if value > np.iinfo(np.intp).max:
-        raise UsageError(f"{what} must be at most {np.iinfo(np.intp).max}, got {text}")
+    if value > sys.maxsize:  # numpy's largest index, np.iinfo(np.intp).max
+        raise UsageError(f"{what} must be at most {sys.maxsize}, got {text}")
     return value
 
 
 def _parse_axis(text: str) -> sampling.AxisDistribution:
+    from . import sampling
+
     kind, _, rest = text.partition(":")
     try:
         params = [float(p) for p in rest.split(",")] if rest else []
@@ -93,6 +100,8 @@ def _parse_axis(text: str) -> sampling.AxisDistribution:
 
 
 def _parse_dist(text: str) -> sampling.DistributionSpec:
+    from . import sampling
+
     text = _PRESETS.get(text, text)
     return sampling.DistributionSpec(tuple(_parse_axis(p) for p in text.split(";")))
 
@@ -110,6 +119,8 @@ def _parse_levels(text: str) -> list[int]:
 
 def _parse_mode(args) -> analysis.StudyMode:
     """``--mode`` with the ``--m`` or ``--n-delta`` it needs."""
+    from . import analysis
+
     text = args.mode
     if text == "fixed_m":
         if args.m is None:
@@ -153,6 +164,8 @@ def _pair(text: str) -> tuple[float, float]:
 
 
 def cmd_sample(args) -> int:
+    from . import sampling
+
     spec = _parse_dist(args.dist)
     m = _parse_count(args.m, "--m")
     try:  # the seed is the one argument sample() can reject with ValueError
@@ -166,6 +179,8 @@ def cmd_sample(args) -> int:
 
 def _grid(bounds, n_delta) -> TensorGrid:
     """Grid on one ``(lo, hi)`` pair per axis; a rejected grid is a usage error."""
+    from .grid import TensorGrid
+
     try:
         return TensorGrid(*zip(*bounds), n_delta)
     except ValueError as err:
@@ -173,6 +188,8 @@ def _grid(bounds, n_delta) -> TensorGrid:
 
 
 def _load_samples(path: str) -> np.ndarray:
+    from . import sampling
+
     try:
         return sampling.read_samples_csv(path)
     except ValueError as err:
@@ -180,6 +197,8 @@ def _load_samples(path: str) -> np.ndarray:
 
 
 def cmd_fit(args) -> int:
+    from . import estimator, textio
+
     out = Path(args.out)
     if textio.sidecar_path(out) == out:
         raise UsageError(f"--out {out} would be overwritten by its .json sidecar")
@@ -188,6 +207,8 @@ def cmd_fit(args) -> int:
     if args.support == "auto":
         if args.lower is not None or args.upper is not None:
             raise UsageError("--support auto conflicts with --lower/--upper")
+        from . import analysis
+
         bounds = analysis.estimate_support(samples)
     else:
         if args.lower is None or args.upper is None:
@@ -209,6 +230,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_study(args) -> int:
+    from . import analysis
+
     out = Path(args.out)
     script = out.with_suffix(".gp")
     if script == out:
@@ -248,6 +271,8 @@ def cmd_study(args) -> int:
 def _parse_estimators(text: str) -> list[tuple[str, object]]:
     """``(label, make_evaluator)`` pairs; ``make_evaluator(grid, samples)`` fits
     one estimator and returns its batch evaluator."""
+    from . import baselines, estimator
+
     wanted = []
     for part in text.split(","):
         if part == "fe":
@@ -274,6 +299,8 @@ def _parse_estimators(text: str) -> list[tuple[str, object]]:
 
 
 def cmd_compare(args) -> int:
+    from . import analysis, baselines, textio
+
     samples = _load_samples(args.samples)
     ref_samples = _load_samples(args.ref_samples) if args.ref_samples else samples
     dim = samples.shape[1]
@@ -358,7 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref-n-delta", required=True, help="reference histogram bin count")
     p.add_argument("--m", help="coarse fit sample count (default: whole file)")
     p.add_argument("--n-delta", required=True, help="coarse bin count")
-    p.add_argument("--estimators", default="fe", help="fe,histogram,kde:B")
+    p.add_argument("--estimators", default="fe",
+                   help="fe,histogram,kde:B; kde visits every fit sample for every "
+                        "evaluation point, an O(m^2) cost at --m m")
     p.add_argument("--domain", help="grid domain (default: reference sample extremes)")
     p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.add_argument("--out", required=True)

@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import binpdf
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 QOI_SCRIPT = REPO_ROOT / "scripts" / "make_qoi_samples.py"
@@ -24,3 +27,15 @@ def qoi_csv(tmp_path_factory) -> Path:
         cwd=REPO_ROOT,
     )
     return path
+
+
+@pytest.fixture
+def run_fresh():
+    """Runs a Python script in a fresh interpreter that imports this binpdf."""
+    src = str(Path(binpdf.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(script: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+
+    return run

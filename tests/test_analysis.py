@@ -65,6 +65,22 @@ class TestRmseVsExact:
         ours = rmse_vs_exact(pdf.evaluate_batch, TGAUSS, pts)
         assert ours == pytest.approx(reference_rmse(pdf.evaluate_batch, TGAUSS, pts), abs=1e-12)
 
+    @pytest.mark.parametrize("m", [2**18 - 1, 2**18, 2**18 + 1, 2 * 2**18 + 7])
+    def test_chunked_metric_keeps_the_whole_array_bits(self, m):
+        spec = DistributionSpec((TruncatedGaussian(0.0, 2.0, -5.5, 5.5),
+                                 TruncatedGaussian(0.0, 1.0, -5.5, 5.5)))
+        pts = sample(spec, m, 16)
+        pdf = fit(TensorGrid((-5.5, -5.5), (5.5, 5.5), (16, 16)), pts)
+        sizes = []
+
+        def evaluate(p):
+            sizes.append(len(p))
+            return pdf.evaluate_batch(p)
+
+        diff = spec.pdf(pts) - pdf.evaluate_batch(pts)
+        assert rmse_vs_exact(evaluate, spec, pts) == float(np.sqrt(np.mean(diff * diff)))
+        assert sum(sizes) == m and max(sizes) <= 2**18
+
     def test_permutation_invariant(self):
         rng = np.random.default_rng(9)
         pts = sample(TGAUSS, 2000, 3)
@@ -146,6 +162,23 @@ class TestEstimateSupport:
             estimate_support(pts)
         assert (err.value.index, err.value.axis) == (2, 1)
         assert err.value.value == value or math.isnan(value)
+
+    def test_first_offender_in_row_major_order(self):
+        # offenders in several rows and on both axes, the last row included;
+        # each is named once those before it are mended
+        pts = np.random.default_rng(15).random((1000, 2))
+        offenders = [(512, 1, math.inf), (513, 0, -math.inf), (513, 1, math.nan),
+                     (999, 0, math.nan), (999, 1, -math.inf)]
+        for index, axis, value in offenders:
+            pts[index, axis] = value
+        for index, axis, value in offenders:
+            with pytest.raises(SampleOutOfDomainError) as err:
+                estimate_support(pts)
+            assert (err.value.index, err.value.axis) == (index, axis)
+            assert err.value.value == value or math.isnan(value)
+            pts[index, axis] = 0.5
+        assert estimate_support(pts) == [(float(pts[:, 0].min()), float(pts[:, 0].max())),
+                                         (float(pts[:, 1].min()), float(pts[:, 1].max()))]
 
     def test_degenerate_axis(self):
         with pytest.raises(DegenerateSupportError) as err:

@@ -1,16 +1,12 @@
 """Command-line interface: flags, exit codes, files, and determinism."""
 
 import errno
-import os
-import subprocess
-import sys
 import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import binpdf
 from binpdf import (
     DistributionSpec,
     TruncatedGaussian,
@@ -624,7 +620,7 @@ class TestParserBasics:
         assert "sample" in capsys.readouterr().out
 
 
-def test_no_command_imports_scipy(tmp_path):
+def test_no_command_imports_scipy(tmp_path, run_fresh):
     # the runtime needs numpy alone: a fresh interpreter runs every command,
     # the truncated Gaussian ones included, and loads no scipy module
     script = textwrap.dedent(f"""
@@ -646,9 +642,50 @@ def test_no_command_imports_scipy(tmp_path):
         loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
         assert loaded == [], loaded
     """)
-    src = str(Path(binpdf.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    proc = run_fresh(script)
     assert proc.returncode == 0, proc.stderr
     spec = DistributionSpec((TruncatedGaussian(0.0, 1.0, -5.5, 5.5),))
     np.testing.assert_array_equal(read_samples_csv(tmp_path / "g.csv"), sample(spec, 1000, 3))
+
+
+ONLY_THE_PARSER = ["binpdf", "binpdf.cli", "binpdf.errors"]
+
+
+@pytest.mark.parametrize("argv, code, loaded, not_loaded", [
+    (["--help"], 0, ONLY_THE_PARSER, []),
+    (["fit", "--help"], 0, ONLY_THE_PARSER, []),
+    (["sample", "--dist", "tgauss1d", "--out", "s.csv"], 2, ONLY_THE_PARSER, []),
+    (["fit", "--samples", "s.csv", "--n-delta", "4", "--out", "p.csv", "--threads", "0"], 2,
+     ONLY_THE_PARSER, []),
+    (["fit", "--samples", "s.csv", "--n-delta", "4", "--out", "/"], 2, ONLY_THE_PARSER, []),
+    (["sample", "--dist", "tgauss1d", "--m", "10", "--out", "s.csv"], 0,
+     ["numpy", "binpdf.sampling"], ["binpdf.estimator", "binpdf.analysis", "binpdf.baselines"]),
+    (["fit", "--samples", "s.csv", "--lower=0", "--upper=1", "--n-delta", "4", "--out", "p.csv"],
+     0, ["numpy", "binpdf.estimator"], ["binpdf.analysis", "binpdf.baselines"]),
+    (["fit", "--samples", "s.csv", "--support", "auto", "--n-delta", "4", "--out", "p.csv"], 0,
+     ["numpy", "binpdf.estimator", "binpdf.analysis"], ["binpdf.baselines"]),
+    (["study", "--dist", "uniform1d", "--mode", "coupled:2", "--k", "2..3", "--out", "st.csv"], 0,
+     ["numpy", "binpdf.estimator", "binpdf.analysis"], ["binpdf.baselines"]),
+], ids=["help", "fit-help", "sample-without-m", "threads-0", "out-names-no-file", "sample", "fit",
+        "fit-support-auto", "study"])
+def test_each_command_loads_only_what_it_runs(tmp_path, run_fresh, argv, code, loaded, not_loaded):
+    # a fresh interpreter per case: --help and usage errors that the parser or
+    # main catches load no numpy; each command leaves out the modules it does
+    # not run
+    (tmp_path / "s.csv").write_text("0.1\n0.5\n0.9\n")
+    script = textwrap.dedent(f"""
+        import os, sys
+        from binpdf.cli import main
+
+        os.chdir({str(tmp_path)!r})
+        code = main({argv!r})
+        print(code, *sorted(m for m in sys.modules if m == "numpy" or m.startswith("binpdf")))
+    """)
+    proc = run_fresh(script)
+    assert proc.returncode == 0, proc.stderr
+    got_code, *modules = proc.stdout.splitlines()[-1].split()
+    assert int(got_code) == code, proc.stdout
+    if loaded == ONLY_THE_PARSER:
+        assert modules == ONLY_THE_PARSER
+    assert set(loaded) <= set(modules)
+    assert not set(not_loaded) & set(modules), modules
