@@ -31,7 +31,7 @@ from .errors import (
     TooFewPointsError,
     UnsupportedOrderError,
 )
-from .grid import _CHUNK, TensorGrid, as_points
+from .grid import _CHUNK, TensorGrid, _whole, as_points
 from .sampling import DistributionSpec, check_seed, sample
 from .textio import write_text
 
@@ -242,9 +242,9 @@ def _level_params(mode: StudyMode, k: int) -> tuple[int, int]:
     if isinstance(mode, (FixedM, FixedDelta)) and k < 0:
         raise ValueError(f"level k must be >= 0, got {k}")
     if isinstance(mode, FixedM):
-        return 2**k, int(mode.m)
+        return 2**k, _whole(mode.m, "m")
     if isinstance(mode, FixedDelta):
-        return int(mode.n_delta), 10**k
+        return _whole(mode.n_delta, "n_delta"), 10**k
     rule = CouplingRule(mode.r, k, 0.0, 1.0, m_multiplier=mode.m_multiplier)
     n_delta, _, m = coupling(rule)
     return n_delta, m
@@ -301,7 +301,7 @@ def averaged_study(
     Bad arguments, and on a fixed domain a bad grid, raise ``ValueError``
     before the first draw.
     """
-    levels = [int(k) for k in levels]
+    levels = [_whole(k, "level") for k in levels]
     if not levels or levels != sorted(levels):
         raise ValueError(f"levels must be nonempty and ascending, got {levels}")
     seeds = list(seeds)

@@ -16,15 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptySampleSetError, NonpositiveBandwidthError
-from .grid import _CHUNK, TensorGrid, _ravel_rows, as_point, as_points
+from .errors import EmptySampleSetError, NonpositiveBandwidthError, SampleOutOfDomainError
+from .grid import TensorGrid, _ravel_rows, as_point, as_points
 from .textio import load_grid_table, save_grid_table
-
-
-def _flat_bins(grid: TensorGrid, pts: np.ndarray) -> np.ndarray:
-    """Row-major flat bin index of each in-domain point."""
-    idx, _ = grid._locate_with_frac(pts)
-    return _ravel_rows(idx.T, grid.bin_shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,13 +44,12 @@ class Histogram:
 
     def evaluate_batch(self, points) -> np.ndarray:
         pts = as_points(points, self.grid.dim)
-        if pts.shape[0] == 0:
-            return np.empty(0)
         self.grid.check_in_domain(pts)
         out = np.empty(pts.shape[0])
-        for start in range(0, pts.shape[0], _CHUNK):  # fixed chunks bound the memory
-            chunk = slice(start, start + _CHUNK)
-            out[chunk] = self.values[_flat_bins(self.grid, pts[chunk])]
+        for start, idx, _ in self.grid._located(pts):
+            # in range, so mode="clip" changes no index; it only skips take's buffer
+            np.take(self.values, _ravel_rows(idx, self.grid.bin_shape), mode="clip",
+                    out=out[start : start + idx.shape[1]])
         return out
 
     def integral(self) -> float:
@@ -71,10 +64,8 @@ def fit_histogram(grid: TensorGrid, samples) -> Histogram:
         raise EmptySampleSetError("cannot fit a histogram to zero samples")
     grid.check_in_domain(pts, as_samples=True)
     counts = np.zeros(grid.n_bins, np.int64)  # integer sums: exact in any chunking
-    for start in range(0, m, _CHUNK):  # fixed chunks bound the memory
-        # no name holds a chunk's bins, so they are freed before the next is located
-        counts += np.bincount(_flat_bins(grid, pts[start : start + _CHUNK]),
-                              minlength=grid.n_bins)
+    for _, idx, _ in grid._located(pts):
+        counts += np.bincount(_ravel_rows(idx, grid.bin_shape), minlength=grid.n_bins)
     values = counts / (m * float(np.prod(grid.deltas)))
     return Histogram(grid, values, m)
 
@@ -108,6 +99,9 @@ class KdeSpec:
             raise ValueError(f"samples must be an (m, dim) array, got shape {samples.shape}")
         if samples.shape[0] == 0:
             raise EmptySampleSetError("KDE needs at least one sample")
+        if not np.isfinite(samples).all():
+            index, axis = np.argwhere(~np.isfinite(samples))[0]  # the row-major first
+            raise SampleOutOfDomainError(int(index), int(axis), float(samples[index, axis]))
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -145,9 +139,8 @@ def eval_kde_batch(spec: KdeSpec, points) -> np.ndarray:
 
 def save_histogram(histogram: Histogram, path) -> Path:
     """Publish ``<path>`` (flat bin index, bin lower corner, value) plus sidecar."""
-    grid = histogram.grid
     return save_grid_table(
-        path, grid, ("bin_index", "corner", "value"), grid.bin_lower_corners(),
+        path, histogram.grid, ("bin_index", "corner", "value"), histogram.grid.bin_shape,
         histogram.values, histogram.sample_count,
     )
 

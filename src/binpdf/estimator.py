@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptySampleSetError, GridTooLargeError
-from .grid import _CHUNK, TensorGrid, as_point, as_points  # noqa: F401 (re-exports _CHUNK)
+from .grid import TensorGrid, as_point, as_points
 from .textio import load_grid_table, save_grid_table
 
 
@@ -47,8 +47,6 @@ class PiecewiseLinearPdf:
     def evaluate_batch(self, points) -> np.ndarray:
         """Elementwise :meth:`evaluate`, order preserving."""
         pts = as_points(points, self.grid.dim)
-        if pts.shape[0] == 0:
-            return np.empty(0)
         self.grid.check_in_domain(pts)
         values = np.zeros(pts.shape[0])
         for start, flat, w in self.grid._stencil(pts):
@@ -130,9 +128,8 @@ def fit(grid: TensorGrid, samples, *, threads: int = 1) -> PiecewiseLinearPdf:
 
 def save_pdf(pdf: PiecewiseLinearPdf, path) -> Path:
     """Publish ``<path>`` (CSV, not ``.json``) and a ``.json`` sidecar; returns the sidecar."""
-    grid = pdf.grid
     return save_grid_table(
-        path, grid, ("node_index", "coord", "coefficient"), grid.node_coords_array(),
+        path, pdf.grid, ("node_index", "coord", "coefficient"), pdf.grid.node_shape,
         pdf.coefficients, pdf.sample_count,
     )
 

@@ -34,8 +34,8 @@ from .errors import IndexOutOfRangeError, OutOfDomainError, SampleOutOfDomainErr
 
 MultiIndex = tuple[int, ...]
 
-# Fixed chunk size of the stencil: bounds the per-chunk working set of fit and
-# evaluate, and fixes the scatter order (hence every coefficient, bit for bit).
+# Fixed chunk size of point location: bounds the working set of every path that
+# locates, and fixes the scatter order (hence every coefficient, bit for bit).
 _CHUNK = 1 << 18
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -62,6 +62,17 @@ def as_point(point, dim: int) -> np.ndarray:
     if p.shape != (dim,):
         raise ValueError(f"expected a point of dimension {dim}, got shape {p.shape}")
     return p
+
+
+def _whole(value, name: str) -> int:
+    """``value`` as an int; ``ValueError`` naming ``name`` unless it is a whole number."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):  # NaN, infinities, non-numbers
+        whole = None
+    if whole is None or whole != value:
+        raise ValueError(f"{name} must be a whole number, got {value}")
+    return whole
 
 
 def _settle(p, i, row, a: float, d: float, nd: int, b: float) -> None:
@@ -121,7 +132,7 @@ class TensorGrid:
     def __post_init__(self):
         lower = tuple(float(a) for a in np.atleast_1d(self.lower))
         upper = tuple(float(b) for b in np.atleast_1d(self.upper))
-        n_delta = tuple(int(n) for n in np.atleast_1d(self.n_delta))
+        n_delta = tuple(_whole(n, "n_delta") for n in np.atleast_1d(self.n_delta))
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "n_delta", n_delta)
@@ -233,7 +244,7 @@ class TensorGrid:
 
     # -- point location ------------------------------------------------------
 
-    def _locate_with_frac(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _locate_with_frac(self, pts: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
         """Bin indices and within-bin fractional offsets for in-domain points.
 
         Returns ``(idx, frac)`` with shapes (m, dim); ``frac`` is clipped to
@@ -242,7 +253,8 @@ class TensorGrid:
 
         Works axis-major: both are transposed views of (dim, m) buffers filled
         one axis at a time against scalar bounds, so every step runs over one
-        contiguous row; the float row becomes that axis's ``frac``.
+        contiguous row; the float row becomes that axis's ``frac``. ``out``
+        may give the two (dim, m) buffers to fill, rows contiguous.
 
         Each axis first takes ``i = trunc((p - a) / d)``, which is the floor
         as ``p >= a``, and ``frac = fl(fl(p - e) / d)`` at the computed edge
@@ -268,7 +280,7 @@ class TensorGrid:
         are: it gets the fix-up's bits. As ``S / d >= n_delta >= 1``, ``tau =
         5 eps S / d`` would do; ``16 eps S / d`` leaves a margin of more than 3.
         """
-        idx, frac = np.empty(pts.T.shape, np.int64), np.empty(pts.T.shape)
+        idx, frac = out or (np.empty(pts.T.shape, np.int64), np.empty(pts.T.shape))
         axes = zip(self.lower, self.deltas, self.n_delta, self.upper)
         for n, (a, d, nd, b) in enumerate(axes):
             p, i, row = pts[:, n], idx[n], frac[n]
@@ -302,52 +314,61 @@ class TensorGrid:
         """Vectorized :meth:`locate_bin`; returns an (m, dim) int array."""
         pts = as_points(points, self.dim)
         self.check_in_domain(pts)
-        idx, _ = self._locate_with_frac(pts)
-        return idx
+        bins = np.empty(pts.shape, np.int64)
+        for start, idx, _ in self._located(pts):
+            bins[start : start + idx.shape[1]] = idx.T
+        return bins
+
+    def _located(self, pts: np.ndarray):
+        """Yield ``(chunk start, idx, frac)``, the (dim, k) location of each fixed
+        ``_CHUNK`` slice of points, in one int64 and one float64 buffer that all
+        chunks share: valid until the next step, and the consumer's to overwrite."""
+        m = pts.shape[0]
+        idx = np.empty((self.dim, min(_CHUNK, m)), np.int64)
+        frac = np.empty(idx.shape)
+        for start in range(0, m, _CHUNK):
+            k = min(_CHUNK, m - start)
+            out = idx[:, :k], frac[:, :k]
+            self._locate_with_frac(pts[start : start + k], out=out)
+            yield (start, *out)
 
     def _stencil(self, pts: np.ndarray):
         """Yield ``(chunk start, flat node index, hat weight)`` per corner.
 
-        Runs over fixed ``_CHUNK`` slices of in-domain points, and within each
-        over the 2**dim corners of every point's bin in lexicographic offset
-        order. The index and weight arrays are buffers reused for every corner
-        of a chunk, so consume them before asking for the next corner; the
-        index array is read-only, since the next corner's index is stepped
-        from it.
+        Runs over the chunks of :meth:`_located`, and within each over the
+        2**dim corners of every point's bin in lexicographic offset order.
+        The index and weight arrays are buffers reused for every corner of a
+        chunk, so consume them before asking for the next corner; the index
+        array is read-only, since the next corner's index is stepped from it.
         """
-        for start in range(0, pts.shape[0], _CHUNK):
-            yield from self._chunk_stencil(start, pts[start : start + _CHUNK])
-
-    def _chunk_stencil(self, start: int, pts: np.ndarray):
-        # a frame of its own, so one chunk's location is freed before the next
-        idx, frac = (a.T for a in self._locate_with_frac(pts))  # (dim, m) rows
-        flat = _ravel_rows(idx, self.node_shape)  # stepped from corner to corner
-        corner = flat.view()
-        corner.flags.writeable = False  # a consumer's write would move later corners
-        # the other index rows are free now: one holds the leading product, one w
-        lead = idx[1].view(np.float64) if self.dim > 1 else None
-        w = idx[2].view(np.float64) if self.dim > 2 else np.empty(flat.shape[0])
-        *leading, last = frac
         strides = [math.prod(self.node_shape[n + 1 :]) for n in range(self.dim - 1)]
-        at = 0  # the offset that flat holds from each point's lowest corner node
-        for offsets in itertools.product((0, 1), repeat=self.dim - 1):
-            # a weight multiplies its axis factors, f or 1 - f, left to right; the
-            # product of the leading ones serves both corners along the last axis
-            prod = None
-            for f, o in zip(leading, offsets):
-                if not o:
-                    f = np.subtract(1.0, f, out=lead if prod is None else w)
-                prod = f if prod is None else np.multiply(prod, f, out=lead)
-            to = sum(o * s for o, s in zip(offsets, strides))
-            flat += to - at
-            np.subtract(1.0, last, out=w)
-            if prod is not None:
-                w *= prod
-            yield start, corner, w
-            flat += 1  # the last axis has stride 1
-            at = to + 1
-            np.multiply(last, 1.0 if prod is None else prod, out=w)
-            yield start, corner, w
+        for start, idx, frac in self._located(pts):
+            flat = _ravel_rows(idx, self.node_shape)  # stepped from corner to corner
+            corner = flat.view()
+            corner.flags.writeable = False  # a consumer's write would move later corners
+            # the other index rows are free now: one holds the leading product, one w
+            lead = idx[1].view(np.float64) if self.dim > 1 else None
+            w = idx[2].view(np.float64) if self.dim > 2 else np.empty(flat.shape[0])
+            *leading, last = frac
+            at = 0  # the offset that flat holds from each point's lowest corner node
+            for offsets in itertools.product((0, 1), repeat=self.dim - 1):
+                # a weight multiplies its axis factors, f or 1 - f, left to right; the
+                # product of the leading ones serves both corners along the last axis
+                prod = None
+                for f, o in zip(leading, offsets):
+                    if not o:
+                        f = np.subtract(1.0, f, out=lead if prod is None else w)
+                    prod = f if prod is None else np.multiply(prod, f, out=lead)
+                to = sum(o * s for o, s in zip(offsets, strides))
+                flat += to - at
+                np.subtract(1.0, last, out=w)
+                if prod is not None:
+                    w *= prod
+                yield start, corner, w
+                flat += 1  # the last axis has stride 1
+                at = to + 1
+                np.multiply(last, 1.0 if prod is None else prod, out=w)
+                yield start, corner, w
 
     # -- nodes and basis -----------------------------------------------------
 

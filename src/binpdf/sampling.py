@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptySampleSetError
+from .grid import _whole
 from .textio import read_twin, write_csv_with_twin
 
 
@@ -265,7 +266,7 @@ class DistributionSpec:
 
 def check_seed(seed: int) -> None:
     """Raise ``ValueError`` unless ``seed`` is a valid Philox key."""
-    if not 0 <= seed < 2**128:
+    if not 0 <= _whole(seed, "seed") < 2**128:
         raise ValueError(f"seed {seed} is outside the valid range [0, 2**128)")
 
 
@@ -276,7 +277,7 @@ def sample(spec: DistributionSpec, m: int, seed: int) -> np.ndarray:
     ``m1``-row draw exactly, so growing sample sets are nested. A seed
     outside ``[0, 2**128)`` raises ``ValueError``.
     """
-    m = int(m)
+    m = _whole(m, "m")
     if m < 1:
         raise EmptySampleSetError(f"sample count must be >= 1, got {m}")
     check_seed(seed)

@@ -41,6 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import BinPdfError
 from .grid import TensorGrid
 
 # Rows per formatting block; a 2-D block's text and temporaries take a few MB.
@@ -228,18 +229,20 @@ def _format_block(values: np.ndarray, words: np.ndarray, digit_words: np.ndarray
     return field.tobytes().translate(None, b"\0")
 
 
-def _csv_pieces(header: str, table: np.ndarray):
-    """The CSV's bytes: the header line, then one piece per block of rows."""
-    table = np.asarray(table, dtype=np.float64)
-    rows, cols = min(_BLOCK_ROWS, table.shape[0]), table.shape[1]
+def _csv_pieces(header: str, shape: tuple[int, int], blocks):
+    """The CSV's bytes: the header line, then one piece per block of rows.
+
+    ``blocks`` yields the rows of a ``shape`` table, ``_BLOCK_ROWS`` at a time.
+    """
+    rows, cols = min(_BLOCK_ROWS, shape[0]), shape[1]
     words = np.zeros((rows, cols, _FIELD_BYTES // 8), _WORD)
     words[..., 5] = ord(",") << 32
     words[:, -1, 5] = ord("\n") << 32
     words = words.reshape(rows * cols, _FIELD_BYTES // 8)
     digit_words = _digit_words()
     yield f"{header}\n".encode()
-    for start in range(0, table.shape[0], _BLOCK_ROWS):
-        yield _format_block(table[start:start + _BLOCK_ROWS].ravel(), words, digit_words)
+    for block in blocks:
+        yield _format_block(np.asarray(block, dtype=np.float64).ravel(), words, digit_words)
 
 
 def _twin_path(path) -> Path:
@@ -258,10 +261,11 @@ def write_csv_with_twin(path, header: str, table: np.ndarray) -> None:
     import hashlib  # here, not at module level: it maps OpenSSL, ~3.5 MB of RSS
 
     digest = hashlib.sha256()
+    blocks = (table[start:start + _BLOCK_ROWS] for start in range(0, table.shape[0], _BLOCK_ROWS))
     # the twin is renamed first: if the CSV's rename then fails, the CSV is
     # as it was, and the new twin does not match it
     with _published(_twin_path(path), path) as (twin, fh):
-        for piece in _csv_pieces(header, table):
+        for piece in _csv_pieces(header, table.shape, blocks):
             fh.write(piece)
             digest.update(piece)
         twin.write(digest.digest())
@@ -303,15 +307,18 @@ def sidecar_path(path: Path) -> Path:
 
 
 def save_grid_table(
-    path, grid: TensorGrid, columns: tuple[str, str, str], coords: np.ndarray,
+    path, grid: TensorGrid, columns: tuple[str, str, str], shape: tuple[int, ...],
     values: np.ndarray, sample_count: int,
 ) -> Path:
     """Publish one row per grid entry plus the sidecar; returns the sidecar path.
 
-    ``columns`` names the index column, the coordinate columns (suffixed by
-    the axis number) and the value column of the header. Both files are
-    written in full before either is renamed into place. A ``.json`` path is
-    rejected with ``ValueError``: its sidecar would overwrite it.
+    The entries are the row-major multi-indices of ``shape``, the grid's node
+    or bin shape, and a row holds the flat index, the coordinates ``lower +
+    index * delta`` and the value. ``columns`` names the index column, the
+    coordinate columns (suffixed by the axis number) and the value column of
+    the header. Rows are built a block at a time. Both files are written in
+    full before either is renamed into place. A ``.json`` path is rejected
+    with ``ValueError``: its sidecar would overwrite it.
     """
     path = Path(path)
     sidecar = sidecar_path(path)
@@ -319,7 +326,18 @@ def save_grid_table(
         raise ValueError(f"grid table {path} would be overwritten by its .json sidecar")
     index, coord, value = columns
     header = f"{index}," + ",".join(f"{coord}{n}" for n in range(grid.dim)) + f",{value}"
-    table = np.column_stack([np.arange(values.shape[0]), coords, values])
+    rows = values.shape[0]
+
+    def blocks():
+        for start in range(0, rows, _BLOCK_ROWS):
+            flat = np.arange(start, min(start + _BLOCK_ROWS, rows))
+            block = np.empty((flat.shape[0], grid.dim + 2))
+            block[:, 0] = flat
+            for n, i in enumerate(np.unravel_index(flat, shape)):
+                block[:, n + 1] = grid.lower[n] + i * grid.deltas[n]
+            block[:, -1] = values[start : start + flat.shape[0]]
+            yield block
+
     meta = {
         "lower": list(grid.lower),
         "upper": list(grid.upper),
@@ -327,17 +345,26 @@ def save_grid_table(
         "sample_count": sample_count,
     }
     with _published(path, sidecar) as (fh, meta_fh):
-        for piece in _csv_pieces(header, table):
+        for piece in _csv_pieces(header, (rows, grid.dim + 2), blocks()):
             fh.write(piece)
         meta_fh.write((json.dumps(meta, indent=2) + "\n").encode())
     return sidecar
 
 
 def load_grid_table(path) -> tuple[TensorGrid, np.ndarray, int]:
-    """Read a :func:`save_grid_table` file: grid, values in index order, M."""
+    """Read a :func:`save_grid_table` file: grid, values in index order, M.
+
+    Raises :class:`BinPdfError` unless the index column holds each of
+    ``0..rows-1`` once and every value is finite and >= 0.
+    """
     path = Path(path)
     meta = json.loads(sidecar_path(path).read_text())
     grid = TensorGrid(tuple(meta["lower"]), tuple(meta["upper"]), tuple(meta["n_delta"]))
     table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    order = np.argsort(table[:, 0].astype(np.int64))
-    return grid, table[order, -1], int(meta["sample_count"])
+    order = np.argsort(table[:, 0])
+    if not np.array_equal(table[order, 0], np.arange(table.shape[0])):
+        raise BinPdfError(f"{path}: the index column is not a permutation of 0..rows-1")
+    values = table[order, -1]
+    if not (np.isfinite(values).all() and (values >= 0).all()):
+        raise BinPdfError(f"{path}: a value is negative or not finite")
+    return grid, values, int(meta["sample_count"])

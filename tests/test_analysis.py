@@ -14,6 +14,7 @@ from binpdf import (
     DistributionSpec,
     FixedDelta,
     FixedM,
+    KdeSpec,
     NonpositiveValueError,
     SampleOutOfDomainError,
     TensorGrid,
@@ -388,3 +389,35 @@ class TestStudyOutput:
         assert "logscale xy" in text
         assert "study.csv" in text
         assert "study.png" in text
+
+
+# -- bad library input ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: TensorGrid((0.0,), (1.0,), (2.5,)), ValueError, "n_delta must be a whole"),
+    (lambda: sample(TGAUSS, 2.5, 1), ValueError, "m must be a whole"),
+    (lambda: averaged_study(TGAUSS, FixedM(100.7), [2], [1]), ValueError, "m must be a whole"),
+    (lambda: averaged_study(TGAUSS, FixedDelta(4.9), [2], [1]), ValueError,
+     "n_delta must be a whole"),
+    (lambda: averaged_study(TGAUSS, Coupled(2), [2, 2.6], [1]), ValueError,
+     "level must be a whole"),
+    (lambda: TensorGrid((0.0,), (1.0,), (math.nan,)), ValueError, "n_delta must be a whole"),
+    (lambda: sample(TGAUSS, math.inf, 1), ValueError, "m must be a whole"),
+    (lambda: sample(TGAUSS, 10, 2.5), ValueError, "seed must be a whole"),
+    (lambda: KdeSpec("gaussian", 1.0, [[0.0, 1.0], [0.5, math.nan]]), SampleOutOfDomainError,
+     "point 1, coordinate nan on axis 1"),
+    (lambda: KdeSpec("triangular", 1.0, [0.0, -math.inf]), SampleOutOfDomainError,
+     "point 1, coordinate -inf on axis 0"),
+], ids=["grid", "sample", "fixed-m", "fixed-delta", "level", "grid-nan", "sample-inf",
+        "seed", "kde-nan", "kde-inf"])
+def test_bad_library_input_raises_instead_of_changing_the_result(call, error, match):
+    # truncated, 2.5 bins would build 2, and a NaN sample would make every KDE value NaN
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_integral_float_counts_pass():
+    assert TensorGrid((0.0,), (1.0,), (4.0,)).n_delta == (4,)
+    assert sample(TGAUSS, 1e3, 1).shape == (1000, 1)
+    assert averaged_study(TGAUSS, FixedM(1e3), [2.0, 3], [1]).rows[0].m == 1000

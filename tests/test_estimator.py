@@ -15,11 +15,12 @@ from binpdf import (
     SampleOutOfDomainError,
     TensorGrid,
     fit,
+    fit_histogram,
     load_pdf,
     save_pdf,
 )
 
-from binpdf.estimator import _CHUNK
+from binpdf.grid import _CHUNK
 from test_grid import LOCATE_GRIDS, edge_points, hat_value, rowmajor_locate
 
 
@@ -270,6 +271,13 @@ class TestFineGrids:
         pts = np.random.default_rng(63).random((1 << 18, 3))
         assert traced_peak(lambda: grid._locate_with_frac(pts)) < 2.25 * pts.nbytes
 
+    def test_locate_bins_holds_one_chunk_beyond_its_result(self):
+        # the result plus one chunk's reused buffers: ~1.55x the result's bytes,
+        # where locating all points at once peaks at ~2.08x
+        grid = TensorGrid((0.0,) * 3, (1.0,) * 3, (128,) * 3)
+        pts = np.random.default_rng(67).random((1_000_000, 3))
+        assert traced_peak(lambda: grid.locate_bins(pts)) <= 1.75 * pts.nbytes
+
 
 class TestMemoryBound:
     """The node array is checked against physical memory before it is
@@ -311,6 +319,14 @@ class TestAxisMajorLocation:
         np.testing.assert_array_equal(
             pdf.evaluate_batch(samples), rowmajor_evaluate(grid, want, samples)
         )
+        # the histogram and locate_bins read the same location stream
+        idx, _ = rowmajor_locate(grid, samples)
+        bins = np.ravel_multi_index(tuple(idx.T), grid.bin_shape)
+        counts = np.bincount(bins, minlength=grid.n_bins)
+        hist = fit_histogram(grid, samples)
+        np.testing.assert_array_equal(hist.values, counts / (samples.shape[0] * hist.bin_volume))
+        np.testing.assert_array_equal(hist.evaluate_batch(samples), hist.values[bins])
+        np.testing.assert_array_equal(grid.locate_bins(samples), idx)
 
 
 class TestOneStencil:

@@ -7,6 +7,7 @@ import io
 import os
 import shutil
 import tempfile
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -17,11 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binpdf import (
+    BinPdfError,
     EmptySampleSetError,
     Histogram,
     PiecewiseLinearPdf,
     TensorGrid,
     fit_histogram,
+    load_histogram,
+    load_pdf,
     read_samples_csv,
     save_histogram,
     save_pdf,
@@ -108,6 +112,21 @@ class TestGridTables:
         )
         assert (tmp_path / "h.csv").read_bytes() == expected
 
+    def test_save_memory_does_not_grow_with_the_grid(self, tmp_path):
+        # rows are built a block at a time; a whole (n, dim + 2) table would
+        # take ~40 B per node, 2.9x the 40^3 peak at 96^3
+        def peak(n):
+            grid = TensorGrid((-1.0,) * 3, (2.0,) * 3, (n,) * 3)
+            pdf = PiecewiseLinearPdf(grid, np.ones(grid.n_nodes), 5)
+            tracemalloc.start()
+            try:
+                save_pdf(pdf, tmp_path / "pdf.csv")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(96) <= 1.25 * peak(40)
+
     def test_table_that_its_sidecar_would_overwrite_is_rejected(self, tmp_path):
         grid = TensorGrid((0.0,), (1.0,), (2,))
         histogram = fit_histogram(grid, np.array([0.25, 0.75]))
@@ -115,12 +134,58 @@ class TestGridTables:
         for save in (
             lambda path: save_pdf(pdf, path),
             lambda path: save_histogram(histogram, path),
-            lambda path: save_grid_table(path, grid, ("i", "x", "v"), np.zeros((3, 1)),
+            lambda path: save_grid_table(path, grid, ("i", "x", "v"), grid.node_shape,
                                          np.ones(3), 2),
         ):
             with pytest.raises(ValueError, match="overwritten by its .json sidecar"):
                 save(tmp_path / "table.json")
         assert list(tmp_path.iterdir()) == []
+
+
+class TestLoadGridTable:
+    """A malformed table raises, naming its file, instead of loading a wrong density."""
+
+    GRID = TensorGrid((0.0,), (1.0,), (3,))  # 4 nodes, 3 bins
+
+    def saved(self, tmp_path, kind):
+        """A saved table, its loader and the values it holds."""
+        path = tmp_path / f"{kind}.csv"
+        if kind == "pdf":
+            values = np.array([0.5, 1.25, 1.0, 0.75])
+            save_pdf(PiecewiseLinearPdf(self.GRID, values, 9), path)
+            return path, lambda p: load_pdf(p).coefficients, values
+        values = np.array([0.75, 1.5, 0.75])
+        save_histogram(Histogram(self.GRID, values, 9), path)
+        return path, lambda p: load_histogram(p).values, values
+
+    @staticmethod
+    def rewrite(path, edit):
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header, *edit(rows)]) + "\n")
+
+    @pytest.mark.parametrize("kind", ["pdf", "histogram"])
+    @pytest.mark.parametrize("edit, match", [
+        (lambda rows: rows[:2] + rows[1:2] + rows[3:], "permutation"),  # index 1 twice
+        (lambda rows: rows[:-1] + ["7" + rows[-1][rows[-1].index(","):]], "permutation"),
+        (lambda rows: rows[:-1] + [rows[-1].rsplit(",", 1)[0] + ",-5"], "negative"),
+        (lambda rows: rows[:-1] + [rows[-1].rsplit(",", 1)[0] + ",nan"], "not finite"),
+        (lambda rows: rows[:-1] + [rows[-1].rsplit(",", 1)[0] + ",inf"], "not finite"),
+    ], ids=["duplicate-index", "index-out-of-range", "negative", "nan", "inf"])
+    def test_malformed_table_is_rejected(self, tmp_path, kind, edit, match):
+        path, load, _ = self.saved(tmp_path, kind)
+        self.rewrite(path, edit)
+        with pytest.raises(BinPdfError, match=match) as err:
+            load(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("kind", ["pdf", "histogram"])
+    def test_shuffled_rows_and_negative_zero_load(self, tmp_path, kind):
+        path, load, values = self.saved(tmp_path, kind)
+        self.rewrite(path, lambda rows: [rows[0].rsplit(",", 1)[0] + ",-0", *rows[:0:-1]])
+        values[0] = -0.0
+        got = load(path)
+        np.testing.assert_array_equal(got, values)
+        assert np.signbit(got[0])
 
 
 # -- the binary twin of a sample CSV ---------------------------------------------
