@@ -13,7 +13,10 @@ least-squares slopes in log-log space.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import signal
 import time
 import warnings
 from dataclasses import dataclass
@@ -24,6 +27,7 @@ import numpy as np
 
 from . import estimator
 from .errors import (
+    BinPdfError,
     DegenerateSupportError,
     EmptySampleSetError,
     NonpositiveValueError,
@@ -114,6 +118,8 @@ class CouplingRule:
     m_multiplier: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "r", _whole(self.r, "coupling order r"))
+        object.__setattr__(self, "k", _whole(self.k, "level k"))
         if self.r not in (1, 2):
             raise UnsupportedOrderError(
                 f"coupling order r={self.r} is not supported: the exponent "
@@ -266,6 +272,125 @@ def _resolve_domain(spec: DistributionSpec, grid_domain) -> list[tuple[float, fl
     return [(float(a), float(b)) for a, b in bounds]
 
 
+def _seed_runs(spec, params, grids, holdout: bool, seed: int) -> list[tuple[float, float, float]]:
+    """One seed of a study: ``(delta, error, fit seconds)`` for each level.
+
+    One draw serves every level: the m-sample draw is its first m rows (and
+    levels inside seeds page-fault a third as often as seeds inside levels).
+    A grid of ``None`` is built on the level's sample extremes.
+    """
+    max_m = max(m for _, m in params)
+    drawn = sample(spec, max_m, seed)
+    held_out = sample(spec, max_m, seed ^ _HOLDOUT_SEED_XOR) if holdout else drawn
+    runs = []
+    for (n_delta, m), grid in zip(params, grids):
+        samples = drawn[:m]
+        if grid is None:
+            grid = TensorGrid(*zip(*estimate_support(samples)), (n_delta,) * spec.dim)
+        t0 = time.perf_counter()
+        pdf = estimator.fit(grid, samples)
+        seconds = time.perf_counter() - t0
+        error = rmse_vs_exact(pdf.evaluate_batch, spec, held_out[:m])
+        runs.append((float(grid.deltas[0]), error, seconds))
+    return runs
+
+
+def _worker_count(seeds: int, draw_bytes: int) -> int:
+    """One worker per seed and available CPU, no more than whose draws fit in memory."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    memory = estimator._physical_memory()
+    fitting = seeds if memory is None else memory // draw_bytes
+    return max(1, min(seeds, cpus, fitting))
+
+
+# In a study worker: the pid of the worker that took each seed, by position.
+_owners = None
+
+# Signals that stop a study, blocked while its workers are forked.
+_STOP_SIGNALS = (signal.SIGINT, signal.SIGTERM)
+
+
+def _start_worker(parent: int, owners) -> None:
+    """Pool initializer: a worker records its seeds in ``owners``, dies by
+    SIGTERM (not the CLI's handler, which would raise in the worker), and is
+    sent SIGKILL when its parent dies (Linux), since a forked worker never
+    sees its call queue close."""
+    global _owners
+    _owners = owners
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)  # blocked while forking
+    try:
+        import ctypes
+
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+    except (OSError, AttributeError):  # no prctl on this platform
+        pass
+    if os.getppid() != parent:  # the parent died before prctl took effect
+        os._exit(1)
+
+
+def _owned_run(run, index: int, seed: int):
+    """``run(seed)`` in a worker, which first records itself as the seed's owner."""
+    _owners[index] = os.getpid()
+    return run(seed)
+
+
+def _map_in_workers(run, seeds: list[int], workers: int) -> list:
+    """``list(map(run, seeds))``, the seeds spread over forked worker processes.
+
+    Forked workers start with the parent's modules loaded, where spawned
+    ones would import numpy and binpdf again. Results are read in seed
+    order, so the first failing seed's exception is raised, as in the serial
+    loop. A worker that dies becomes a :class:`BinPdfError` naming its seed.
+    Whatever ends the call early, an exception, Ctrl-C or ``SystemExit``,
+    kills the workers first.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return list(map(run, seeds))
+    context = multiprocessing.get_context("fork")
+    owners = context.RawArray("q", len(seeds))
+    pool = ProcessPoolExecutor(workers, context, initializer=_start_worker,
+                               initargs=(os.getpid(), owners))
+    processes = pool._processes  # pid -> Process; no public handle before Python 3.14
+    futures = []
+    try:
+        # the first submit forks the workers; a signal handled meanwhile would
+        # run in an at-fork callback, which drops the handler's exception
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
+        try:
+            for i, seed in enumerate(seeds):
+                futures.append(pool.submit(_owned_run, run, i, seed))
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        return [future.result() for future in futures]
+    except BrokenProcessPool as err:
+        pool.shutdown()  # the broken pool stops the other workers: wait for their exits
+        lost = [i for i, f in enumerate(futures) if isinstance(f.exception(), BrokenProcessPool)]
+        # the workers the pool stopped end by its SIGTERM, one that died otherwise
+        for i in lost:
+            code = processes[owners[i]].exitcode if owners[i] in processes else None
+            if code not in (None, -signal.SIGTERM):
+                raise BinPdfError(f"the worker process running seed {seeds[i]} died "
+                                  f"(exit code {code})") from err
+        # no worker died: a result could not be unpickled, or submit() found the pool broken
+        raise BinPdfError(f"seed {seeds[lost[0] if lost else len(futures)]}: {err}") from err
+    except BaseException:
+        for process in processes.values():
+            process.kill()
+        raise
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def convergence_study(
     spec: DistributionSpec,
     mode: StudyMode,
@@ -300,6 +425,15 @@ def averaged_study(
     Monte Carlo noise that would otherwise dominate desk-scale rate estimates.
     Bad arguments, and on a fixed domain a bad grid, raise ``ValueError``
     before the first draw.
+
+    Seeds whose draw holds at least ``_CHUNK`` points run in up to one forked
+    worker process per available CPU (``os.sched_getaffinity``), no more
+    than whose draws fit in physical memory together. Each worker runs a
+    seed as the serial loop does and the seeds are averaged in order, so
+    the result equals a one-CPU run (``taskset -c 0``) bit for bit, the
+    ``seconds`` aside. Peak memory is up to the worker count times one
+    seed's working set. A worker's exception is raised here unchanged; a
+    worker that dies raises :class:`BinPdfError` naming its seed.
     """
     levels = [_whole(k, "level") for k in levels]
     if not levels or levels != sorted(levels):
@@ -319,25 +453,16 @@ def averaged_study(
         for n_delta, _ in params
     ]
 
-    # seeds outer, levels inner: levels outer page-faults ~3x as often. One draw
-    # per seed serves every level: the m-sample draw is its first m rows.
     max_m = max(m for _, m in params)
-    runs = [[] for _ in levels]
-    for seed in seeds:
-        drawn = sample(spec, max_m, seed)
-        held_out = sample(spec, max_m, seed ^ _HOLDOUT_SEED_XOR) if holdout else drawn
-        for (n_delta, m), grid, level_runs in zip(params, grids, runs):
-            samples = drawn[:m]
-            if grid is None:
-                grid = TensorGrid(*zip(*estimate_support(samples)), (n_delta,) * spec.dim)
-            t0 = time.perf_counter()
-            pdf = estimator.fit(grid, samples)
-            seconds = time.perf_counter() - t0
-            error = rmse_vs_exact(pdf.evaluate_batch, spec, held_out[:m])
-            level_runs.append((float(grid.deltas[0]), error, seconds))
-        del drawn, held_out, samples  # free this seed's draw before the next one's
+    run = functools.partial(_seed_runs, spec, params, grids, holdout)
+    draw_bytes = max_m * spec.dim * 8 * (2 if holdout else 1)
+    # below one chunk of points per seed, starting the pool costs more than the seeds
+    if max_m >= _CHUNK and (workers := _worker_count(len(seeds), draw_bytes)) > 1:
+        per_seed = _map_in_workers(run, seeds, workers)
+    else:
+        per_seed = list(map(run, seeds))
     rows = []
-    for k, (n_delta, m), level_runs in zip(levels, params, runs):
+    for k, (n_delta, m), level_runs in zip(levels, params, zip(*per_seed)):
         delta, error, seconds = (float(np.mean(column)) for column in zip(*level_runs))
         rows.append(StudyLevel(k, n_delta, delta, m, error, seconds))
 

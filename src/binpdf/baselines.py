@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import estimator
 from .errors import EmptySampleSetError, NonpositiveBandwidthError, SampleOutOfDomainError
 from .grid import TensorGrid, _ravel_rows, as_point, as_points
 from .textio import load_grid_table, save_grid_table
@@ -57,11 +58,16 @@ class Histogram:
 
 
 def fit_histogram(grid: TensorGrid, samples) -> Histogram:
-    """Bin counts scaled by ``1 / (M * bin_volume)`` so the integral is one."""
+    """Bin counts scaled by ``1 / (M * bin_volume)`` so the integral is one.
+
+    Like :func:`estimator.fit`, raises :class:`GridTooLargeError` before
+    allocating a bin array (8 bytes per bin) larger than physical memory.
+    """
     pts = as_points(samples, grid.dim)
     m = pts.shape[0]
     if m == 0:
         raise EmptySampleSetError("cannot fit a histogram to zero samples")
+    estimator._check_memory(grid.n_bins, "bins", "counts")
     grid.check_in_domain(pts, as_samples=True)
     counts = np.zeros(grid.n_bins, np.int64)  # integer sums: exact in any chunking
     for _, idx, _ in grid._located(pts):
@@ -146,4 +152,4 @@ def save_histogram(histogram: Histogram, path) -> Path:
 
 
 def load_histogram(path) -> Histogram:
-    return Histogram(*load_grid_table(path))
+    return load_grid_table(path, Histogram)

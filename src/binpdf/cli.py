@@ -396,6 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_on_sigterm(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -405,6 +409,22 @@ def main(argv=None) -> int:
     if getattr(args, "threads", 1) < 1:
         print("error: --threads must be >= 1", file=sys.stderr)
         return 2
+    import signal
+
+    # SIGTERM unwinds like an error: temporary files are removed and a
+    # study's worker processes stopped before the exit (code 143)
+    try:
+        previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    except ValueError:  # not the main thread, where no handler can be set
+        return _run(args)
+    try:
+        return _run(args)
+    finally:
+        signal.signal(signal.SIGTERM, previous or signal.SIG_DFL)
+
+
+def _run(args) -> int:
+    """Run the parsed command; errors become one ``error:`` line and an exit code."""
     try:
         if not Path(args.out).name:  # checked before anything is read or drawn
             raise UsageError(f"--out {args.out!r} does not name a file")

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each pickles to an equal exception (type, message and attributes), so an
+error raised in a study's worker process reaches the caller unchanged.
+"""
 
 
 class BinPdfError(Exception):
@@ -17,12 +21,18 @@ class OutOfDomainError(BinPdfError):
             f"{where}coordinate {value!r} on axis {axis} is outside the domain"
         )
 
+    def __reduce__(self):  # pickled as its constructor arguments, not its message
+        return type(self), (self.axis, self.value, self.index)
+
 
 class SampleOutOfDomainError(OutOfDomainError):
     """A sample passed to a fit lies outside the grid's box domain."""
 
     def __init__(self, index: int, axis: int, value: float):
         super().__init__(axis, value, index=index)
+
+    def __reduce__(self):
+        return type(self), (self.index, self.axis, self.value)
 
 
 class IndexOutOfRangeError(BinPdfError):
@@ -47,6 +57,9 @@ class DegenerateSupportError(BinPdfError):
     def __init__(self, axis: int):
         self.axis = axis
         super().__init__(f"sample minimum and maximum coincide on axis {axis}")
+
+    def __reduce__(self):
+        return type(self), (self.axis,)
 
 
 class NonpositiveValueError(BinPdfError):

@@ -68,6 +68,18 @@ def _physical_memory() -> int | None:
     return pages * page_size if pages > 0 and page_size > 0 else None
 
 
+def _check_memory(count: int, entries: str, array: str) -> None:
+    """Raise :class:`GridTooLargeError` if ``count`` 8-byte ``entries`` exceed
+    physical memory; called before the array is allocated, since under
+    overcommit the allocation itself may succeed and the process be killed later."""
+    memory = _physical_memory()
+    if memory is not None and 8 * count > memory:
+        raise GridTooLargeError(
+            f"a grid of {count} {entries} needs {8 * count} bytes of {array}, "
+            f"more than the {memory} bytes of physical memory"
+        )
+
+
 def fit(grid: TensorGrid, samples, *, threads: int = 1) -> PiecewiseLinearPdf:
     """Fit the estimator to samples lying in the grid domain.
 
@@ -89,8 +101,7 @@ def fit(grid: TensorGrid, samples, *, threads: int = 1) -> PiecewiseLinearPdf:
         If no samples are given.
     GridTooLargeError
         If the node array (8 bytes per node) would exceed physical memory;
-        checked before it is allocated, since under overcommit the
-        allocation itself may succeed and the process be killed later.
+        checked before it is allocated.
     SampleOutOfDomainError
         Identifying the first offending sample.
     """
@@ -100,12 +111,7 @@ def fit(grid: TensorGrid, samples, *, threads: int = 1) -> PiecewiseLinearPdf:
     m = pts.shape[0]
     if m == 0:
         raise EmptySampleSetError("cannot fit a density to zero samples")
-    memory = _physical_memory()
-    if memory is not None and 8 * grid.n_nodes > memory:
-        raise GridTooLargeError(
-            f"a grid of {grid.n_nodes} nodes needs {8 * grid.n_nodes} bytes of "
-            f"coefficients, more than the {memory} bytes of physical memory"
-        )
+    _check_memory(grid.n_nodes, "nodes", "coefficients")
     grid.check_in_domain(pts, as_samples=True)
 
     sums = np.zeros(grid.n_nodes)
@@ -136,4 +142,4 @@ def save_pdf(pdf: PiecewiseLinearPdf, path) -> Path:
 
 def load_pdf(path) -> PiecewiseLinearPdf:
     """Read a fitted density written by :func:`save_pdf`."""
-    return PiecewiseLinearPdf(*load_grid_table(path))
+    return load_grid_table(path, PiecewiseLinearPdf)

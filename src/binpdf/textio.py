@@ -351,20 +351,27 @@ def save_grid_table(
     return sidecar
 
 
-def load_grid_table(path) -> tuple[TensorGrid, np.ndarray, int]:
-    """Read a :func:`save_grid_table` file: grid, values in index order, M.
+def load_grid_table(path, make):
+    """Read a :func:`save_grid_table` file as ``make(grid, values, sample_count)``.
 
-    Raises :class:`BinPdfError` unless the index column holds each of
-    ``0..rows-1`` once and every value is finite and >= 0.
+    ``make`` is the density's class, which checks that the table has one row
+    per node or bin of the grid. Raises :class:`BinPdfError` naming the table
+    and its sidecar unless the sidecar is JSON describing a valid grid, the
+    index column holds each of ``0..rows-1`` once, every value is finite and
+    >= 0, and ``make`` accepts the rows.
     """
     path = Path(path)
-    meta = json.loads(sidecar_path(path).read_text())
-    grid = TensorGrid(tuple(meta["lower"]), tuple(meta["upper"]), tuple(meta["n_delta"]))
-    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    order = np.argsort(table[:, 0])
-    if not np.array_equal(table[order, 0], np.arange(table.shape[0])):
-        raise BinPdfError(f"{path}: the index column is not a permutation of 0..rows-1")
-    values = table[order, -1]
-    if not (np.isfinite(values).all() and (values >= 0).all()):
-        raise BinPdfError(f"{path}: a value is negative or not finite")
-    return grid, values, int(meta["sample_count"])
+    sidecar = sidecar_path(path)
+    try:
+        meta = json.loads(sidecar.read_text())
+        grid = TensorGrid(tuple(meta["lower"]), tuple(meta["upper"]), tuple(meta["n_delta"]))
+        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        order = np.argsort(table[:, 0])
+        if not np.array_equal(table[order, 0], np.arange(table.shape[0])):
+            raise ValueError("the index column is not a permutation of 0..rows-1")
+        values = table[order, -1]
+        if not (np.isfinite(values).all() and (values >= 0).all()):
+            raise ValueError("a value is negative or not finite")
+        return make(grid, values, int(meta["sample_count"]))
+    except (ValueError, KeyError, TypeError) as err:  # JSONDecodeError is a ValueError
+        raise BinPdfError(f"{path} (sidecar {sidecar}): {err}") from err

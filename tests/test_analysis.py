@@ -1,6 +1,10 @@
 """Error metrics, coupling rule, support estimation, rate fits, and studies."""
 
 import math
+import multiprocessing
+import os
+import signal
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -8,10 +12,12 @@ import numpy as np
 import pytest
 
 from binpdf import (
+    BinPdfError,
     Coupled,
     CouplingRule,
     DegenerateSupportError,
     DistributionSpec,
+    EmptySampleSetError,
     FixedDelta,
     FixedM,
     KdeSpec,
@@ -35,6 +41,7 @@ from binpdf import (
     write_plot_script,
     write_study_csv,
 )
+from binpdf import analysis
 
 TGAUSS = DistributionSpec((TruncatedGaussian(0.0, 1.0, -5.5, 5.5),))
 UNIFORM = DistributionSpec((Uniform(-1.0, 1.0),))
@@ -146,6 +153,20 @@ class TestCoupling:
             CouplingRule(3, 2, -5.5, 5.5)
         with pytest.raises(UnsupportedOrderError):
             CouplingRule(0, 2, -5.5, 5.5)
+
+    def test_integral_float_order_gives_whole_counts(self, tmp_path):
+        # 2.0 in (1, 2) holds: the order must become the int 2, or n_delta is 4.0
+        rule = CouplingRule(2.0, 3.0, -5.5, 5.5)
+        assert rule.r == 2 and coupling(rule) == (8, 1.375, 4096)
+        assert type(coupling(rule)[0]) is int
+        result = averaged_study(TGAUSS, Coupled(2.0), [2], [1])
+        assert type(result.rows[0].n_delta) is int
+        whole = averaged_study(TGAUSS, Coupled(2), [2], [1])
+        assert replace(result.rows[0], seconds=0.0) == replace(whole.rows[0], seconds=0.0)
+        write_study_csv(result, tmp_path / "study.csv")
+        assert (tmp_path / "study.csv").read_text().splitlines()[1].startswith("2,4,2.75,256,")
+        with pytest.raises(ValueError, match="coupling order r must be a whole number"):
+            CouplingRule(2.5, 3, -5.5, 5.5)
 
 
 class TestEstimateSupport:
@@ -374,6 +395,131 @@ def test_coupled_rate_windows_on_smooth_gaussians():
         assert 0.35 <= abs(result.fitted_rate_m) <= 0.65
 
 
+class TwoArgumentError(Exception):
+    """Pickles to ``TwoArgumentError(message)``, which its constructor rejects."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} {b}")
+
+
+class TestSeedsInWorkers:
+    """Seeds whose draw holds at least one chunk of points run in forked worker
+    processes, one per available CPU; the CPU count is patched, so two workers
+    run on any machine."""
+
+    @staticmethod
+    def cpus(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    @staticmethod
+    def pools(monkeypatch):
+        """The seed lists sent to worker processes."""
+        calls = []
+        original = analysis._map_in_workers
+
+        def spy(run, seeds, workers):
+            calls.append(list(seeds))
+            return original(run, seeds, workers)
+
+        monkeypatch.setattr(analysis, "_map_in_workers", spy)
+        return calls
+
+    @pytest.mark.parametrize("mode, levels, grid_domain, holdout", [
+        (Coupled(2), [2, 3, 4, 5], None, False),  # 2**20 rows per seed
+        (FixedM(2**18), [2, 4], (-5.5, 5.5), True),
+        (FixedM(2**18), [2, 4], "auto", False),
+    ], ids=["coupled", "holdout", "auto-support"])
+    def test_one_and_two_workers_give_equal_rows(
+        self, monkeypatch, mode, levels, grid_domain, holdout
+    ):
+        pools = self.pools(monkeypatch)
+
+        def study():
+            return averaged_study(TGAUSS, mode, levels, [1, 2, 3], grid_domain=grid_domain,
+                                  holdout=holdout)
+
+        self.cpus(monkeypatch, 1)
+        serial = study()
+        assert pools == []
+        self.cpus(monkeypatch, 2)
+        parallel = study()
+        assert pools == [[1, 2, 3]]
+        assert [replace(r, seconds=0.0) for r in parallel.rows] == \
+            [replace(r, seconds=0.0) for r in serial.rows]
+        for rate in ("fitted_rate_delta", "fitted_rate_m"):  # NaN at a fixed m
+            np.testing.assert_array_equal(getattr(parallel, rate), getattr(serial, rate))
+
+    def test_one_and_two_workers_raise_the_same_error(self, monkeypatch):
+        raised = []
+        for cpus in (1, 2):
+            self.cpus(monkeypatch, cpus)
+            with pytest.raises(SampleOutOfDomainError) as err:
+                averaged_study(TGAUSS, Coupled(2), [2, 3, 4, 5], [1, 2, 3],
+                               grid_domain=(-1.0, 1.0))
+            raised.append(err.value)
+        assert [(type(e), str(e), e.index, e.axis, e.value) for e in raised] == \
+            [(type(raised[0]), str(raised[0]), 1, 0, 1.0309110652836442)] * 2
+
+    def test_small_draws_run_in_process(self, monkeypatch):
+        # starting a pool costs more than seeds below one chunk of points
+        pools = self.pools(monkeypatch)
+        self.cpus(monkeypatch, 2)
+        averaged_study(TGAUSS, Coupled(2), [2, 3], [1, 2, 3])
+        averaged_study(TGAUSS, FixedM(2**18 - 1), [2], [1, 2, 3], holdout=True)
+        assert pools == []
+
+    def test_memory_caps_the_workers(self, monkeypatch):
+        self.cpus(monkeypatch, 4)
+        monkeypatch.setattr("binpdf.estimator._physical_memory", lambda: 3 * 2**21)
+        assert analysis._worker_count(5, 2**21) == 3
+        assert analysis._worker_count(5, 2**23) == 1
+        assert analysis._worker_count(2, 2**21) == 2
+        monkeypatch.setattr("binpdf.estimator._physical_memory", lambda: None)
+        assert analysis._worker_count(5, 2**21) == 4
+
+    def test_a_failing_seed_stops_the_other_workers(self, monkeypatch):
+        self.cpus(monkeypatch, 2)
+
+        def slow_second_seed(spec, m, seed):
+            if seed == 2:
+                time.sleep(60)
+            return sample(spec, m, seed)
+
+        monkeypatch.setattr("binpdf.analysis.sample", slow_second_seed)
+        start = time.monotonic()
+        with pytest.raises(SampleOutOfDomainError):
+            averaged_study(TGAUSS, Coupled(2), [2, 3, 4, 5], [1, 2], grid_domain=(-1.0, 1.0))
+        assert time.monotonic() - start < 30
+        assert multiprocessing.active_children() == []
+
+    def test_a_dead_worker_is_an_error_naming_its_seed(self, monkeypatch):
+        self.cpus(monkeypatch, 2)
+
+        def third_seed_dies(spec, m, seed):
+            if seed == 1:
+                time.sleep(0.5)  # still running when seed 3's worker dies
+            if seed == 3:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return sample(spec, m, seed)
+
+        monkeypatch.setattr("binpdf.analysis.sample", third_seed_dies)
+        with pytest.raises(BinPdfError, match=r"running seed 3 died \(exit code -9\)"):
+            averaged_study(TGAUSS, FixedM(2**18), [2], [1, 2, 3, 4])
+        assert multiprocessing.active_children() == []
+
+    def test_an_error_that_cannot_be_unpickled_names_its_seed(self, monkeypatch):
+        self.cpus(monkeypatch, 2)
+
+        def unpicklable(spec, m, seed):
+            raise TwoArgumentError(seed, "drawn")
+
+        monkeypatch.setattr("binpdf.analysis.sample", unpicklable)
+        with pytest.raises(BinPdfError, match="^seed 1: ") as err:
+            averaged_study(TGAUSS, FixedM(2**18), [2], [1, 2, 3])
+        assert "TwoArgumentError" in str(err.value.__cause__.__cause__)
+        assert multiprocessing.active_children() == []
+
+
 class TestStudyOutput:
     def test_csv_and_plot_script(self, tmp_path):
         result = convergence_study(TGAUSS, Coupled(2), [2, 3], 7)
@@ -402,6 +548,8 @@ class TestStudyOutput:
      "n_delta must be a whole"),
     (lambda: averaged_study(TGAUSS, Coupled(2), [2, 2.6], [1]), ValueError,
      "level must be a whole"),
+    (lambda: averaged_study(TGAUSS, FixedM(0), [2], [1]), EmptySampleSetError,
+     "sample count must be >= 1"),
     (lambda: TensorGrid((0.0,), (1.0,), (math.nan,)), ValueError, "n_delta must be a whole"),
     (lambda: sample(TGAUSS, math.inf, 1), ValueError, "m must be a whole"),
     (lambda: sample(TGAUSS, 10, 2.5), ValueError, "seed must be a whole"),
@@ -409,7 +557,7 @@ class TestStudyOutput:
      "point 1, coordinate nan on axis 1"),
     (lambda: KdeSpec("triangular", 1.0, [0.0, -math.inf]), SampleOutOfDomainError,
      "point 1, coordinate -inf on axis 0"),
-], ids=["grid", "sample", "fixed-m", "fixed-delta", "level", "grid-nan", "sample-inf",
+], ids=["grid", "sample", "fixed-m", "fixed-delta", "level", "fixed-m-0", "grid-nan", "sample-inf",
         "seed", "kde-nan", "kde-inf"])
 def test_bad_library_input_raises_instead_of_changing_the_result(call, error, match):
     # truncated, 2.5 bins would build 2, and a NaN sample would make every KDE value NaN

@@ -1,7 +1,12 @@
 """Command-line interface: flags, exit codes, files, and determinism."""
 
 import errno
+import os
+import signal
+import subprocess
+import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +20,7 @@ from binpdf import (
     sample,
     write_samples_csv,
 )
+import binpdf
 from binpdf import textio
 from binpdf.cli import main
 
@@ -689,3 +695,95 @@ def test_each_command_loads_only_what_it_runs(tmp_path, run_fresh, argv, code, l
         assert modules == ONLY_THE_PARSER
     assert set(loaded) <= set(modules)
     assert not set(not_loaded) & set(modules), modules
+
+
+def test_reference_histogram_beyond_physical_memory_is_one_error_line(tmp_path, capsys,
+                                                                      monkeypatch):
+    # 10**11 bins once reached numpy's "Unable to allocate 745. GiB"
+    monkeypatch.setattr("binpdf.estimator._physical_memory", lambda: 2**33)
+    samples = tmp_path / "s.csv"
+    samples.write_text("0.1\n0.5\n0.9\n")
+    out = tmp_path / "table.csv"
+    code, _, stderr = run(capsys, "compare", "--samples", str(samples),
+                          "--ref-n-delta", "99999999999", "--n-delta", "4", "--out", str(out))
+    assert code == 1
+    assert stderr == ("error: a grid of 99999999999 bins needs 799999999992 bytes of counts, "
+                      "more than the 8589934592 bytes of physical memory\n")
+    assert not out.exists()
+
+
+STUDY_IN_WORKERS = ["study", "--dist", "tgauss1d", "--mode", "coupled:2", "--k", "2..5",
+                    "--seeds", "1,2,3"]  # 2**20 rows per seed: the seeds run in workers
+
+
+def test_study_error_in_a_worker_is_the_serial_error_line(tmp_path, capsys):
+    out = tmp_path / "study.csv"
+    code, _, stderr = run(capsys, *STUDY_IN_WORKERS, "--domain=-1,1", "--out", str(out))
+    assert code == 1
+    assert stderr == ("error: sample row 1: coordinate 1.0309110652836442 on axis 0 "
+                      "is outside the grid domain\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_small_study_loads_no_process_pool(tmp_path, run_fresh):
+    script = textwrap.dedent(f"""
+        import sys
+        from binpdf.cli import main
+
+        assert main(["study", "--dist", "tgauss1d", "--mode", "coupled:2", "--k", "2..3",
+                     "--seeds", "1,2,3", "--out", {str(tmp_path / "study.csv")!r}]) == 0
+        print(sorted(m for m in sys.modules if m.startswith(("multiprocessing", "concurrent"))))
+    """)
+    proc = run_fresh(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def _live_session_members(sid: int) -> list[int]:
+    """Pids of the processes in session ``sid`` that have not exited (zombies excluded)."""
+    members = []
+    for entry in Path("/proc").iterdir():
+        try:
+            stat = (entry / "stat").read_text() if entry.name.isdigit() else ""
+        except OSError:  # the process exited
+            continue
+        fields = stat[stat.rfind(")") + 2:].split()  # state, ppid, pgrp, session, ...
+        if fields and fields[0] != "Z" and int(fields[3]) == sid:
+            members.append(int(entry.name))
+    return members
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads sessions from /proc")
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGKILL], ids=["term", "kill"])
+def test_no_worker_outlives_a_signalled_study(tmp_path, signum):
+    # two workers whose seeds would take a minute each; the study gets the
+    # signal while they run, and the whole session is gone 2 s later
+    script = textwrap.dedent(f"""
+        import os, time
+        import binpdf.analysis
+        from binpdf.cli import main
+
+        os.sched_getaffinity = lambda pid: {{0, 1}}
+        binpdf.analysis.rmse_vs_exact = lambda *args: time.sleep(60)
+        raise SystemExit(main({[*STUDY_IN_WORKERS, "--out", str(tmp_path / "study.csv")]!r}))
+    """)
+    src = str(Path(binpdf.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-c", script], env=env, start_new_session=True,
+                            stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 60
+        while len(_live_session_members(proc.pid)) < 3:  # the study and its two workers
+            assert proc.poll() is None and time.monotonic() < deadline, proc.stderr.read()
+            time.sleep(0.01)
+        os.kill(proc.pid, signum)
+        time.sleep(2)
+        assert _live_session_members(proc.pid) == []
+        assert proc.wait(timeout=1) == (143 if signum == signal.SIGTERM else -signal.SIGKILL)
+        assert list(tmp_path.iterdir()) == []
+    finally:
+        for pid in _live_session_members(proc.pid):
+            os.kill(pid, signal.SIGKILL)
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()

@@ -63,3 +63,35 @@ def test_import_binpdf_loads_no_numpy_until_a_name_is_used(run_fresh):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n") == ["['binpdf']", "True", ""]
+
+
+def _error_classes(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _error_classes(sub)
+
+
+# one instance of each error with constructor arguments of its own; the rest
+# take a message
+ERRORS_WITH_FIELDS = [
+    binpdf.OutOfDomainError(1, 2.5, index=4),
+    binpdf.OutOfDomainError(0, -1.0),
+    binpdf.SampleOutOfDomainError(3, 1, 7.0),
+    binpdf.DegenerateSupportError(1),
+]
+
+
+def test_every_error_survives_pickling():
+    # a study's worker process sends its exception to the caller pickled
+    import pickle
+
+    classes = {binpdf.BinPdfError, *_error_classes(binpdf.BinPdfError)}
+    with_fields = {type(e) for e in ERRORS_WITH_FIELDS}
+    errors = ERRORS_WITH_FIELDS + [cls("a message") for cls in classes - with_fields]
+    assert {type(e) for e in errors} == classes
+    for error in errors:
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is type(error)
+        assert str(copy) == str(error)
+        assert copy.args == error.args
+        assert vars(copy) == vars(error)

@@ -4,6 +4,7 @@ which reads back exactly what parsing gives."""
 
 import errno
 import io
+import json
 import os
 import shutil
 import tempfile
@@ -177,6 +178,28 @@ class TestLoadGridTable:
         with pytest.raises(BinPdfError, match=match) as err:
             load(path)
         assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("kind", ["pdf", "histogram"])
+    @pytest.mark.parametrize("table_edit, meta_edit, match", [
+        (lambda rows: rows[:-1], None, "need [34] (coefficients|values), got [23]"),
+        (None, lambda meta: {k: v for k, v in meta.items() if k != "lower"}, "'lower'"),
+        (None, lambda meta: "{not json", "Expecting property name"),
+        (None, lambda meta: {**meta, "lower": [2.0]}, "need lower < upper"),
+        (None, lambda meta: {**meta, "n_delta": [4]}, "need [45] (coefficients|values), got [34]"),
+    ], ids=["truncated-table", "no-lower", "not-json", "lower-above-upper", "n-delta-disagrees"])
+    def test_table_and_sidecar_that_disagree_are_rejected(
+        self, tmp_path, kind, table_edit, meta_edit, match
+    ):
+        path, load, _ = self.saved(tmp_path, kind)
+        sidecar = path.with_suffix(".json")
+        if table_edit is not None:
+            self.rewrite(path, table_edit)
+        if meta_edit is not None:
+            meta = meta_edit(json.loads(sidecar.read_text()))
+            sidecar.write_text(meta if isinstance(meta, str) else json.dumps(meta))
+        with pytest.raises(BinPdfError, match=match) as err:
+            load(path)
+        assert str(path) in str(err.value) and str(sidecar) in str(err.value)
 
     @pytest.mark.parametrize("kind", ["pdf", "histogram"])
     def test_shuffled_rows_and_negative_zero_load(self, tmp_path, kind):
