@@ -17,6 +17,7 @@ import functools
 import math
 import os
 import signal
+import threading
 import time
 import warnings
 from dataclasses import dataclass
@@ -291,20 +292,55 @@ def _seed_runs(spec, params, grids, holdout: bool, seed: int) -> list[tuple[floa
         pdf = estimator.fit(grid, samples)
         seconds = time.perf_counter() - t0
         error = rmse_vs_exact(pdf.evaluate_batch, spec, held_out[:m])
+        del pdf  # else its nodes would live on through the next level's fit
         runs.append((float(grid.deltas[0]), error, seconds))
     return runs
 
 
-def _worker_count(seeds: int, draw_bytes: int) -> int:
-    """One worker per seed and available CPU, no more than whose draws fit in memory."""
+def _seed_bytes(dim: int, params, holdout: bool) -> int:
+    """Peak memory of one :func:`_seed_runs`, from above: the draw (two with
+    a held-out set), the RMSE's per-point differences, the largest level's node
+    array and per-axis hat integrals, ``8 + 2 * dim`` chunk-sized arrays of location buffers and
+    evaluation temporaries, and 8 MiB that a seed takes at any size."""
+    max_m = max(m for _, m in params)
+    nodes = max((n_delta + 1) ** dim + dim * (n_delta + 1) for n_delta, _ in params)
+    chunk = min(_CHUNK, max_m)
+    draws = max_m * dim * (2 if holdout else 1)
+    return 8 * (draws + max_m + nodes + (8 + 2 * dim) * chunk + 2**20)
+
+
+def _memory_budget() -> int | None:
+    """Bytes a study's workers may take: the memory available now (Linux's
+    ``MemAvailable``) where it can be read, never more than physical memory."""
+    memory = estimator._physical_memory()
+    try:
+        with open("/proc/meminfo") as meminfo:
+            available = next(int(line.split()[1]) * 1024 for line in meminfo
+                             if line.startswith("MemAvailable:"))
+    except (OSError, StopIteration, ValueError, IndexError):  # not Linux, or no such line
+        return memory
+    return available if memory is None else min(memory, available)
+
+
+def _worker_count(seeds: int, seed_bytes: int) -> int:
+    """One worker per seed and available CPU, no more than whose working sets
+    (``seed_bytes`` each) fit in the memory budget together."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
         cpus = os.cpu_count() or 1
-    memory = estimator._physical_memory()
-    fitting = seeds if memory is None else memory // draw_bytes
+    budget = _memory_budget()
+    fitting = seeds if budget is None else budget // seed_bytes
     return max(1, min(seeds, cpus, fitting))
 
+
+# The fewest coordinates (rows times dim) in one seed's draw for which a study
+# runs its seeds in worker processes. Two workers against one CPU, 3 seeds of
+# a one-level FixedM study (the least work per draw; 5 seeds or 4 levels gain
+# more), median of 8 runs: 1-D 2**16 rows 32 -> 63 ms, 2**17 68 -> 66 ms,
+# 2**19 229 -> 172 ms; 2-D 2**15 rows 29 -> 36 ms, 2**16 64 -> 64 ms, 2**17
+# 114 -> 92 ms; 3-D 2**15 rows 42 -> 78 ms, 2**16 84 -> 83 ms.
+_POOL_MIN_COORDS = 2**17
 
 # In a study worker: the pid of the worker that took each seed, by position.
 _owners = None
@@ -426,14 +462,19 @@ def averaged_study(
     Bad arguments, and on a fixed domain a bad grid, raise ``ValueError``
     before the first draw.
 
-    Seeds whose draw holds at least ``_CHUNK`` points run in up to one forked
-    worker process per available CPU (``os.sched_getaffinity``), no more
-    than whose draws fit in physical memory together. Each worker runs a
-    seed as the serial loop does and the seeds are averaged in order, so
-    the result equals a one-CPU run (``taskset -c 0``) bit for bit, the
-    ``seconds`` aside. Peak memory is up to the worker count times one
-    seed's working set. A worker's exception is raised here unchanged; a
-    worker that dies raises :class:`BinPdfError` naming its seed.
+    Seeds whose draw holds at least 2**17 coordinates (rows times ``dim``)
+    run in up to one forked worker process per available CPU
+    (``os.sched_getaffinity``), no more than whose working sets (the draw,
+    the largest node array and the evaluation buffers; see
+    :func:`_seed_bytes`) fit together in the memory available now. Each
+    worker runs a seed as the serial loop does and the seeds are averaged
+    in order, so the result equals a one-CPU run (``taskset -c 0``) bit for
+    bit, the ``seconds`` aside. Peak memory is up to the worker count times
+    one seed's working set. A caller running other threads gets the serial
+    loop, since a fork would copy only the calling thread and so could copy
+    a lock another thread holds. A worker's exception is raised here
+    unchanged; a worker that dies raises :class:`BinPdfError` naming its
+    seed.
     """
     levels = [_whole(k, "level") for k in levels]
     if not levels or levels != sorted(levels):
@@ -453,11 +494,11 @@ def averaged_study(
         for n_delta, _ in params
     ]
 
-    max_m = max(m for _, m in params)
     run = functools.partial(_seed_runs, spec, params, grids, holdout)
-    draw_bytes = max_m * spec.dim * 8 * (2 if holdout else 1)
-    # below one chunk of points per seed, starting the pool costs more than the seeds
-    if max_m >= _CHUNK and (workers := _worker_count(len(seeds), draw_bytes)) > 1:
+    draw = max(m for _, m in params) * spec.dim
+    workers = _worker_count(len(seeds), _seed_bytes(spec.dim, params, holdout))
+    # a fork copies only the calling thread: a lock another thread holds stays held
+    if draw >= _POOL_MIN_COORDS and workers > 1 and threading.active_count() == 1:
         per_seed = _map_in_workers(run, seeds, workers)
     else:
         per_seed = list(map(run, seeds))

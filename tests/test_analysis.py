@@ -4,7 +4,9 @@ import math
 import multiprocessing
 import os
 import signal
+import threading
 import time
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -403,7 +405,7 @@ class TwoArgumentError(Exception):
 
 
 class TestSeedsInWorkers:
-    """Seeds whose draw holds at least one chunk of points run in forked worker
+    """Seeds whose draw holds at least 2**17 coordinates run in forked worker
     processes, one per available CPU; the CPU count is patched, so two workers
     run on any machine."""
 
@@ -461,12 +463,62 @@ class TestSeedsInWorkers:
             [(type(raised[0]), str(raised[0]), 1, 0, 1.0309110652836442)] * 2
 
     def test_small_draws_run_in_process(self, monkeypatch):
-        # starting a pool costs more than seeds below one chunk of points
+        # starting a pool costs more than seeds below 2**17 coordinates
         pools = self.pools(monkeypatch)
         self.cpus(monkeypatch, 2)
         averaged_study(TGAUSS, Coupled(2), [2, 3], [1, 2, 3])
-        averaged_study(TGAUSS, FixedM(2**18 - 1), [2], [1, 2, 3], holdout=True)
+        averaged_study(TGAUSS, FixedM(analysis._POOL_MIN_COORDS - 1), [2], [1, 2, 3],
+                       holdout=True)
         assert pools == []
+
+    def test_a_caller_with_other_threads_runs_in_process(self, monkeypatch):
+        # a fork would copy only this thread, and any lock the other one holds
+        pools = self.pools(monkeypatch)
+        self.cpus(monkeypatch, 2)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            averaged_study(TGAUSS, FixedM(analysis._POOL_MIN_COORDS), [2], [1, 2])
+        finally:
+            stop.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert pools == []
+
+    def test_the_node_array_counts_against_memory(self, monkeypatch):
+        # a 2**20-bin grid's node array is four times a 2**18-row 1-D draw
+        pools = self.pools(monkeypatch)
+        self.cpus(monkeypatch, 2)
+        mode = FixedM(2**18)
+        seed_bytes = analysis._seed_bytes(1, [analysis._level_params(mode, 20)], False)
+        assert seed_bytes > 8 * 2**20  # the node array alone
+        monkeypatch.setattr("binpdf.estimator._physical_memory", lambda: 2 * seed_bytes - 1)
+        averaged_study(TGAUSS, mode, [20], [1, 2])
+        assert pools == []
+        monkeypatch.setattr("binpdf.estimator._physical_memory", lambda: 2 * seed_bytes)
+        averaged_study(TGAUSS, mode, [20], [1, 2])
+        assert pools == [[1, 2]]
+
+    @pytest.mark.skipif(not os.path.exists("/proc/meminfo"), reason="needs Linux's MemAvailable")
+    def test_the_budget_is_the_memory_available_now(self, monkeypatch):
+        monkeypatch.setattr("binpdf.estimator._physical_memory", lambda: 2**62)
+        assert 0 < analysis._memory_budget() < 2**62
+        monkeypatch.setattr("binpdf.estimator._physical_memory", lambda: 2**20)
+        assert analysis._memory_budget() == 2**20
+
+    def test_a_seed_holds_one_levels_nodes_at_a_time(self):
+        spec = DistributionSpec(TGAUSS.axes * 2)
+        mode = FixedDelta(2**10)  # 8 MiB of nodes per level
+        params = [analysis._level_params(mode, k) for k in (2, 3)]
+        grids = [TensorGrid((-5.5,) * 2, (5.5,) * 2, (n_delta,) * 2) for n_delta, _ in params]
+        tracemalloc.start()
+        try:
+            analysis._seed_runs(spec, params, grids, False, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * (2**10 + 1) ** 2
 
     def test_memory_caps_the_workers(self, monkeypatch):
         self.cpus(monkeypatch, 4)
