@@ -130,15 +130,20 @@ class CouplingRule:
             raise ValueError(f"level k must be >= 1, got {self.k}")
         if not self.a < self.b:
             raise ValueError(f"need a < b, got [{self.a}, {self.b}]")
-        if not self.m_multiplier > 0:
-            raise ValueError("m_multiplier must be > 0")
+        if not (math.isfinite(self.m_multiplier) and self.m_multiplier > 0):
+            raise ValueError(f"m_multiplier must be finite and > 0, got {self.m_multiplier}")
 
 
 def coupling(rule: CouplingRule) -> tuple[int, float, int]:
-    """(n_delta, delta, m) for one refinement level of the coupling rule."""
+    """(n_delta, delta, m) for one refinement level of the coupling rule;
+    ``ValueError`` where delta or m falls outside the float range."""
     n_delta = 2 ** ((3 - rule.r) * rule.k)
-    delta = (rule.b - rule.a) / n_delta
-    m = int(round(rule.m_multiplier * n_delta ** (2 * rule.r)))
+    try:
+        delta = (rule.b - rule.a) / n_delta
+        m = int(round(rule.m_multiplier * n_delta ** (2 * rule.r)))
+    except OverflowError as err:  # n_delta past a float, or m_multiplier * n_delta**2r = inf
+        raise ValueError(f"level k={rule.k} with m_multiplier {rule.m_multiplier} needs "
+                         "more samples than a float can count") from err
     return n_delta, delta, m
 
 
@@ -180,8 +185,9 @@ def fit_rate(points) -> float:
     if len(pts) < 2:
         raise TooFewPointsError(f"rate fit needs >= 2 points, got {len(pts)}")
     for x, e in pts:
-        if x <= 0 or e <= 0:
-            raise NonpositiveValueError(f"rate fit needs positive values, got ({x}, {e})")
+        if not (0 < x < math.inf and 0 < e < math.inf):  # NaN fails too
+            raise NonpositiveValueError(
+                f"rate fit needs positive, finite values, got ({x}, {e})")
     logx = np.log([x for x, _ in pts])
     loge = np.log([e for _, e in pts])
     return float(np.polyfit(logx, loge, 1)[0])
@@ -300,10 +306,10 @@ def _seed_runs(spec, params, grids, holdout: bool, seed: int) -> list[tuple[floa
 def _seed_bytes(dim: int, params, holdout: bool) -> int:
     """Peak memory of one :func:`_seed_runs`, from above: the draw (two with
     a held-out set), the RMSE's per-point differences, the largest level's node
-    array and per-axis hat integrals, ``8 + 2 * dim`` chunk-sized arrays of location buffers and
+    array, ``8 + 2 * dim`` chunk-sized arrays of location buffers and
     evaluation temporaries, and 8 MiB that a seed takes at any size."""
     max_m = max(m for _, m in params)
-    nodes = max((n_delta + 1) ** dim + dim * (n_delta + 1) for n_delta, _ in params)
+    nodes = max((n_delta + 1) ** dim for n_delta, _ in params)
     chunk = min(_CHUNK, max_m)
     draws = max_m * dim * (2 if holdout else 1)
     return 8 * (draws + max_m + nodes + (8 + 2 * dim) * chunk + 2**20)
@@ -390,8 +396,6 @@ def _map_in_workers(run, seeds: list[int], workers: int) -> list:
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return list(map(run, seeds))
     context = multiprocessing.get_context("fork")
     owners = context.RawArray("q", len(seeds))
     pool = ProcessPoolExecutor(workers, context, initializer=_start_worker,
@@ -470,11 +474,11 @@ def averaged_study(
     worker runs a seed as the serial loop does and the seeds are averaged
     in order, so the result equals a one-CPU run (``taskset -c 0``) bit for
     bit, the ``seconds`` aside. Peak memory is up to the worker count times
-    one seed's working set. A caller running other threads gets the serial
-    loop, since a fork would copy only the calling thread and so could copy
-    a lock another thread holds. A worker's exception is raised here
-    unchanged; a worker that dies raises :class:`BinPdfError` naming its
-    seed.
+    one seed's working set. A platform without ``fork``, or a caller running
+    other threads, gets the serial loop, since a fork would copy only the
+    calling thread and so could copy a lock another thread holds. A
+    worker's exception is raised here unchanged; a worker that dies raises
+    :class:`BinPdfError` naming its seed.
     """
     levels = [_whole(k, "level") for k in levels]
     if not levels or levels != sorted(levels):
@@ -498,7 +502,8 @@ def averaged_study(
     draw = max(m for _, m in params) * spec.dim
     workers = _worker_count(len(seeds), _seed_bytes(spec.dim, params, holdout))
     # a fork copies only the calling thread: a lock another thread holds stays held
-    if draw >= _POOL_MIN_COORDS and workers > 1 and threading.active_count() == 1:
+    if (draw >= _POOL_MIN_COORDS and workers > 1 and threading.active_count() == 1
+            and hasattr(os, "fork")):
         per_seed = _map_in_workers(run, seeds, workers)
     else:
         per_seed = list(map(run, seeds))

@@ -17,7 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from . import estimator
-from .errors import EmptySampleSetError, NonpositiveBandwidthError, SampleOutOfDomainError
+from .errors import (
+    EmptySampleSetError,
+    NonpositiveBandwidthError,
+    OutOfDomainError,
+    SampleOutOfDomainError,
+)
 from .grid import TensorGrid, _ravel_rows, as_point, as_points
 from .textio import load_grid_table, save_grid_table
 
@@ -45,7 +50,6 @@ class Histogram:
 
     def evaluate_batch(self, points) -> np.ndarray:
         pts = as_points(points, self.grid.dim)
-        self.grid.check_in_domain(pts)
         out = np.empty(pts.shape[0])
         for start, idx, _ in self.grid._located(pts):
             # in range, so mode="clip" changes no index; it only skips take's buffer
@@ -68,9 +72,8 @@ def fit_histogram(grid: TensorGrid, samples) -> Histogram:
     if m == 0:
         raise EmptySampleSetError("cannot fit a histogram to zero samples")
     estimator._check_memory(grid.n_bins, "bins", "counts")
-    grid.check_in_domain(pts, as_samples=True)
     counts = np.zeros(grid.n_bins, np.int64)  # integer sums: exact in any chunking
-    for _, idx, _ in grid._located(pts):
+    for _, idx, _ in grid._located(pts, as_samples=True):
         counts += np.bincount(_ravel_rows(idx, grid.bin_shape), minlength=grid.n_bins)
     values = counts / (m * float(np.prod(grid.deltas)))
     return Histogram(grid, values, m)
@@ -131,7 +134,12 @@ def eval_kde(spec: KdeSpec, point) -> float:
 
 
 def eval_kde_batch(spec: KdeSpec, points) -> np.ndarray:
+    """Elementwise :func:`eval_kde`; a NaN or infinite coordinate raises
+    :class:`OutOfDomainError` naming the row-major first one."""
     pts = as_points(points, spec.dim)
+    if not np.isfinite(pts).all():
+        index, axis = np.argwhere(~np.isfinite(pts))[0]
+        raise OutOfDomainError(int(axis), float(pts[index, axis]), index=int(index))
     scale = spec.bandwidth**spec.dim * spec.samples.shape[0]
     out = np.empty(pts.shape[0])
     for i in range(pts.shape[0]):

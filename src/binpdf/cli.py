@@ -168,10 +168,14 @@ def cmd_sample(args) -> int:
 
     spec = _parse_dist(args.dist)
     m = _parse_count(args.m, "--m")
-    try:  # the seed is the one argument sample() can reject with ValueError
-        points = sampling.sample(spec, m, args.seed)
+    try:
+        sampling.check_seed(args.seed)
     except ValueError as err:
         raise UsageError(f"bad --seed: {err}") from err
+    try:  # with the seed checked, m is the one argument sample() can reject
+        points = sampling.sample(spec, m, args.seed)
+    except ValueError as err:
+        raise UsageError(f"bad --m: {err}") from err
     sampling.write_samples_csv(args.out, points, seed=args.seed)
     print(f"rows: {m}")
     return 0

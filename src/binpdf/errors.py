@@ -63,7 +63,7 @@ class DegenerateSupportError(BinPdfError):
 
 
 class NonpositiveValueError(BinPdfError):
-    """A log-log rate fit requires strictly positive abscissae and errors."""
+    """A log-log rate fit requires positive, finite abscissae and errors."""
 
 
 class TooFewPointsError(BinPdfError):

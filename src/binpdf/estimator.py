@@ -47,7 +47,6 @@ class PiecewiseLinearPdf:
     def evaluate_batch(self, points) -> np.ndarray:
         """Elementwise :meth:`evaluate`, order preserving."""
         pts = as_points(points, self.grid.dim)
-        self.grid.check_in_domain(pts)
         values = np.zeros(pts.shape[0])
         for start, flat, w in self.grid._stencil(pts):
             w *= self.coefficients[flat]
@@ -112,17 +111,20 @@ def fit(grid: TensorGrid, samples, *, threads: int = 1) -> PiecewiseLinearPdf:
     if m == 0:
         raise EmptySampleSetError("cannot fit a density to zero samples")
     _check_memory(grid.n_nodes, "nodes", "coefficients")
-    grid.check_in_domain(pts, as_samples=True)
 
     sums = np.zeros(grid.n_nodes)
-    for _, flat, w in grid._stencil(pts):
+    for _, flat, w in grid._stencil(pts, as_samples=True):
         np.add.at(sums, flat, w)
 
-    # divide by M * C_j in place, C_j being the product of per-axis factors
+    # divide by M * C_j in place, C_j being the product of per-axis factors:
+    # delta, halved at both end nodes, applied as views of one axis's layers
     sums /= m
     nodes = sums.reshape(grid.node_shape)
-    for n, c in enumerate(grid._axis_hat_integrals()):
-        nodes /= c.reshape((-1,) + (1,) * (grid.dim - n - 1))
+    for n, d in enumerate(grid.deltas):
+        layers = np.moveaxis(nodes, n, 0)
+        layers[1:-1] /= d
+        layers[0] /= d * 0.5
+        layers[-1] /= d * 0.5
     return PiecewiseLinearPdf(grid, sums, m)
 
 

@@ -6,7 +6,10 @@ continuous, piecewise multilinear hat function that is 1 at its node, 0 at
 every other node, and supported on the bins touching the node. The module
 provides point location, node coordinates, the 2**dim corner stencil of hat
 weights that fit, evaluation and :meth:`TensorGrid.basis_eval` all consume,
-and the exact (closed-form) integral of each hat over the box.
+and the exact (closed-form) integral of each hat over the box. Every point
+goes through one location stream, which checks the domain before it locates:
+a point outside the closed box, NaN or infinite, raises
+:class:`OutOfDomainError` (:class:`SampleOutOfDomainError` for fit input).
 
 Point location uses direct index arithmetic, ``i = floor((y - a) / delta)``,
 followed by a one-step correction against the bin edge values so that the
@@ -313,16 +316,18 @@ class TensorGrid:
     def locate_bins(self, points) -> np.ndarray:
         """Vectorized :meth:`locate_bin`; returns an (m, dim) int array."""
         pts = as_points(points, self.dim)
-        self.check_in_domain(pts)
         bins = np.empty(pts.shape, np.int64)
         for start, idx, _ in self._located(pts):
             bins[start : start + idx.shape[1]] = idx.T
         return bins
 
-    def _located(self, pts: np.ndarray):
+    def _located(self, pts: np.ndarray, *, as_samples: bool = False):
         """Yield ``(chunk start, idx, frac)``, the (dim, k) location of each fixed
         ``_CHUNK`` slice of points, in one int64 and one float64 buffer that all
-        chunks share: valid until the next step, and the consumer's to overwrite."""
+        chunks share: valid until the next step, and the consumer's to overwrite.
+        :meth:`check_in_domain` (given ``as_samples``) sees every point first,
+        since the index arithmetic would turn one outside into a wrong index."""
+        self.check_in_domain(pts, as_samples=as_samples)
         m = pts.shape[0]
         idx = np.empty((self.dim, min(_CHUNK, m)), np.int64)
         frac = np.empty(idx.shape)
@@ -332,17 +337,18 @@ class TensorGrid:
             self._locate_with_frac(pts[start : start + k], out=out)
             yield (start, *out)
 
-    def _stencil(self, pts: np.ndarray):
+    def _stencil(self, pts: np.ndarray, *, as_samples: bool = False):
         """Yield ``(chunk start, flat node index, hat weight)`` per corner.
 
-        Runs over the chunks of :meth:`_located`, and within each over the
+        Runs over the chunks of :meth:`_located`, which checks the domain first
+        (``as_samples`` picks the error type), and within each over the
         2**dim corners of every point's bin in lexicographic offset order.
         The index and weight arrays are buffers reused for every corner of a
         chunk, so consume them before asking for the next corner; the index
         array is read-only, since the next corner's index is stepped from it.
         """
         strides = [math.prod(self.node_shape[n + 1 :]) for n in range(self.dim - 1)]
-        for start, idx, frac in self._located(pts):
+        for start, idx, frac in self._located(pts, as_samples=as_samples):
             flat = _ravel_rows(idx, self.node_shape)  # stepped from corner to corner
             corner = flat.view()
             corner.flags.writeable = False  # a consumer's write would move later corners
@@ -399,9 +405,7 @@ class TensorGrid:
         is exactly 1 at the node itself and exactly 0 at every other node.
         """
         flat = self.node_flat_index(node)
-        p = as_point(point, self.dim)[None]
-        self.check_in_domain(p)
-        for _, corner, w in self._stencil(p):
+        for _, corner, w in self._stencil(as_point(point, self.dim)[None]):
             if corner[0] == flat:
                 return float(w[0])
         return 0.0

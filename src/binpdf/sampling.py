@@ -275,11 +275,15 @@ def sample(spec: DistributionSpec, m: int, seed: int) -> np.ndarray:
 
     For a fixed seed the first ``m1`` rows of a larger draw equal the
     ``m1``-row draw exactly, so growing sample sets are nested. A seed
-    outside ``[0, 2**128)`` raises ``ValueError``.
+    outside ``[0, 2**128)``, or an ``m`` whose draw no array can hold,
+    raises ``ValueError``.
     """
     m = _whole(m, "m")
     if m < 1:
         raise EmptySampleSetError(f"sample count must be >= 1, got {m}")
+    if 8 * m * spec.dim > np.iinfo(np.intp).max:
+        raise ValueError(f"m = {m} samples of dimension {spec.dim} take {8 * m * spec.dim} "
+                         "bytes, more than any array can hold")
     check_seed(seed)
     rng = np.random.Generator(np.random.Philox(key=seed))
     u = rng.random((m, spec.dim))

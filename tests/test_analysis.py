@@ -150,6 +150,18 @@ class TestCoupling:
         assert scaled[2] == 2 * base[2]
         assert scaled[:2] == base[:2]
 
+    @pytest.mark.parametrize("multiplier", [math.inf, math.nan, 0.0, -1.0])
+    def test_multiplier_must_be_finite_and_positive(self, multiplier):
+        with pytest.raises(ValueError, match="^m_multiplier must be finite and > 0"):
+            CouplingRule(2, 3, -5.5, 5.5, m_multiplier=multiplier)
+        with pytest.raises(ValueError, match="^m_multiplier must be finite and > 0"):
+            averaged_study(TGAUSS, Coupled(2, m_multiplier=multiplier), [2], [1])
+
+    @pytest.mark.parametrize("r, k, multiplier", [(2, 3, 1e308), (1, 600, 1.0)])
+    def test_sample_count_past_the_float_range(self, r, k, multiplier):
+        with pytest.raises(ValueError, match=f"^level k={k} with m_multiplier "):
+            coupling(CouplingRule(r, k, -5.5, 5.5, m_multiplier=multiplier))
+
     def test_unsupported_order(self):
         with pytest.raises(UnsupportedOrderError):
             CouplingRule(3, 2, -5.5, 5.5)
@@ -239,6 +251,9 @@ class TestFitRate:
             fit_rate([(1.0, 0.0), (0.5, 1.0)])
         with pytest.raises(NonpositiveValueError):
             fit_rate([(-1.0, 1.0), (0.5, 1.0)])
+        for point in [(1.0, math.nan), (1.0, math.inf), (math.nan, 1.0), (math.inf, 1.0)]:
+            with pytest.raises(NonpositiveValueError, match="positive, finite values"):
+                fit_rate([point, (2.0, 1.0)])
 
 
 class TestConvergenceStudy:
@@ -469,6 +484,13 @@ class TestSeedsInWorkers:
         averaged_study(TGAUSS, Coupled(2), [2, 3], [1, 2, 3])
         averaged_study(TGAUSS, FixedM(analysis._POOL_MIN_COORDS - 1), [2], [1, 2, 3],
                        holdout=True)
+        assert pools == []
+
+    def test_a_platform_without_fork_runs_in_process(self, monkeypatch):
+        pools = self.pools(monkeypatch)
+        self.cpus(monkeypatch, 2)
+        monkeypatch.delattr(os, "fork")
+        averaged_study(TGAUSS, FixedM(analysis._POOL_MIN_COORDS), [2], [1, 2])
         assert pools == []
 
     def test_a_caller_with_other_threads_runs_in_process(self, monkeypatch):

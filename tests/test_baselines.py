@@ -157,6 +157,24 @@ class TestKde:
         for i in range(20):
             assert batch[i] == eval_kde(spec, pts[i])
 
+    @pytest.mark.parametrize("kernel", ["triangular", "gaussian"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_is_out_of_domain(self, kernel, value):
+        # the error the piecewise-linear estimator raises for the same points
+        spec = KdeSpec(kernel, 0.5, [(0.2, 0.3), (0.6, 0.9)])
+        pdf = fit(TensorGrid((0.0, 0.0), (1.0, 1.0), (4, 4)), spec.samples)
+        pts = np.full((6, 2), 0.5)
+        pts[4, 1] = pts[5, 0] = value
+        for evaluate, args in [(eval_kde_batch, (pts,)), (eval_kde, (pts[4],))]:
+            with pytest.raises(OutOfDomainError) as err:
+                evaluate(spec, *args)
+            with pytest.raises(OutOfDomainError) as want:
+                pdf.evaluate_batch(np.atleast_2d(*args))
+            assert type(err.value) is OutOfDomainError
+            assert (err.value.index, err.value.axis) == (want.value.index, want.value.axis)
+            np.testing.assert_equal(err.value.value, want.value.value)
+            assert str(err.value) == str(want.value)
+
     def test_errors(self):
         with pytest.raises(NonpositiveBandwidthError):
             KdeSpec("triangular", 0.0, [0.0])

@@ -73,6 +73,19 @@ class TestSample:
         assert stderr.startswith("error: --m must be") and stderr.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, prefix", [
+        (["sample", "--dist", "tgauss1d", "--m", "9e18"], "error: bad --m: m = 9000000000000000000 "),
+        (["study", "--dist", "tgauss1d", "--mode", "fixed_delta", "--n-delta", "4", "--k", "25"],
+         f"error: m = {10**25} "),
+    ])
+    def test_draw_no_array_can_hold_blames_m(self, tmp_path, capsys, argv, prefix):
+        out = tmp_path / "x.csv"
+        code, _, stderr = run(capsys, *argv, "--out", str(out))
+        assert code == 2
+        assert stderr.startswith(prefix) and stderr.count("\n") == 1
+        assert "more than any array can hold" in stderr
+        assert list(tmp_path.iterdir()) == []
+
     def test_negative_seed_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         code, _, stderr = run(

@@ -250,6 +250,13 @@ class TestFineGrids:
                 base.coefficients, fit(grid, samples, threads=threads).coefficients
             )
 
+    def test_one_dimensional_fit_peaks_at_one_node_array(self):
+        # a per-axis hat-integral array is node-sized in 1-D, so normalising
+        # through one would double the peak
+        grid = TensorGrid((0.0,), (1.0,), (1 << 21,))
+        samples = np.random.default_rng(63).random((1000, 1))
+        assert traced_peak(lambda: fit(grid, samples)) < 1.25 * 8 * grid.n_nodes
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_memory_grows_by_one_node_array(self, threads):
         # The fixed per-chunk working set is the same on both grids, so the

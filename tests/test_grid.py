@@ -5,7 +5,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from binpdf import IndexOutOfRangeError, OutOfDomainError, SampleOutOfDomainError, TensorGrid
+from binpdf import (
+    Histogram,
+    IndexOutOfRangeError,
+    OutOfDomainError,
+    PiecewiseLinearPdf,
+    SampleOutOfDomainError,
+    TensorGrid,
+    fit,
+    fit_histogram,
+)
+from binpdf.grid import _CHUNK
 from binpdf.grid import _settle as settle
 
 
@@ -375,6 +385,66 @@ class TestCheckInDomain:
         pts = np.asfortranarray(np.array([[-1.0, 2.0], [1.0, 5.0], [0.0, 3.3]]))
         self.GRID.check_in_domain(pts)
         self.GRID.check_in_domain(pts, as_samples=True)
+
+
+OUTSIDE_UNIT_BOX = [-0.5, 1.7, np.nan, -np.inf]
+
+
+def second_chunk_offenders(value):
+    """Points in [0, 1]**2 whose first chunk is inside; the second chunk holds
+    ``value`` at (row ``_CHUNK + 3``, axis 1) and then at (``_CHUNK + 4``, 0)."""
+    pts = np.full((_CHUNK + 5, 2), 0.5)
+    pts[_CHUNK + 3, 1] = value
+    pts[_CHUNK + 4, 0] = value
+    return pts, (_CHUNK + 3, 1)
+
+
+class TestLocationStreamChecksDomain:
+    GRID = TensorGrid((0.0, 0.0), (1.0, 1.0), (4, 4))
+
+    @pytest.mark.parametrize("stream", ["_located", "_stencil"])
+    @pytest.mark.parametrize("as_samples", [False, True])
+    @pytest.mark.parametrize("value", OUTSIDE_UNIT_BOX)
+    def test_raises_before_the_first_chunk(self, stream, as_samples, value):
+        # unchecked, the first chunk would be yielded and the offender located
+        # to a wrong index (below 0 or past the last node; NaN casts to -2**63)
+        pts, (row, axis) = second_chunk_offenders(value)
+        chunks = getattr(self.GRID, stream)(pts, as_samples=as_samples)
+        with pytest.raises(SampleOutOfDomainError if as_samples else OutOfDomainError) as err:
+            next(chunks)
+        assert as_samples or not isinstance(err.value, SampleOutOfDomainError)
+        assert (err.value.index, err.value.axis) == (row, axis)
+        np.testing.assert_equal(err.value.value, value)
+
+    @pytest.mark.parametrize("stream", ["_located", "_stencil"])
+    def test_default_is_not_sample_error(self, stream):
+        pts, _ = second_chunk_offenders(-0.5)
+        with pytest.raises(OutOfDomainError) as err:
+            list(getattr(self.GRID, stream)(pts))
+        assert not isinstance(err.value, SampleOutOfDomainError)
+
+    @pytest.mark.parametrize("value", OUTSIDE_UNIT_BOX)
+    def test_public_entry_points_keep_their_errors(self, value):
+        grid = self.GRID
+        pts, (row, axis) = second_chunk_offenders(value)
+        pdf = PiecewiseLinearPdf(grid, np.ones(grid.n_nodes), 1)
+        histogram = Histogram(grid, np.ones(grid.n_bins), 1)
+        cases = [
+            (lambda: fit(grid, pts), SampleOutOfDomainError, row),
+            (lambda: fit_histogram(grid, pts), SampleOutOfDomainError, row),
+            (lambda: pdf.evaluate_batch(pts), OutOfDomainError, row),
+            (lambda: histogram.evaluate_batch(pts), OutOfDomainError, row),
+            (lambda: pdf.evaluate(pts[row]), OutOfDomainError, 0),
+            (lambda: grid.locate_bins(pts), OutOfDomainError, row),
+            (lambda: grid.locate_bin(pts[row]), OutOfDomainError, 0),
+            (lambda: grid.basis_eval((1, 1), pts[row]), OutOfDomainError, 0),
+        ]
+        for call, kind, index in cases:
+            with pytest.raises(kind) as err:
+                call()
+            assert type(err.value) is kind
+            assert (err.value.index, err.value.axis) == (index, axis)
+            np.testing.assert_equal(err.value.value, value)
 
 
 class TestNodeCoords:

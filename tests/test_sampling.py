@@ -127,6 +127,12 @@ class TestSampling:
         with pytest.raises(EmptySampleSetError):
             sample(TGAUSS, 0, 1)
 
+    @pytest.mark.parametrize("spec, m", [(TGAUSS, 10**30), (TGAUSS, 2**60), (MIXED2D, 2**59)])
+    def test_draw_no_array_can_hold_is_named(self, spec, m):
+        # 8 * m * dim bytes just past the largest array size, or far past it
+        with pytest.raises(ValueError, match=rf"^m = {m} samples of dimension {spec.dim} "):
+            sample(spec, m, 1)
+
     @pytest.mark.parametrize("seed", [-1, 2**128])
     def test_seed_outside_the_philox_key_range_is_named(self, seed):
         with pytest.raises(ValueError, match=rf"^seed {seed} .*\[0, 2\*\*128\)$"):
