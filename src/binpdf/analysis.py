@@ -32,13 +32,12 @@ from .errors import (
     DegenerateSupportError,
     EmptySampleSetError,
     NonpositiveValueError,
-    SampleOutOfDomainError,
     TooFewPointsError,
     UnsupportedOrderError,
 )
-from .grid import _CHUNK, TensorGrid, _whole, as_points
+from .grid import _CHUNK, _LOCATE_CHUNK, TensorGrid, _whole, as_points, check_finite
 from .sampling import DistributionSpec, check_seed, sample
-from .textio import write_text
+from .textio import TableReader, write_text
 
 if TYPE_CHECKING:  # an annotation only: a study does not load the baselines
     from .baselines import Histogram
@@ -51,27 +50,41 @@ _HOLDOUT_SEED_XOR = 0x9E3779B97F4A7C15
 # -- error metrics -------------------------------------------------------------
 
 
+def _scan(samples, points) -> tuple[int, object]:
+    """``(rows, blocks)`` of ``samples``: a :class:`TableReader`'s own, or the
+    one block that ``points`` makes of an array."""
+    if isinstance(samples, TableReader):
+        return samples.shape[0], samples.blocks()
+    pts = points(samples)
+    return pts.shape[0], (pts,)
+
+
 def _rmse(reference_eval, approx_eval, samples, dim: int, reference_count=None) -> float:
     """RMS difference of two evaluators at the samples; warns on a small reference.
 
-    Both evaluators are pointwise, so evaluating them ``_CHUNK`` points at a
-    time gives the bits of one whole-array call and holds one chunk's
-    temporaries instead of the whole sample's.
+    Both evaluators are pointwise, so evaluating them ``_LOCATE_CHUNK`` points
+    at a time gives the bits of one whole-array call and holds one chunk's
+    temporaries instead of the whole sample's; of the samples only the
+    per-point differences are held.
     """
-    pts = as_points(samples, dim)
-    if pts.shape[0] == 0:
+    rows, blocks = _scan(samples, functools.partial(as_points, dim=dim))
+    if rows == 0:
         raise EmptySampleSetError("error metric needs at least one sample point")
-    if reference_count is not None and reference_count <= pts.shape[0]:
+    if reference_count is not None and reference_count <= rows:
         warnings.warn(
             "reference histogram was built from no more samples than the "
             "approximation is being checked on; the surrogate error is unreliable",
             stacklevel=3,
         )
-    diff = np.empty(pts.shape[0])
-    for start in range(0, pts.shape[0], _CHUNK):
-        chunk = slice(start, start + _CHUNK)
-        diff[chunk] = reference_eval(pts[chunk])
-        diff[chunk] -= approx_eval(pts[chunk])
+    diff = np.empty(rows)
+    at = 0
+    for block in blocks:
+        for start in range(0, block.shape[0], _LOCATE_CHUNK):
+            pts = block[start : start + _LOCATE_CHUNK]
+            chunk = diff[at : at + pts.shape[0]]
+            chunk[:] = reference_eval(pts)
+            chunk -= approx_eval(pts)
+            at += pts.shape[0]
     diff *= diff
     return float(np.sqrt(np.mean(diff)))
 
@@ -81,6 +94,8 @@ def rmse_vs_exact(approx_eval, exact: DistributionSpec, samples) -> float:
 
     ``approx_eval`` maps an (m, dim) array of points to m density values
     (e.g. ``pdf.evaluate_batch``), each depending on its own point alone.
+    ``samples`` is an (m, dim) array or a :class:`TableReader`, read a block
+    at a time.
     """
     return _rmse(exact.pdf, approx_eval, samples, exact.dim)
 
@@ -91,6 +106,7 @@ def rmse_vs_histogram(approx_eval, reference: Histogram, samples) -> float:
     The reference should be built from far more samples (and far smaller
     bins) than the approximation; only the sample-count side is visible here,
     so a too-small reference triggers a warning rather than an error.
+    ``samples`` is as in :func:`rmse_vs_exact`.
     """
     return _rmse(
         reference.evaluate_batch, approx_eval, samples, reference.grid.dim,
@@ -150,26 +166,36 @@ def coupling(rule: CouplingRule) -> tuple[int, float, int]:
 # -- support estimation ---------------------------------------------------------
 
 
+def _as_columns(samples) -> np.ndarray:
+    pts = np.asarray(samples, dtype=np.float64)
+    return pts.reshape(-1, 1) if pts.ndim == 1 else pts
+
+
 def estimate_support(samples) -> list[tuple[float, float]]:
     """Componentwise sample extremes, one (min, max) pair per axis.
 
     The samples necessarily lie inside the true support, so the extremes
     provide a conservative, consistent estimate of it; build the grid on
-    this box when the support is unknown. A NaN or infinite coordinate
-    raises :class:`SampleOutOfDomainError` naming its row and axis.
+    this box when the support is unknown. ``samples`` is an (m, dim) array
+    (a 1-D array holds m one-dimensional samples) or a :class:`TableReader`,
+    scanned a block at a time. A NaN or infinite coordinate raises
+    :class:`SampleOutOfDomainError` naming its row and axis.
     """
-    pts = np.asarray(samples, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
-    if pts.shape[0] == 0:
+    rows, blocks = _scan(samples, _as_columns)
+    if rows == 0:
         raise EmptySampleSetError("support estimation needs samples")
-    # a column at a time: reducing a strided column is several times faster
-    # than min(axis=0) over C-ordered rows. NaN propagates through both
-    # extremes, and an infinity is one of them.
-    bounds = [(float(pts[:, n].min()), float(pts[:, n].max())) for n in range(pts.shape[1])]
-    if not all(math.isfinite(a) and math.isfinite(b) for a, b in bounds):
-        index, axis = np.argwhere(~np.isfinite(pts))[0]  # the row-major first
-        raise SampleOutOfDomainError(int(index), int(axis), float(pts[index, axis]))
+    bounds, start = None, 0
+    for pts in blocks:
+        # a column at a time: reducing a strided column is several times faster
+        # than min(axis=0) over C-ordered rows. NaN propagates through both
+        # extremes, and an infinity is one of them.
+        extremes = [(float(pts[:, n].min()), float(pts[:, n].max()))
+                    for n in range(pts.shape[1])]
+        if not all(math.isfinite(a) and math.isfinite(b) for a, b in extremes):
+            check_finite(pts, as_samples=True, offset=start)
+        bounds = extremes if bounds is None else [
+            (min(a, lo), max(b, hi)) for (a, b), (lo, hi) in zip(bounds, extremes)]
+        start += pts.shape[0]
     for axis, (lo, hi) in enumerate(bounds):
         if lo == hi:
             raise DegenerateSupportError(axis)

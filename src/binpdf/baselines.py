@@ -17,13 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import estimator
-from .errors import (
-    EmptySampleSetError,
-    NonpositiveBandwidthError,
-    OutOfDomainError,
-    SampleOutOfDomainError,
-)
-from .grid import TensorGrid, _ravel_rows, as_point, as_points
+from .errors import EmptySampleSetError, NonpositiveBandwidthError
+from .grid import TensorGrid, _ravel_rows, as_point, as_points, check_finite
 from .textio import load_grid_table, save_grid_table
 
 
@@ -61,6 +56,42 @@ class Histogram:
         return float(self.values.sum() * self.bin_volume)
 
 
+class HistogramAccumulator:
+    """Bin counts, fed the samples a block at a time.
+
+    Integer counts do not depend on the partition, so :meth:`finalize`
+    returns exactly the :func:`fit_histogram` of all the samples added.
+    :meth:`add` checks each block's domain first; the error names the
+    offending sample's row in the whole stream.
+
+    Raises :class:`GridTooLargeError` before allocating a bin array (8 bytes
+    per bin) larger than physical memory.
+    """
+
+    def __init__(self, grid: TensorGrid):
+        estimator._check_memory(grid.n_bins, "bins", "counts")
+        self.grid = grid
+        self.count = 0  # rows added
+        self._counts = np.zeros(grid.n_bins, np.int64)
+
+    def add(self, block) -> None:
+        """Count the samples of ``block``, an (m, dim) array, after checking
+        them (:class:`SampleOutOfDomainError` names the row in the stream)."""
+        pts = as_points(block, self.grid.dim)
+        for _, idx, _ in self.grid._located(pts, as_samples=True, offset=self.count):
+            flat = _ravel_rows(idx, self.grid.bin_shape)
+            self._counts += np.bincount(flat, minlength=self.grid.n_bins)
+        self.count += pts.shape[0]
+
+    def finalize(self) -> Histogram:
+        """Counts scaled by ``1 / (M * bin_volume)``; raises
+        :class:`EmptySampleSetError` if no sample was added."""
+        if self.count == 0:
+            raise EmptySampleSetError("cannot fit a histogram to zero samples")
+        values = self._counts / (self.count * float(np.prod(self.grid.deltas)))
+        return Histogram(self.grid, values, self.count)
+
+
 def fit_histogram(grid: TensorGrid, samples) -> Histogram:
     """Bin counts scaled by ``1 / (M * bin_volume)`` so the integral is one.
 
@@ -68,15 +99,11 @@ def fit_histogram(grid: TensorGrid, samples) -> Histogram:
     allocating a bin array (8 bytes per bin) larger than physical memory.
     """
     pts = as_points(samples, grid.dim)
-    m = pts.shape[0]
-    if m == 0:
+    if pts.shape[0] == 0:
         raise EmptySampleSetError("cannot fit a histogram to zero samples")
-    estimator._check_memory(grid.n_bins, "bins", "counts")
-    counts = np.zeros(grid.n_bins, np.int64)  # integer sums: exact in any chunking
-    for _, idx, _ in grid._located(pts, as_samples=True):
-        counts += np.bincount(_ravel_rows(idx, grid.bin_shape), minlength=grid.n_bins)
-    values = counts / (m * float(np.prod(grid.deltas)))
-    return Histogram(grid, values, m)
+    accumulator = HistogramAccumulator(grid)
+    accumulator.add(pts)
+    return accumulator.finalize()
 
 
 eval_histogram = Histogram.evaluate
@@ -108,9 +135,7 @@ class KdeSpec:
             raise ValueError(f"samples must be an (m, dim) array, got shape {samples.shape}")
         if samples.shape[0] == 0:
             raise EmptySampleSetError("KDE needs at least one sample")
-        if not np.isfinite(samples).all():
-            index, axis = np.argwhere(~np.isfinite(samples))[0]  # the row-major first
-            raise SampleOutOfDomainError(int(index), int(axis), float(samples[index, axis]))
+        check_finite(samples, as_samples=True)
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -137,9 +162,7 @@ def eval_kde_batch(spec: KdeSpec, points) -> np.ndarray:
     """Elementwise :func:`eval_kde`; a NaN or infinite coordinate raises
     :class:`OutOfDomainError` naming the row-major first one."""
     pts = as_points(points, spec.dim)
-    if not np.isfinite(pts).all():
-        index, axis = np.argwhere(~np.isfinite(pts))[0]
-        raise OutOfDomainError(int(axis), float(pts[index, axis]), index=int(index))
+    check_finite(pts)
     scale = spec.bandwidth**spec.dim * spec.samples.shape[0]
     out = np.empty(pts.shape[0])
     for i in range(pts.shape[0]):

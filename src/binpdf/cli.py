@@ -21,6 +21,7 @@ Gaussians with sd 2 and 1 on [-5.5, 5.5]^2).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import sys
@@ -33,9 +34,7 @@ from .errors import BinPdfError, SampleOutOfDomainError
 # numpy and the library modules are imported by the commands that run them,
 # so that --help and usage errors caught by the parser load neither.
 if TYPE_CHECKING:
-    import numpy as np
-
-    from . import analysis, sampling
+    from . import analysis, sampling, textio
     from .grid import TensorGrid
 
 _PRESETS = {
@@ -172,11 +171,10 @@ def cmd_sample(args) -> int:
         sampling.check_seed(args.seed)
     except ValueError as err:
         raise UsageError(f"bad --seed: {err}") from err
-    try:  # with the seed checked, m is the one argument sample() can reject
-        points = sampling.sample(spec, m, args.seed)
+    try:  # with the seed checked, m is the one argument a draw can reject
+        sampling.draw_samples_csv(args.out, spec, m, args.seed)
     except ValueError as err:
         raise UsageError(f"bad --m: {err}") from err
-    sampling.write_samples_csv(args.out, points, seed=args.seed)
     print(f"rows: {m}")
     return 0
 
@@ -191,13 +189,20 @@ def _grid(bounds, n_delta) -> TensorGrid:
         raise UsageError(str(err)) from err
 
 
-def _load_samples(path: str) -> np.ndarray:
+def _open_samples(path: str) -> textio.TableReader:
     from . import sampling
 
     try:
-        return sampling.read_samples_csv(path)
+        return sampling.open_samples(path)
     except ValueError as err:
         raise BinPdfError(f"could not parse sample file {path}: {err}") from err
+
+
+def _fitted(accumulator, rows: textio.TableReader):
+    """``accumulator`` fed every block of ``rows``, finalized."""
+    for block in rows.blocks():
+        accumulator.add(block)
+    return accumulator.finalize()
 
 
 def cmd_fit(args) -> int:
@@ -206,24 +211,25 @@ def cmd_fit(args) -> int:
     out = Path(args.out)
     if textio.sidecar_path(out) == out:
         raise UsageError(f"--out {out} would be overwritten by its .json sidecar")
-    samples = _load_samples(args.samples)
-    dim = samples.shape[1]
-    if args.support == "auto":
-        if args.lower is not None or args.upper is not None:
-            raise UsageError("--support auto conflicts with --lower/--upper")
-        from . import analysis
+    with _open_samples(args.samples) as rows:
+        dim = rows.shape[1]
+        if args.support == "auto":
+            if args.lower is not None or args.upper is not None:
+                raise UsageError("--support auto conflicts with --lower/--upper")
+            from . import analysis
 
-        bounds = analysis.estimate_support(samples)
-    else:
-        if args.lower is None or args.upper is None:
-            raise UsageError("either --support auto or both --lower and --upper")
-        bounds = zip(_per_axis(args.lower, dim, "--lower"), _per_axis(args.upper, dim, "--upper"))
-    grid = _grid(bounds, _per_axis(args.n_delta, dim, "--n-delta",
-                                   convert=functools.partial(_parse_count, what="--n-delta")))
+            bounds = analysis.estimate_support(rows)
+        else:
+            if args.lower is None or args.upper is None:
+                raise UsageError("either --support auto or both --lower and --upper")
+            bounds = zip(_per_axis(args.lower, dim, "--lower"),
+                         _per_axis(args.upper, dim, "--upper"))
+        grid = _grid(bounds, _per_axis(args.n_delta, dim, "--n-delta",
+                                       convert=functools.partial(_parse_count, what="--n-delta")))
 
-    t0 = time.perf_counter()
-    pdf = estimator.fit(grid, samples)
-    seconds = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        pdf = _fitted(estimator.Accumulator(grid), rows)
+        seconds = time.perf_counter() - t0
 
     estimator.save_pdf(pdf, out)
     print(f"samples: {pdf.sample_count}")
@@ -273,16 +279,18 @@ def cmd_study(args) -> int:
 
 
 def _parse_estimators(text: str) -> list[tuple[str, object]]:
-    """``(label, make_evaluator)`` pairs; ``make_evaluator(grid, samples)`` fits
-    one estimator and returns its batch evaluator."""
+    """``(label, make_evaluator)`` pairs; ``make_evaluator(grid, rows)`` fits
+    one estimator to the rows of a :class:`TableReader` and returns its
+    batch evaluator."""
     from . import baselines, estimator
 
     wanted = []
     for part in text.split(","):
         if part == "fe":
-            wanted.append(("fe", lambda g, s: estimator.fit(g, s).evaluate_batch))
+            wanted.append(("fe", lambda g, r: _fitted(estimator.Accumulator(g), r).evaluate_batch))
         elif part == "histogram":
-            wanted.append(("histogram", lambda g, s: baselines.fit_histogram(g, s).evaluate_batch))
+            wanted.append(("histogram", lambda g, r:
+                           _fitted(baselines.HistogramAccumulator(g), r).evaluate_batch))
         elif part.startswith("kde:"):
             pieces = part.split(":")
             kernel = pieces[1] if len(pieces) == 3 else "triangular"
@@ -294,9 +302,9 @@ def _parse_estimators(text: str) -> list[tuple[str, object]]:
                 raise UsageError(f"bad kde bandwidth in {part!r}") from err
             if not (math.isfinite(bandwidth) and bandwidth > 0):
                 raise UsageError(f"kde bandwidth must be finite and > 0, got {bandwidth}")
-            wanted.append((f"kde:{kernel}:{bandwidth:g}", lambda g, s, k=kernel, b=bandwidth:
+            wanted.append((f"kde:{kernel}:{bandwidth:g}", lambda g, r, k=kernel, b=bandwidth:
                            functools.partial(baselines.eval_kde_batch,
-                                             baselines.KdeSpec(k, b, s))))
+                                             baselines.KdeSpec(k, b, r.read()))))
         else:
             raise UsageError(f"unknown estimator {part!r} (fe | histogram | kde:B)")
     return wanted
@@ -305,35 +313,38 @@ def _parse_estimators(text: str) -> list[tuple[str, object]]:
 def cmd_compare(args) -> int:
     from . import analysis, baselines, textio
 
-    samples = _load_samples(args.samples)
-    ref_samples = _load_samples(args.ref_samples) if args.ref_samples else samples
-    dim = samples.shape[1]
-    if ref_samples.shape[1] != dim:
-        raise UsageError(f"--samples {args.samples} has dimension {dim} but --ref-samples "
-                         f"{args.ref_samples} has dimension {ref_samples.shape[1]}")
-    ref_m = _parse_count(args.ref_m, "--ref-m") if args.ref_m else ref_samples.shape[0]
-    fit_m = _parse_count(args.m, "--m") if args.m else samples.shape[0]
-    if ref_m > ref_samples.shape[0] or fit_m > samples.shape[0]:
-        raise UsageError("requested more samples than the file provides")
-    ref_n = _parse_count(args.ref_n_delta, "--ref-n-delta")
-    coarse_n = _parse_count(args.n_delta, "--n-delta")
-    wanted = _parse_estimators(args.estimators)
+    with contextlib.ExitStack() as stack:
+        samples = stack.enter_context(_open_samples(args.samples))
+        ref_samples = (stack.enter_context(_open_samples(args.ref_samples))
+                       if args.ref_samples else samples)
+        dim = samples.shape[1]
+        if ref_samples.shape[1] != dim:
+            raise UsageError(f"--samples {args.samples} has dimension {dim} but --ref-samples "
+                             f"{args.ref_samples} has dimension {ref_samples.shape[1]}")
+        ref_m = _parse_count(args.ref_m, "--ref-m") if args.ref_m else ref_samples.shape[0]
+        fit_m = _parse_count(args.m, "--m") if args.m else samples.shape[0]
+        if ref_m > ref_samples.shape[0] or fit_m > samples.shape[0]:
+            raise UsageError("requested more samples than the file provides")
+        ref_n = _parse_count(args.ref_n_delta, "--ref-n-delta")
+        coarse_n = _parse_count(args.n_delta, "--n-delta")
+        wanted = _parse_estimators(args.estimators)
 
-    if args.domain is None:
-        bounds = analysis.estimate_support(ref_samples)
-    else:
-        bounds = _per_axis(args.domain, dim, "--domain", sep=";", convert=_pair)
+        if args.domain is None:
+            bounds = analysis.estimate_support(ref_samples)
+        else:
+            bounds = _per_axis(args.domain, dim, "--domain", sep=";", convert=_pair)
 
-    reference = baselines.fit_histogram(_grid(bounds, (ref_n,) * dim), ref_samples[:ref_m])
-    coarse = samples[:fit_m]
-    coarse_grid = _grid(bounds, (coarse_n,) * dim)
+        reference = _fitted(baselines.HistogramAccumulator(_grid(bounds, (ref_n,) * dim)),
+                            ref_samples.head(ref_m))
+        coarse = samples.head(fit_m)
+        coarse_grid = _grid(bounds, (coarse_n,) * dim)
 
-    lines = ["estimator,n_delta,m,ref_n_delta,ref_m,rmse"]
-    for label, make_evaluator in wanted:
-        evaluator = make_evaluator(coarse_grid, coarse)
-        rmse = analysis.rmse_vs_histogram(evaluator, reference, coarse)
-        lines.append(f"{label},{coarse_n},{fit_m},{ref_n},{ref_m},{rmse:.12g}")
-        print(f"{label}: {rmse:.12g}")
+        lines = ["estimator,n_delta,m,ref_n_delta,ref_m,rmse"]
+        for label, make_evaluator in wanted:
+            evaluator = make_evaluator(coarse_grid, coarse)
+            rmse = analysis.rmse_vs_histogram(evaluator, reference, coarse)
+            lines.append(f"{label},{coarse_n},{fit_m},{ref_n},{ref_m},{rmse:.12g}")
+            print(f"{label}: {rmse:.12g}")
     textio.write_text(args.out, "\n".join(lines) + "\n")
     return 0
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptySampleSetError, GridTooLargeError
-from .grid import TensorGrid, as_point, as_points
+from .grid import _CHUNK, TensorGrid, as_point, as_points
 from .textio import load_grid_table, save_grid_table
 
 
@@ -79,14 +79,97 @@ def _check_memory(count: int, entries: str, array: str) -> None:
         )
 
 
+class Accumulator:
+    """Linear-binning node sums, fed the samples a block at a time.
+
+    :meth:`add` takes the samples in any partition into blocks, and
+    :meth:`finalize` returns the density :func:`fit` gives for all of them,
+    bit for bit: rows are scattered in chunks of ``_CHUNK`` rows that start
+    at multiples of ``_CHUNK`` in the stream, and the rows of an unfinished
+    chunk are copied and held until it fills or :meth:`finalize` scatters
+    it. :meth:`add` checks each block's domain first; the error names the
+    offending sample's row in the whole stream. Memory is one ``n_nodes``
+    array, up to one held chunk and a fixed per-chunk working set.
+    :meth:`finalize` hands the node array to the density, so it may be
+    called once.
+
+    Raises :class:`GridTooLargeError` before allocating a node array (8
+    bytes per node) larger than physical memory.
+    """
+
+    def __init__(self, grid: TensorGrid):
+        _check_memory(grid.n_nodes, "nodes", "coefficients")
+        self.grid = grid
+        self.count = 0  # rows added
+        self._sums = np.zeros(grid.n_nodes)
+        self._held = None  # the unfinished chunk's rows, in a buffer grown as they come
+        self._filled = 0  # rows of it held; always count % _CHUNK
+
+    def add(self, block) -> None:
+        """Deposit the samples of ``block``, an (m, dim) array, after checking
+        them (:class:`SampleOutOfDomainError` names the row in the stream)."""
+        if self._sums is None:
+            raise ValueError("samples added to a finalized accumulator")
+        pts = as_points(block, self.grid.dim)
+        m, start = pts.shape[0], 0
+        while start < m:
+            row = self.count + start
+            if not self._filled and m - start >= _CHUNK:  # whole chunks, in place
+                stop = m - (m - start) % _CHUNK
+                self._scatter(pts[start:stop], row)
+            else:
+                stop = min(m, start + _CHUNK - self._filled)
+                self.grid.check_in_domain(pts[start:stop], as_samples=True, offset=row)
+                held, self._filled = self._filled, self._filled + stop - start
+                if self._held is None or self._held.shape[0] < self._filled:  # grow
+                    grown = np.empty((min(_CHUNK, max(self._filled, 2 * held)), self.grid.dim))
+                    if held:
+                        grown[:held] = self._held[:held]
+                    self._held = grown
+                self._held[held : self._filled] = pts[start:stop]
+                if self._filled == _CHUNK:
+                    self._scatter(self._held, row + stop - start - _CHUNK)
+                    self._filled = 0
+            start = stop
+        self.count += m
+
+    def _scatter(self, pts: np.ndarray, row: int) -> None:
+        """Scatter whole chunks of ``pts`` (the last may be partial), row
+        ``row`` of the stream first."""
+        for _, flat, w in self.grid._stencil(pts, as_samples=True, offset=row):
+            np.add.at(self._sums, flat, w)
+
+    def finalize(self) -> PiecewiseLinearPdf:
+        """The fitted density; raises :class:`EmptySampleSetError` if no
+        sample was added."""
+        if self._sums is None:
+            raise ValueError("accumulator already finalized")
+        if self.count == 0:
+            raise EmptySampleSetError("cannot fit a density to zero samples")
+        if self._filled:
+            self._scatter(self._held[: self._filled], self.count - self._filled)
+        sums, self._sums, self._held = self._sums, None, None
+        # divide by M * C_j in place, C_j being the product of per-axis factors:
+        # delta, halved at both end nodes, applied as views of one axis's layers
+        sums /= self.count
+        nodes = sums.reshape(self.grid.node_shape)
+        for n, d in enumerate(self.grid.deltas):
+            layers = np.moveaxis(nodes, n, 0)
+            layers[1:-1] /= d
+            layers[0] /= d * 0.5
+            layers[-1] /= d * 0.5
+        return PiecewiseLinearPdf(self.grid, sums, self.count)
+
+
 def fit(grid: TensorGrid, samples, *, threads: int = 1) -> PiecewiseLinearPdf:
     """Fit the estimator to samples lying in the grid domain.
 
     Samples outside the domain, NaN and infinite coordinates included, are an
     error, not silently dropped (dropping would break the unit integral);
-    re-grid explicitly if the support was misjudged. Fixed-size chunks of
-    samples scatter their corner weights into one node array in chunk order.
-    Memory is one ``n_nodes`` array plus a fixed per-chunk working set.
+    re-grid explicitly if the support was misjudged. One :class:`Accumulator`
+    takes all the samples: fixed-size chunks scatter their corner weights
+    into one node array in chunk order. Memory is one ``n_nodes`` array plus
+    a fixed per-chunk working set.
 
     ``threads`` must be an integer >= 1 and affects neither the result nor
     the speed: ``np.add.at`` holds the GIL, so a second thread gains nothing.
@@ -107,25 +190,11 @@ def fit(grid: TensorGrid, samples, *, threads: int = 1) -> PiecewiseLinearPdf:
     if not isinstance(threads, (int, np.integer)) or threads < 1:
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     pts = as_points(samples, grid.dim)
-    m = pts.shape[0]
-    if m == 0:
+    if pts.shape[0] == 0:
         raise EmptySampleSetError("cannot fit a density to zero samples")
-    _check_memory(grid.n_nodes, "nodes", "coefficients")
-
-    sums = np.zeros(grid.n_nodes)
-    for _, flat, w in grid._stencil(pts, as_samples=True):
-        np.add.at(sums, flat, w)
-
-    # divide by M * C_j in place, C_j being the product of per-axis factors:
-    # delta, halved at both end nodes, applied as views of one axis's layers
-    sums /= m
-    nodes = sums.reshape(grid.node_shape)
-    for n, d in enumerate(grid.deltas):
-        layers = np.moveaxis(nodes, n, 0)
-        layers[1:-1] /= d
-        layers[0] /= d * 0.5
-        layers[-1] /= d * 0.5
-    return PiecewiseLinearPdf(grid, sums, m)
+    accumulator = Accumulator(grid)
+    accumulator.add(pts)
+    return accumulator.finalize()
 
 
 # -- serialization -----------------------------------------------------------

@@ -10,6 +10,8 @@ and the exact (closed-form) integral of each hat over the box. Every point
 goes through one location stream, which checks the domain before it locates:
 a point outside the closed box, NaN or infinite, raises
 :class:`OutOfDomainError` (:class:`SampleOutOfDomainError` for fit input).
+:func:`check_finite` raises the same errors on NaN or infinite coordinates
+where there is no domain.
 
 Point location uses direct index arithmetic, ``i = floor((y - a) / delta)``,
 followed by a one-step correction against the bin edge values so that the
@@ -37,9 +39,13 @@ from .errors import IndexOutOfRangeError, OutOfDomainError, SampleOutOfDomainErr
 
 MultiIndex = tuple[int, ...]
 
-# Fixed chunk size of point location: bounds the working set of every path that
-# locates, and fixes the scatter order (hence every coefficient, bit for bit).
+# Rows per chunk of fit input: fixes the scatter order (hence every coefficient,
+# bit for bit). Sample files also flow through the commands in blocks of this size.
 _CHUNK = 1 << 18
+
+# Points per chunk of every other location (evaluation, locate_bins): small
+# enough that the location buffers and the evaluation temporaries stay in cache.
+_LOCATE_CHUNK = 1 << 14
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -100,6 +106,25 @@ def _settle(p, i, row, a: float, d: float, nd: int, b: float) -> None:
     row /= d
     np.clip(row, 0.0, 1.0, out=row)
     row[p == b] = 1.0
+
+
+def check_finite(pts: np.ndarray, *, as_samples: bool = False, offset: int = 0) -> None:
+    """Raise on the row-major first NaN or infinite coordinate of ``pts``, as
+    :meth:`TensorGrid.check_in_domain` raises on one outside its domain (same
+    error types, row counted from ``offset``)."""
+    _raise_first(pts, (np.isfinite(pts[:, n]) for n in range(pts.shape[1])), as_samples, offset)
+
+
+def _raise_first(pts: np.ndarray, oks, as_samples: bool, offset: int) -> None:
+    """Raise on the row-major first ``(row, axis)`` whose entry of ``oks``, one
+    boolean column per axis, is False."""
+    offenders = [(int(ok.argmin()), n) for n, ok in enumerate(oks) if not ok.all()]
+    if offenders:
+        index, axis = min(offenders)
+        value = float(pts[index, axis])
+        if as_samples:
+            raise SampleOutOfDomainError(offset + index, axis, value)
+        raise OutOfDomainError(axis, value, index=offset + index)
 
 
 def _ravel_rows(idx: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -223,27 +248,27 @@ class TensorGrid:
 
     # -- domain checks -------------------------------------------------------
 
-    def check_in_domain(self, pts: np.ndarray, *, as_samples: bool = False) -> None:
+    def check_in_domain(
+        self, pts: np.ndarray, *, as_samples: bool = False, offset: int = 0
+    ) -> None:
         """Raise on the first point outside the closed box domain.
 
         Works axis-major: each column is tested against its scalar bounds, and
-        the offender reported is the row-major first ``(row, axis)``. NaN and
-        infinite coordinates are outside. Raises
+        the offender reported is the row-major first ``(row, axis)``, its row
+        counted from ``offset``, the row of ``pts[0]`` in a longer stream. NaN
+        and infinite coordinates are outside. Raises
         :class:`SampleOutOfDomainError` when ``as_samples`` is set (fit input),
         :class:`OutOfDomainError` otherwise.
         """
-        offenders = []  # (first bad row, axis) of every axis that has one
-        for n, (a, b) in enumerate(zip(self.lower, self.upper)):
-            ok = pts[:, n] >= a
-            ok &= pts[:, n] <= b
-            if not ok.all():
-                offenders.append((int(ok.argmin()), n))
-        if offenders:
-            index, axis = min(offenders)
-            value = float(pts[index, axis])
-            if as_samples:
-                raise SampleOutOfDomainError(index, axis, value)
-            raise OutOfDomainError(axis, value, index=index)
+
+        def inside(column, a, b):
+            ok = column >= a
+            ok &= column <= b
+            return ok
+
+        bounds = zip(self.lower, self.upper)
+        _raise_first(pts, (inside(pts[:, n], a, b) for n, (a, b) in enumerate(bounds)),
+                     as_samples, offset)
 
     # -- point location ------------------------------------------------------
 
@@ -321,34 +346,37 @@ class TensorGrid:
             bins[start : start + idx.shape[1]] = idx.T
         return bins
 
-    def _located(self, pts: np.ndarray, *, as_samples: bool = False):
+    def _located(self, pts: np.ndarray, *, as_samples: bool = False, offset: int = 0):
         """Yield ``(chunk start, idx, frac)``, the (dim, k) location of each fixed
-        ``_CHUNK`` slice of points, in one int64 and one float64 buffer that all
-        chunks share: valid until the next step, and the consumer's to overwrite.
-        :meth:`check_in_domain` (given ``as_samples``) sees every point first,
-        since the index arithmetic would turn one outside into a wrong index."""
-        self.check_in_domain(pts, as_samples=as_samples)
+        slice of points, in one int64 and one float64 buffer that all chunks
+        share: valid until the next step, and the consumer's to overwrite.
+        :meth:`check_in_domain` (given ``as_samples`` and ``offset``) sees every
+        point first, since the index arithmetic would turn one outside into a
+        wrong index. Fit input (``as_samples``) comes in slices of ``_CHUNK``,
+        which fix the scatter order; other points in slices of ``_LOCATE_CHUNK``."""
+        self.check_in_domain(pts, as_samples=as_samples, offset=offset)
         m = pts.shape[0]
-        idx = np.empty((self.dim, min(_CHUNK, m)), np.int64)
+        chunk = _CHUNK if as_samples else _LOCATE_CHUNK
+        idx = np.empty((self.dim, min(chunk, m)), np.int64)
         frac = np.empty(idx.shape)
-        for start in range(0, m, _CHUNK):
-            k = min(_CHUNK, m - start)
+        for start in range(0, m, chunk):
+            k = min(chunk, m - start)
             out = idx[:, :k], frac[:, :k]
             self._locate_with_frac(pts[start : start + k], out=out)
             yield (start, *out)
 
-    def _stencil(self, pts: np.ndarray, *, as_samples: bool = False):
+    def _stencil(self, pts: np.ndarray, *, as_samples: bool = False, offset: int = 0):
         """Yield ``(chunk start, flat node index, hat weight)`` per corner.
 
         Runs over the chunks of :meth:`_located`, which checks the domain first
-        (``as_samples`` picks the error type), and within each over the
+        (``as_samples`` and ``offset`` as there), and within each over the
         2**dim corners of every point's bin in lexicographic offset order.
         The index and weight arrays are buffers reused for every corner of a
         chunk, so consume them before asking for the next corner; the index
         array is read-only, since the next corner's index is stepped from it.
         """
         strides = [math.prod(self.node_shape[n + 1 :]) for n in range(self.dim - 1)]
-        for start, idx, frac in self._located(pts, as_samples=as_samples):
+        for start, idx, frac in self._located(pts, as_samples=as_samples, offset=offset):
             flat = _ravel_rows(idx, self.node_shape)  # stepped from corner to corner
             corner = flat.view()
             corner.flags.writeable = False  # a consumer's write would move later corners

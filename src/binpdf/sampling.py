@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptySampleSetError
-from .grid import _whole
-from .textio import read_twin, write_csv_with_twin
+from .grid import _CHUNK, _whole
+from .textio import TableReader, open_twin, write_csv_with_twin
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -270,6 +270,41 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"seed {seed} is outside the valid range [0, 2**128)")
 
 
+def _checked_count(spec: DistributionSpec, m, seed: int) -> int:
+    """``m`` as an int, once ``m`` and ``seed`` are checked as :func:`sample` documents."""
+    m = _whole(m, "m")
+    if m < 1:
+        raise EmptySampleSetError(f"sample count must be >= 1, got {m}")
+    if 8 * m * spec.dim > np.iinfo(np.intp).max:
+        raise ValueError(f"m = {m} samples of dimension {spec.dim} take {8 * m * spec.dim} "
+                         "bytes, more than any array can hold")
+    check_seed(seed)
+    return m
+
+
+def _draw(spec: DistributionSpec, m: int, seed: int, out: np.ndarray | None = None):
+    """Yield the ``m``-row draw of :func:`sample` in consecutive blocks of
+    ``_CHUNK`` rows (the last may be shorter): views of ``out``, the (m, dim)
+    array to fill, or else of one buffer that every block reuses.
+
+    Philox continues its stream from one ``random(out=...)`` call to the
+    next, so the blocks hold the bits of one ``random((m, dim))`` draw.
+    """
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    buffer = np.empty((min(_CHUNK, m), spec.dim)) if out is None else out
+    for start in range(0, m, _CHUNK):
+        k = min(_CHUNK, m - start)
+        block = buffer[:k] if out is None else out[start : start + k]
+        rng.random(out=block)
+        # in place, a row block at a time: the ppf temporaries stay in cache;
+        # every ppf is elementwise, so no bit changes
+        for first in range(0, k, _PPF_ROWS):
+            rows = block[first : first + _PPF_ROWS]
+            for n, axis in enumerate(spec.axes):
+                rows[:, n] = axis.ppf(rows[:, n])
+        yield block
+
+
 def sample(spec: DistributionSpec, m: int, seed: int) -> np.ndarray:
     """Draw ``m`` i.i.d. samples, shape (m, dim), deterministically from ``seed``.
 
@@ -278,22 +313,11 @@ def sample(spec: DistributionSpec, m: int, seed: int) -> np.ndarray:
     outside ``[0, 2**128)``, or an ``m`` whose draw no array can hold,
     raises ``ValueError``.
     """
-    m = _whole(m, "m")
-    if m < 1:
-        raise EmptySampleSetError(f"sample count must be >= 1, got {m}")
-    if 8 * m * spec.dim > np.iinfo(np.intp).max:
-        raise ValueError(f"m = {m} samples of dimension {spec.dim} take {8 * m * spec.dim} "
-                         "bytes, more than any array can hold")
-    check_seed(seed)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    u = rng.random((m, spec.dim))
-    # in place, a row block at a time: no second (m, dim) array, and the ppf
-    # temporaries stay in cache; every ppf is elementwise, so no bit changes
-    for start in range(0, m, _PPF_ROWS):
-        rows = u[start:start + _PPF_ROWS]
-        for n, axis in enumerate(spec.axes):
-            rows[:, n] = axis.ppf(rows[:, n])
-    return u
+    m = _checked_count(spec, m, seed)
+    out = np.empty((m, spec.dim))
+    for _ in _draw(spec, m, seed, out):
+        pass
+    return out
 
 
 def exact_pdf(spec: DistributionSpec, point) -> float:
@@ -305,6 +329,13 @@ def exact_pdf(spec: DistributionSpec, point) -> float:
 
 
 # -- sample CSV I/O ------------------------------------------------------------
+
+
+def _publish(path, shape: tuple[int, int], blocks, seed: int | None) -> None:
+    header = f"# dim={shape[1]} rows={shape[0]}"
+    if seed is not None:
+        header += f" seed={seed}"
+    write_csv_with_twin(path, header, shape, blocks)
 
 
 def write_samples_csv(path, samples: np.ndarray, *, seed: int | None = None) -> None:
@@ -321,25 +352,45 @@ def write_samples_csv(path, samples: np.ndarray, *, seed: int | None = None) -> 
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim == 1:
         samples = samples.reshape(-1, 1)
-    header = f"# dim={samples.shape[1]} rows={samples.shape[0]}"
-    if seed is not None:
-        header += f" seed={seed}"
-    write_csv_with_twin(path, header, samples)
+    blocks = (samples[start : start + _CHUNK] for start in range(0, samples.shape[0], _CHUNK))
+    _publish(path, samples.shape, blocks, seed)
+
+
+def draw_samples_csv(path, spec: DistributionSpec, m: int, seed: int) -> None:
+    """Publish ``sample(spec, m, seed)`` as :func:`write_samples_csv` with
+    ``seed`` does, drawing and writing a block of rows at a time, so the
+    draw is never held whole. ``m`` and ``seed`` are checked, as
+    :func:`sample` checks them, before any file is opened."""
+    m = _checked_count(spec, m, seed)
+    _publish(path, (m, spec.dim), _draw(spec, m, seed), seed)
+
+
+def _parse(path) -> np.ndarray:
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(Path(path), delimiter=",", comments="#", ndmin=2)
+
+
+def open_samples(path) -> TableReader:
+    """A :class:`TableReader` of the sample CSV at ``path``, to close after use.
+
+    When the file's twin holds the digest of its bytes (the file is hashed
+    once, here), the reader reads the twin a block at a time, bit for bit
+    what parsing gives; otherwise the whole file is parsed now. Raises
+    :class:`EmptySampleSetError` naming the file when it holds no sample
+    rows (empty or header only).
+    """
+    reader = open_twin(path)
+    if reader is None:
+        reader = TableReader(_parse(path))
+    if reader.shape[0] == 0:
+        reader.close()
+        raise EmptySampleSetError(f"sample file {path} holds no samples")
+    return reader
 
 
 def read_samples_csv(path) -> np.ndarray:
-    """Read a sample CSV back into an (m, dim) array.
-
-    When the file's twin holds the digest of its bytes, the array comes from
-    the twin, bit for bit what parsing gives; otherwise the file is parsed.
-    Raises :class:`EmptySampleSetError` naming the file when it holds no
-    sample rows (empty or header only).
-    """
-    data = read_twin(path)
-    if data is None:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            data = np.loadtxt(Path(path), delimiter=",", comments="#", ndmin=2)
-    if data.shape[0] == 0:
-        raise EmptySampleSetError(f"sample file {path} holds no samples")
-    return data
+    """Read a sample CSV back into an (m, dim) array, as :func:`open_samples`
+    reads it (the twin, or else the parse)."""
+    with open_samples(path) as reader:
+        return reader.read()

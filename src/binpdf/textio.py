@@ -27,14 +27,18 @@ A sample CSV gets a binary twin, the hidden ``.NAME.npy`` beside it: the
 SHA-256 digest of the CSV's bytes, then the array as an ``.npy`` payload.
 Hashing the CSV and reading the payload take a fraction of the time a parse
 takes, and the twin is used only while its digest matches the CSV's bytes,
-so it returns what the parse would. The CSV stays the authoritative format:
-a twin that is missing, stale or damaged is ignored, and deleting it is
-always safe.
+so it returns what the parse would. Both sides stream: the writer takes the
+rows a block at a time, and :class:`TableReader` reads the payload a block
+of ``_CHUNK`` rows at a time into one buffer, once its byte count is found
+equal to what the header's shape needs. The CSV stays the authoritative
+format: a twin that is missing, stale or damaged is ignored, and deleting
+it is always safe.
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
 import json
 import os
 from pathlib import Path
@@ -42,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BinPdfError
-from .grid import TensorGrid
+from .grid import _CHUNK, TensorGrid
 
 # Rows per formatting block; a 2-D block's text and temporaries take a few MB.
 _BLOCK_ROWS = 1 << 14
@@ -230,10 +234,8 @@ def _format_block(values: np.ndarray, words: np.ndarray, digit_words: np.ndarray
 
 
 def _csv_pieces(header: str, shape: tuple[int, int], blocks):
-    """The CSV's bytes: the header line, then one piece per block of rows.
-
-    ``blocks`` yields the rows of a ``shape`` table, ``_BLOCK_ROWS`` at a time.
-    """
+    """The CSV's bytes: the header line, then one piece per ``_BLOCK_ROWS``
+    rows of the ``shape`` table whose rows ``blocks`` yields in order."""
     rows, cols = min(_BLOCK_ROWS, shape[0]), shape[1]
     words = np.zeros((rows, cols, _FIELD_BYTES // 8), _WORD)
     words[..., 5] = ord(",") << 32
@@ -242,7 +244,9 @@ def _csv_pieces(header: str, shape: tuple[int, int], blocks):
     digit_words = _digit_words()
     yield f"{header}\n".encode()
     for block in blocks:
-        yield _format_block(np.asarray(block, dtype=np.float64).ravel(), words, digit_words)
+        block = np.asarray(block, dtype=np.float64)
+        for start in range(0, block.shape[0], _BLOCK_ROWS):
+            yield _format_block(block[start : start + _BLOCK_ROWS].ravel(), words, digit_words)
 
 
 def _twin_path(path) -> Path:
@@ -250,28 +254,47 @@ def _twin_path(path) -> Path:
     return path.with_name(f".{path.name}.npy")
 
 
-def write_csv_with_twin(path, header: str, table: np.ndarray) -> None:
+def write_csv_with_twin(path, header: str, shape: tuple[int, int], blocks) -> None:
     """Publish ``header`` as the first line, then one line of 17-digit floats
-    per row, together with the file's binary twin (see the module docstring).
+    per row of the ``shape`` table whose rows ``blocks`` yields in order,
+    together with the file's binary twin (see the module docstring).
 
+    One block is held at a time. The twin gets 32 placeholder bytes, the
+    ``.npy`` header, then each block's payload before its text is
+    formatted, and last the digest of the CSV's bytes over the placeholder.
     The CSV writes every NaN as ``nan``, which parses to the one NaN
-    ``np.nan``, so the twin holds ``np.nan`` for every NaN too; it copies the
-    table only when there is one.
+    ``np.nan``, so the twin holds ``np.nan`` for every NaN too; a block is
+    copied only when it is not C-ordered float64 or holds a NaN.
     """
     import hashlib  # here, not at module level: it maps OpenSSL, ~3.5 MB of RSS
 
     digest = hashlib.sha256()
-    blocks = (table[start:start + _BLOCK_ROWS] for start in range(0, table.shape[0], _BLOCK_ROWS))
+    rows = 0
+
+    def to_twin(twin):
+        nonlocal rows
+        for block in blocks:
+            block = np.ascontiguousarray(block, dtype=np.float64)
+            if np.isnan(block.min(initial=0.0)):  # min propagates NaN, with no temporary
+                block = np.where(np.isnan(block), np.nan, block)
+            twin.write(block)
+            rows += block.shape[0]
+            yield block
+
     # the twin is renamed first: if the CSV's rename then fails, the CSV is
     # as it was, and the new twin does not match it
     with _published(_twin_path(path), path) as (twin, fh):
-        for piece in _csv_pieces(header, table.shape, blocks):
+        twin.write(bytes(32))
+        np.lib.format.write_array_header_1_0(
+            twin, {"descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
+                   "fortran_order": False, "shape": tuple(shape)})
+        for piece in _csv_pieces(header, shape, to_twin(twin)):
             fh.write(piece)
             digest.update(piece)
+        if rows != shape[0]:
+            raise ValueError(f"blocks held {rows} rows, not the {shape[0]} of shape {shape}")
+        twin.seek(0)
         twin.write(digest.digest())
-        if np.isnan(table.min(initial=0.0)):  # min propagates NaN, with no temporary
-            table = np.where(np.isnan(table), np.nan, table)
-        np.lib.format.write_array(twin, table)  # straight from the array, no copy
 
 
 def _sha256(path) -> bytes:
@@ -284,22 +307,107 @@ def _sha256(path) -> bytes:
     return digest.digest()
 
 
-def read_twin(path) -> np.ndarray | None:
-    """The 2-D float64 array in the twin of the CSV at ``path``, or None.
+class TableReader:
+    """The rows of a 2-D float64 table, served a block of at most ``_CHUNK``
+    rows at a time.
+
+    Made by :func:`open_twin` over a twin, each pass of :meth:`blocks` reads
+    the payload into one reused buffer from the twin's handle, which stays
+    open until :meth:`close`; made from an array, it serves slices of it.
+    ``shape`` is the table's; :meth:`head` serves its first rows alone.
+    """
+
+    def __init__(self, table: np.ndarray | None = None, *, twin=None, shape=None):
+        self._table, self._twin = table, twin
+        self._payload = twin.tell() if twin is not None else 0
+        self.shape = tuple(shape if table is None else table.shape)
+
+    def head(self, rows: int) -> TableReader:
+        """A reader of the first ``rows`` rows, sharing this one's source (and
+        its handle: close this one, not the head)."""
+        head = copy.copy(self)
+        head.shape = (rows, self.shape[1])
+        return head
+
+    def blocks(self, out: np.ndarray | None = None):
+        """Yield the rows in consecutive blocks of ``_CHUNK`` (the last may be
+        shorter): slices of the array, or of ``out``, a ``shape`` array to
+        read into, or else of one buffer that every block of the pass reuses
+        (valid until the next step). Each pass has its own buffer and reads
+        each block at its own offset, so passes may run side by side."""
+        rows, cols = self.shape
+        if self._table is not None:
+            for start in range(0, rows, _CHUNK):
+                yield self._table[start : min(start + _CHUNK, rows)]
+            return
+        buffer = np.empty((min(_CHUNK, rows), cols)) if out is None else out
+        for start in range(0, rows, _CHUNK):
+            k = min(_CHUNK, rows - start)
+            block = buffer[:k] if out is None else out[start : start + k]
+            self._twin.seek(self._payload + 8 * cols * start)  # passes may interleave
+            if self._twin.readinto(block) != block.nbytes:
+                raise BinPdfError(f"{self._twin.name} was truncated while it was read")
+            yield block
+
+    def read(self) -> np.ndarray:
+        """The whole table, in one array."""
+        if self._table is not None:
+            return self._table[: self.shape[0]]
+        out = np.empty(self.shape)
+        for _ in self.blocks(out):
+            pass
+        return out
+
+    def close(self) -> None:
+        if self._twin is not None:
+            self._twin.close()
+
+    def __enter__(self) -> TableReader:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def open_twin(path) -> TableReader | None:
+    """A reader of the twin of the CSV at ``path``, or None.
 
     None when there is no twin, when its digest does not match the CSV's
     bytes (the CSV was edited or replaced, or the twin belongs to another
-    file), or when the twin is truncated or not a twin at all. Never raises:
-    the caller then parses the CSV.
+    file), or when its payload is not exactly the C-ordered 2-D float64
+    table its ``.npy`` header describes (a truncated twin, or not a twin at
+    all); the sizes are compared before a row is read. Never raises: the
+    caller then parses the CSV. The CSV is hashed once, here.
     """
     try:
-        with open(_twin_path(path), "rb") as twin:
-            if twin.read(32) != _sha256(path):  # a SHA-256 digest is 32 bytes
-                return None
-            table = np.lib.format.read_array(twin)  # np.fromfile, no copy
-    except (OSError, ValueError):
+        twin = open(_twin_path(path), "rb")
+    except OSError:
         return None
-    return table if table.dtype == np.float64 and table.ndim == 2 else None
+    try:
+        if twin.read(32) == _sha256(path) and np.lib.format.read_magic(twin) == (1, 0):
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(twin)
+            payload = os.fstat(twin.fileno()).st_size - twin.tell()
+            if (dtype == np.float64 and not fortran_order and len(shape) == 2
+                    and payload == 8 * shape[0] * shape[1]):
+                return TableReader(twin=twin, shape=shape)
+    except (OSError, ValueError):
+        pass
+    twin.close()
+    return None
+
+
+def read_twin(path) -> np.ndarray | None:
+    """The 2-D float64 array in the twin of the CSV at ``path``, or None
+    where :func:`open_twin` gives None. Never raises: the caller then parses
+    the CSV."""
+    reader = open_twin(path)
+    if reader is None:
+        return None
+    with reader:
+        try:
+            return reader.read()
+        except (OSError, BinPdfError):
+            return None
 
 
 def sidecar_path(path: Path) -> Path:

@@ -1,6 +1,7 @@
 """Command-line interface: flags, exit codes, files, and determinism."""
 
 import errno
+import io
 import os
 import signal
 import subprocess
@@ -23,6 +24,7 @@ from binpdf import (
 import binpdf
 from binpdf import textio
 from binpdf.cli import main
+from binpdf.grid import _CHUNK
 
 NAN_ROW = "# dim=2 rows=3\n0.5,0.25\nnan,0.1\n-1.0,2.0\n"
 
@@ -458,7 +460,9 @@ def test_compare_files_of_different_dimensions_is_usage_error(tmp_path, capsys, 
         raise AssertionError("fitted before rejecting the sample files")
 
     monkeypatch.setattr("binpdf.baselines.fit_histogram", no_fit)
+    monkeypatch.setattr("binpdf.baselines.HistogramAccumulator", no_fit)
     monkeypatch.setattr("binpdf.estimator.fit", no_fit)
+    monkeypatch.setattr("binpdf.estimator.Accumulator", no_fit)
     monkeypatch.chdir(tmp_path)
     rng = np.random.default_rng(6)
     write_samples_csv("two.csv", rng.normal(size=(100, 2)))
@@ -497,6 +501,7 @@ def test_output_its_companion_file_would_overwrite_is_usage_error(
         raise AssertionError("read or drew samples before rejecting --out")
 
     monkeypatch.setattr("binpdf.sampling.read_samples_csv", no_samples)
+    monkeypatch.setattr("binpdf.sampling.open_samples", no_samples)
     monkeypatch.setattr("binpdf.analysis.sample", no_samples)
     monkeypatch.chdir(tmp_path)
     code, _, stderr = run(capsys, *argv)
@@ -517,7 +522,8 @@ def test_out_without_a_file_name_is_usage_error(tmp_path, capsys, monkeypatch, a
     def no_samples(*args):
         raise AssertionError("read or drew samples before rejecting --out")
 
-    for name in ("sampling.read_samples_csv", "sampling.sample", "analysis.sample"):
+    for name in ("sampling.read_samples_csv", "sampling.open_samples", "sampling.sample",
+                 "sampling.draw_samples_csv", "analysis.sample"):
         monkeypatch.setattr(f"binpdf.{name}", no_samples)
     monkeypatch.chdir(tmp_path)
     code, _, stderr = run(capsys, *argv, "--out", out)
@@ -535,6 +541,7 @@ def test_window_without_probability_is_usage_error(tmp_path, capsys, monkeypatch
         raise AssertionError("drew samples from a window without probability")
 
     monkeypatch.setattr("binpdf.sampling.sample", no_sampling)
+    monkeypatch.setattr("binpdf.sampling._draw", no_sampling)
     monkeypatch.setattr("binpdf.analysis.sample", no_sampling)
     code, _, stderr = run(capsys, *argv, "--out", str(tmp_path / "out.csv"))
     assert code == 2
@@ -600,7 +607,7 @@ def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
     def no_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 7.28 TiB for an array")
 
-    monkeypatch.setattr("binpdf.estimator.fit", no_memory)
+    monkeypatch.setattr("binpdf.estimator.Accumulator", no_memory)
     samples = tmp_path / "s.csv"
     samples.write_text("0.5,0.5\n0.6,0.6\n")
     out = tmp_path / "pdf.csv"
@@ -800,3 +807,82 @@ def test_no_worker_outlives_a_signalled_study(tmp_path, signum):
         proc.kill()
         proc.wait()
         proc.stderr.close()
+
+
+class TestStreamedSampleFiles:
+    """fit and compare read a sample file a block of 2**18 rows at a time."""
+
+    FIT = ["fit", "--lower=-5.5", "--upper=5.5", "--n-delta", "8", "--out", "pdf.csv"]
+    FIT_AUTO = ["fit", "--support", "auto", "--n-delta", "8", "--out", "pdf.csv"]
+    COMPARE = ["compare", "--domain=-5.5,5.5", "--ref-n-delta", "8", "--n-delta", "4",
+               "--out", "t.csv"]
+    COMPARE_AUTO = ["compare", "--ref-n-delta", "8", "--n-delta", "4", "--out", "t.csv"]
+
+    @pytest.mark.parametrize("argv, value", [
+        (FIT, "nan"), (FIT, "7.5"), (FIT_AUTO, "nan"), (FIT_AUTO, "-inf"),
+        (COMPARE, "nan"), (COMPARE, "7.5"), (COMPARE_AUTO, "nan"),
+    ], ids=["fit-nan", "fit-outside", "fit-auto-nan", "fit-auto-inf", "compare-nan",
+            "compare-outside", "compare-auto-nan"])
+    def test_bad_row_in_a_later_block_names_its_row(self, tmp_path, capsys, monkeypatch,
+                                                    argv, value):
+        monkeypatch.chdir(tmp_path)
+        pts = np.random.default_rng(8).uniform(-5, 5, size=(_CHUNK + 100, 2))
+        row = _CHUNK + 37
+        pts[row, 1] = float(value)
+        write_samples_csv("s.csv", pts)
+        code, _, stderr = run(capsys, argv[0], "--samples", "s.csv", *argv[1:])
+        where = "outside the grid domain" if value == "7.5" else "not finite"
+        assert code == 1
+        assert stderr == f"error: sample row {row}: coordinate {float(value)!r} on axis 1 is {where}\n"
+        assert not Path(argv[-1]).exists()
+
+    def test_twin_whose_header_claims_more_rows_is_ignored(self, tmp_path, capsys, monkeypatch):
+        # the digest matches, the payload holds 100 rows, the header claims 10**12:
+        # the twin is ignored before a row is read, and the CSV is parsed
+        monkeypatch.chdir(tmp_path)
+        write_samples_csv("s.csv", np.random.default_rng(9).normal(size=(100, 2)))
+        twin = Path(".s.csv.npy")
+        data = twin.read_bytes()
+        header = io.BytesIO()  # as long as the true header: both pad to 128 bytes
+        np.lib.format.write_array_header_1_0(
+            header, {"descr": "<f8", "fortran_order": False, "shape": (10**12, 2)})
+        twin.write_bytes(data[:32] + header.getvalue() + data[32 + len(header.getvalue()):])
+        assert run(capsys, "fit", "--samples", "s.csv", "--support", "auto", "--n-delta", "4",
+                   "--out", "pdf.csv")[0] == 0
+        twin.unlink()
+        assert run(capsys, "fit", "--samples", "s.csv", "--support", "auto", "--n-delta", "4",
+                   "--out", "bare.csv")[0] == 0
+        assert Path("pdf.csv").read_bytes() == Path("bare.csv").read_bytes()
+
+    @pytest.mark.slow
+    def test_peak_memory_does_not_grow_with_rows(self, tmp_path):
+        # each command's own peak RSS, from wait4 in a small launcher process: a
+        # child's peak starts at its parent's RSS when it is forked
+        src = str(Path(binpdf.__file__).resolve().parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        launcher = ("import os, subprocess, sys\n"
+                    "child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+                    "_, status, usage = os.wait4(child.pid, 0)\n"
+                    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024)\n")
+
+        def peak_mb(*argv):
+            out = subprocess.run([sys.executable, "-c", launcher, sys.executable, "-m",
+                                  "binpdf.cli", *argv], cwd=tmp_path, env=env, check=True,
+                                 capture_output=True, text=True).stdout.split()
+            assert out[0] == "0"
+            return float(out[1])
+
+        peaks = {}
+        for rows in (2**18, 2**21):
+            out = f"s{rows}.csv"
+            peaks[rows] = [
+                peak_mb("sample", "--dist", "mixed2d", "--m", str(rows), "--out", out),
+                peak_mb("fit", "--samples", out, "--lower=-5.5", "--upper=5.5",
+                        "--n-delta", "64", "--out", "pdf.csv"),
+                peak_mb("compare", "--samples", out, "--ref-n-delta", "256", "--n-delta", "32",
+                        "--m", str(2**18), "--estimators", "fe,histogram", "--out", "t.csv"),
+            ]
+        # the larger file's twin alone is 32 MB
+        for small, large in zip(peaks[2**18], peaks[2**21]):
+            assert large < small + 3, peaks

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binpdf import (
     EmptySampleSetError,
@@ -20,6 +22,8 @@ from binpdf import (
     save_pdf,
 )
 
+from binpdf.baselines import HistogramAccumulator
+from binpdf.estimator import Accumulator
 from binpdf.grid import _CHUNK
 from test_grid import LOCATE_GRIDS, edge_points, hat_value, rowmajor_locate
 
@@ -458,3 +462,83 @@ class TestSerialization:
         loaded = load_pdf(tmp_path / "p.csv")
         pts = rng.uniform(0.0, 11.0, size=200)
         np.testing.assert_array_equal(pdf.evaluate_batch(pts), loaded.evaluate_batch(pts))
+
+
+def fed(accumulator, pts, sizes):
+    """``accumulator`` fed ``pts`` in blocks of ``sizes`` rows, then the rest
+    as one block, and finalized."""
+    start = 0
+    for size in sizes:
+        accumulator.add(pts[start : start + size])
+        start += size
+    accumulator.add(pts[start:])
+    return accumulator.finalize()
+
+
+# block sizes around the chunk boundary, where the held remainder matters
+BLOCK_SIZES = st.one_of(st.sampled_from([1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1]),
+                        st.integers(1, 3 * _CHUNK))
+
+
+class TestAccumulator:
+    GRID = TensorGrid((0.0, 0.0), (1.0, 1.0), (8, 8))
+    # three chunks, the last partial
+    PTS = np.random.default_rng(11).random((2 * _CHUNK + 777, 2))
+    FIT = fit(GRID, PTS)
+    HISTOGRAM = fit_histogram(GRID, PTS)
+
+    @settings(derandomize=True, database=None, max_examples=20, deadline=None)
+    @given(st.lists(BLOCK_SIZES, max_size=12))
+    def test_any_partition_gives_the_fit_bit_for_bit(self, sizes):
+        pdf = fed(Accumulator(self.GRID), self.PTS, sizes)
+        assert pdf.sample_count == self.PTS.shape[0]
+        assert np.array_equal(pdf.coefficients, self.FIT.coefficients)
+        histogram = fed(HistogramAccumulator(self.GRID), self.PTS, sizes)
+        assert histogram.sample_count == self.PTS.shape[0]
+        assert np.array_equal(histogram.values, self.HISTOGRAM.values)
+
+    @pytest.mark.parametrize("sizes", [
+        [_CHUNK - 3] + [1] * 6,  # one-row blocks across a chunk boundary
+        [_CHUNK - 1] * 3,
+        [_CHUNK + 1] * 2,
+        [1000] * 5 + [_CHUNK],
+    ], ids=["rows", "chunk-1", "chunk+1", "held-then-whole"])
+    def test_partitions_around_chunk_boundaries(self, sizes):
+        assert np.array_equal(fed(Accumulator(self.GRID), self.PTS, sizes).coefficients,
+                              self.FIT.coefficients)
+
+    @pytest.mark.parametrize("make", [Accumulator, HistogramAccumulator])
+    @pytest.mark.parametrize("value", [np.nan, 1.5, -np.inf])
+    @pytest.mark.parametrize("sizes, row", [
+        ([_CHUNK], _CHUNK + 5),  # a whole chunk, then a bad row in the next block
+        ([1000, 1000], 2500),  # held rows
+        ([_CHUNK - 10], _CHUNK + 20),  # a block that fills the held chunk and goes on
+    ], ids=["whole", "held", "filling"])
+    def test_bad_row_in_a_later_block_names_its_row_in_the_stream(self, make, value, sizes, row):
+        pts = self.PTS.copy()
+        pts[row, 1] = value
+        accumulator = make(self.GRID)
+        with pytest.raises(SampleOutOfDomainError) as err:
+            fed(accumulator, pts, sizes)
+        assert (err.value.index, err.value.axis) == (row, 1)
+        np.testing.assert_equal(err.value.value, value)
+
+    def test_no_samples_and_finalized_accumulators_raise(self):
+        with pytest.raises(EmptySampleSetError):
+            Accumulator(self.GRID).finalize()
+        with pytest.raises(EmptySampleSetError):
+            HistogramAccumulator(self.GRID).finalize()
+        accumulator = Accumulator(self.GRID)
+        accumulator.add(self.PTS[:10])
+        accumulator.finalize()
+        with pytest.raises(ValueError, match="finalized"):
+            accumulator.add(self.PTS[:10])
+        with pytest.raises(ValueError, match="finalized"):
+            accumulator.finalize()
+
+    def test_grid_beyond_physical_memory_raises_before_allocating(self, monkeypatch):
+        monkeypatch.setattr("binpdf.estimator._physical_memory", lambda: 799)
+        with pytest.raises(GridTooLargeError):
+            Accumulator(TensorGrid((0.0,), (1.0,), (99,)))
+        with pytest.raises(GridTooLargeError):
+            HistogramAccumulator(TensorGrid((0.0,), (1.0,), (100,)))

@@ -15,7 +15,7 @@ from binpdf import (
     fit,
     fit_histogram,
 )
-from binpdf.grid import _CHUNK
+from binpdf.grid import _CHUNK, check_finite
 from binpdf.grid import _settle as settle
 
 
@@ -388,6 +388,29 @@ class TestCheckInDomain:
 
 
 OUTSIDE_UNIT_BOX = [-0.5, 1.7, np.nan, -np.inf]
+
+
+class TestCheckFinite:
+    @pytest.mark.parametrize("as_samples", [False, True])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_names_the_row_major_first_offender_from_the_offset(self, as_samples, value):
+        pts = np.full((50, 3), 1e300)
+        pts[20, 2] = pts[21, 0] = pts[40, 1] = value
+        with pytest.raises(SampleOutOfDomainError if as_samples else OutOfDomainError) as err:
+            check_finite(pts, as_samples=as_samples, offset=1000)
+        assert as_samples or not isinstance(err.value, SampleOutOfDomainError)
+        assert (err.value.index, err.value.axis) == (1020, 2)
+        np.testing.assert_equal(err.value.value, value)
+
+    def test_finite_points_pass(self):
+        check_finite(np.array([[1.7976931348623157e308, -5e-324]]))
+        check_finite(np.empty((0, 2)))
+
+    def test_domain_check_counts_rows_from_the_offset(self):
+        grid = TensorGrid((0.0,), (1.0,), (4,))
+        with pytest.raises(SampleOutOfDomainError) as err:
+            grid.check_in_domain(np.array([[0.5], [1.5]]), as_samples=True, offset=7)
+        assert (err.value.index, err.value.axis, err.value.value) == (8, 0, 1.5)
 
 
 def second_chunk_offenders(value):

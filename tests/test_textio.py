@@ -3,6 +3,7 @@ publication of several files, all or none; and the sample CSV's binary twin,
 which reads back exactly what parsing gives."""
 
 import errno
+import hashlib
 import io
 import json
 import os
@@ -33,6 +34,9 @@ from binpdf import (
     write_samples_csv,
 )
 from binpdf import textio
+from binpdf.cli import main
+from binpdf.grid import _CHUNK
+from binpdf.sampling import open_samples
 from binpdf.textio import _BLOCK_ROWS, read_twin, save_grid_table
 
 # bins per axis that put each table over one block but not on a block multiple
@@ -386,7 +390,8 @@ class TestTwin:
         assert_same_bits(read_samples_csv(tmp_path / "s.csv"), pts)
 
     @pytest.mark.parametrize("damage", ["edited digit", "truncated twin", "foreign twin",
-                                        "empty twin", "no twin", "1-D payload", "int payload"])
+                                        "empty twin", "no twin", "1-D payload", "int payload",
+                                        "lying header"])
     def test_damaged_or_stale_twin_falls_back_to_the_parse(self, tmp_path, damage):
         path, twin = tmp_path / "a.csv", tmp_path / ".a.csv.npy"
         rng = np.random.default_rng(2)
@@ -405,6 +410,12 @@ class TestTwin:
             shutil.copyfile(tmp_path / ".b.csv.npy", twin)
         elif damage == "empty twin":
             twin.write_bytes(b"")
+        elif damage == "lying header":  # the right digest and payload, the header claiming 10**12 rows
+            header = io.BytesIO()
+            np.lib.format.write_array_header_1_0(
+                header, {"descr": "<f8", "fortran_order": False, "shape": (10**12, 2)})
+            data = twin.read_bytes()
+            twin.write_bytes(data[:32] + header.getvalue() + data[32 + len(header.getvalue()):])
         elif damage.endswith("payload"):  # the right digest before a payload of another kind
             payload = io.BytesIO()
             np.lib.format.write_array(payload, parse(path).ravel() if damage == "1-D payload"
@@ -416,6 +427,16 @@ class TestTwin:
             warnings.simplefilter("error")
             assert read_twin(path) is None
             assert_same_bits(read_samples_csv(path), parse(path))
+
+    def test_twin_holds_the_digest_then_the_npy_of_the_table(self, tmp_path):
+        pts = np.random.default_rng(3).normal(size=(_CHUNK + 5, 2))
+        pts[7, 1] = -np.nan  # written as nan, so the twin holds np.nan
+        write_samples_csv(tmp_path / "s.csv", np.asfortranarray(pts))
+        expected = io.BytesIO()
+        np.lib.format.write_array(expected, np.where(np.isnan(pts), np.nan, pts))
+        data = (tmp_path / ".s.csv.npy").read_bytes()
+        assert data[:32] == hashlib.sha256((tmp_path / "s.csv").read_bytes()).digest()
+        assert data[32:] == expected.getvalue()
 
     def test_failed_publication_leaves_the_csv_as_it_was(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -434,3 +455,57 @@ class TestTwin:
         assert read_twin(path).shape == (0, 2)
         with pytest.raises(EmptySampleSetError, match="empty.csv"):
             read_samples_csv(path)
+
+
+class TestTableReader:
+    PTS = np.random.default_rng(4).normal(size=(2 * _CHUNK + 9, 2))
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        write_samples_csv(tmp_path / "s.csv", self.PTS)
+        return tmp_path / "s.csv"
+
+    def test_twin_blocks_reuse_one_buffer_and_a_second_pass_rereads(self, path):
+        with open_samples(path) as reader:
+            assert reader.shape == self.PTS.shape
+            for _ in range(2):
+                blocks = [block.copy() for block in reader.blocks()]
+                assert [b.shape[0] for b in blocks] == [_CHUNK, _CHUNK, 9]
+                assert_same_bits(np.concatenate(blocks), self.PTS)
+            first, second, _ = reader.blocks()
+            assert np.shares_memory(first, second)
+            for whole, head in zip(reader.blocks(), reader.head(_CHUNK + 1).blocks()):
+                assert_same_bits(whole[: head.shape[0]], head)
+            assert_same_bits(reader.head(_CHUNK + 1).read(), self.PTS[: _CHUNK + 1])
+            assert_same_bits(reader.read(), self.PTS)
+
+    def test_a_csv_without_a_twin_is_parsed_once(self, path, monkeypatch):
+        (path.parent / ".s.csv.npy").unlink()
+        calls = []
+        loadtxt = np.loadtxt
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counted)
+        with open_samples(path) as reader:
+            for _ in range(2):
+                assert_same_bits(np.concatenate(list(reader.blocks())), self.PTS)
+            assert_same_bits(reader.head(10).read(), self.PTS[:10])
+        assert len(calls) == 1
+
+    def test_the_csv_is_hashed_once_per_command(self, path, tmp_path, monkeypatch):
+        calls = []
+        sha256 = textio._sha256
+        monkeypatch.setattr(textio, "_sha256", lambda p: calls.append(p) or sha256(p))
+        assert main(["compare", "--samples", str(path), "--ref-n-delta", "16", "--n-delta",
+                     "4", "--m", "1000", "--estimators", "fe,histogram",
+                     "--out", str(tmp_path / "t.csv")]) == 0
+        assert calls == [str(path)]
+
+    def test_a_twin_truncated_while_it_is_read_raises(self, path):
+        with open_samples(path) as reader:
+            os.truncate(path.parent / ".s.csv.npy", 1000)
+            with pytest.raises(BinPdfError, match="truncated"):
+                reader.read()
