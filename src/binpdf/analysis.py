@@ -35,7 +35,7 @@ from .errors import (
     TooFewPointsError,
     UnsupportedOrderError,
 )
-from .grid import _CHUNK, _LOCATE_CHUNK, TensorGrid, _whole, as_points, check_finite
+from .grid import _CHUNK, TensorGrid, _whole, as_points, check_finite
 from .sampling import DistributionSpec, check_seed, sample
 from .textio import TableReader, write_text
 
@@ -62,7 +62,7 @@ def _scan(samples, points) -> tuple[int, object]:
 def _rmse(reference_eval, approx_eval, samples, dim: int, reference_count=None) -> float:
     """RMS difference of two evaluators at the samples; warns on a small reference.
 
-    Both evaluators are pointwise, so evaluating them ``_LOCATE_CHUNK`` points
+    Both evaluators are pointwise, so evaluating them ``_CHUNK`` points
     at a time gives the bits of one whole-array call and holds one chunk's
     temporaries instead of the whole sample's; of the samples only the
     per-point differences are held.
@@ -79,8 +79,8 @@ def _rmse(reference_eval, approx_eval, samples, dim: int, reference_count=None) 
     diff = np.empty(rows)
     at = 0
     for block in blocks:
-        for start in range(0, block.shape[0], _LOCATE_CHUNK):
-            pts = block[start : start + _LOCATE_CHUNK]
+        for start in range(0, block.shape[0], _CHUNK):
+            pts = block[start : start + _CHUNK]
             chunk = diff[at : at + pts.shape[0]]
             chunk[:] = reference_eval(pts)
             chunk -= approx_eval(pts)
@@ -332,13 +332,13 @@ def _seed_runs(spec, params, grids, holdout: bool, seed: int) -> list[tuple[floa
 def _seed_bytes(dim: int, params, holdout: bool) -> int:
     """Peak memory of one :func:`_seed_runs`, from above: the draw (two with
     a held-out set), the RMSE's per-point differences, the largest level's node
-    array, ``8 + 2 * dim`` chunk-sized arrays of location buffers and
-    evaluation temporaries, and 8 MiB that a seed takes at any size."""
+    array, ``2 + 2 * dim`` chunk-sized arrays of location buffers and
+    evaluation temporaries, and 7 MiB that a seed takes at any size."""
     max_m = max(m for _, m in params)
     nodes = max((n_delta + 1) ** dim for n_delta, _ in params)
     chunk = min(_CHUNK, max_m)
     draws = max_m * dim * (2 if holdout else 1)
-    return 8 * (draws + max_m + nodes + (8 + 2 * dim) * chunk + 2**20)
+    return 8 * (draws + max_m + nodes + (2 + 2 * dim) * chunk) + 7 * 2**20
 
 
 def _memory_budget() -> int | None:

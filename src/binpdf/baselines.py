@@ -18,7 +18,7 @@ import numpy as np
 
 from . import estimator
 from .errors import EmptySampleSetError, NonpositiveBandwidthError
-from .grid import TensorGrid, _ravel_rows, as_point, as_points, check_finite
+from .grid import _CHUNK, TensorGrid, _ravel_rows, as_point, as_points, check_finite
 from .textio import load_grid_table, save_grid_table
 
 
@@ -62,7 +62,9 @@ class HistogramAccumulator:
     Integer counts do not depend on the partition, so :meth:`finalize`
     returns exactly the :func:`fit_histogram` of all the samples added.
     :meth:`add` checks each block's domain first; the error names the
-    offending sample's row in the whole stream.
+    offending sample's row in the whole stream. Memory is one ``n_bins``
+    array and a fixed per-chunk working set: :meth:`finalize` turns the
+    counts into the values in place, so it may be called once.
 
     Raises :class:`GridTooLargeError` before allocating a bin array (8 bytes
     per bin) larger than physical memory.
@@ -77,18 +79,25 @@ class HistogramAccumulator:
     def add(self, block) -> None:
         """Count the samples of ``block``, an (m, dim) array, after checking
         them (:class:`SampleOutOfDomainError` names the row in the stream)."""
+        if self._counts is None:
+            raise ValueError("samples added to a finalized accumulator")
         pts = as_points(block, self.grid.dim)
         for _, idx, _ in self.grid._located(pts, as_samples=True, offset=self.count):
-            flat = _ravel_rows(idx, self.grid.bin_shape)
-            self._counts += np.bincount(flat, minlength=self.grid.n_bins)
+            np.add.at(self._counts, _ravel_rows(idx, self.grid.bin_shape), 1)
         self.count += pts.shape[0]
 
     def finalize(self) -> Histogram:
         """Counts scaled by ``1 / (M * bin_volume)``; raises
         :class:`EmptySampleSetError` if no sample was added."""
+        if self._counts is None:
+            raise ValueError("accumulator already finalized")
         if self.count == 0:
             raise EmptySampleSetError("cannot fit a histogram to zero samples")
-        values = self._counts / (self.count * float(np.prod(self.grid.deltas)))
+        counts, self._counts = self._counts, None
+        scale = self.count * float(np.prod(self.grid.deltas))
+        values = counts.view(np.float64)  # a chunk at a time: numpy copies an overlapping input
+        for start in range(0, counts.size, _CHUNK):
+            np.divide(counts[start : start + _CHUNK], scale, out=values[start : start + _CHUNK])
         return Histogram(self.grid, values, self.count)
 
 

@@ -54,8 +54,13 @@ class PiecewiseLinearPdf:
         return values
 
     def integral(self) -> float:
-        """Integral over the domain: sum of F_j * C_j."""
-        return float(self.coefficients @ self.grid.basis_integrals())
+        """Integral over the domain: sum of F_j * C_j, with C_j the product of
+        per-axis hat integrals contracted one axis at a time, last first, so no
+        node-sized array is built."""
+        total = self.coefficients.reshape(self.grid.node_shape)
+        for factor in reversed(self.grid._axis_hat_integrals()):
+            total = total @ factor
+        return float(total)
 
 
 def _physical_memory() -> int | None:

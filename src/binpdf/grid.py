@@ -39,13 +39,10 @@ from .errors import IndexOutOfRangeError, OutOfDomainError, SampleOutOfDomainErr
 
 MultiIndex = tuple[int, ...]
 
-# Rows per chunk of fit input: fixes the scatter order (hence every coefficient,
-# bit for bit). Sample files also flow through the commands in blocks of this size.
-_CHUNK = 1 << 18
-
-# Points per chunk of every other location (evaluation, locate_bins): small
-# enough that the location buffers and the evaluation temporaries stay in cache.
-_LOCATE_CHUNK = 1 << 14
+# Rows per chunk of every stream: the draw, sample files, the fit's scatter (whose
+# order, hence every coefficient's bits, it fixes), histogram counts, location and
+# evaluation. Small enough that a chunk's buffers and temporaries stay in cache.
+_CHUNK = 1 << 14
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -347,20 +344,21 @@ class TensorGrid:
         return bins
 
     def _located(self, pts: np.ndarray, *, as_samples: bool = False, offset: int = 0):
-        """Yield ``(chunk start, idx, frac)``, the (dim, k) location of each fixed
-        slice of points, in one int64 and one float64 buffer that all chunks
-        share: valid until the next step, and the consumer's to overwrite.
+        """Yield ``(chunk start, idx, frac)``, the (dim, k) location of each
+        ``_CHUNK`` slice of points, in one int64 and one float64 buffer that all
+        chunks share: valid until the next step, and the consumer's to overwrite.
         :meth:`check_in_domain` (given ``as_samples`` and ``offset``) sees every
-        point first, since the index arithmetic would turn one outside into a
-        wrong index. Fit input (``as_samples``) comes in slices of ``_CHUNK``,
-        which fix the scatter order; other points in slices of ``_LOCATE_CHUNK``."""
-        self.check_in_domain(pts, as_samples=as_samples, offset=offset)
+        point first, a slice at a time, since the index arithmetic would turn
+        one outside into a wrong index."""
         m = pts.shape[0]
-        chunk = _CHUNK if as_samples else _LOCATE_CHUNK
-        idx = np.empty((self.dim, min(chunk, m)), np.int64)
+        starts = range(0, m, _CHUNK)
+        for start in starts:  # in row order: the first slice to raise holds the first offender
+            self.check_in_domain(pts[start : start + _CHUNK], as_samples=as_samples,
+                                 offset=offset + start)
+        idx = np.empty((self.dim, min(_CHUNK, m)), np.int64)
         frac = np.empty(idx.shape)
-        for start in range(0, m, chunk):
-            k = min(chunk, m - start)
+        for start in starts:
+            k = min(_CHUNK, m - start)
             out = idx[:, :k], frac[:, :k]
             self._locate_with_frac(pts[start : start + k], out=out)
             yield (start, *out)

@@ -29,7 +29,6 @@ from .textio import TableReader, open_twin, write_csv_with_twin
 
 
 _SQRT2 = math.sqrt(2.0)
-_PPF_ROWS = 2**16  # rows per block in sample()
 
 # AS 241 (numerator, denominator) coefficients, constant term first: the
 # central branch in r = 0.180625 - q**2, and the tails in s - 1.6 for s <= 5
@@ -296,12 +295,8 @@ def _draw(spec: DistributionSpec, m: int, seed: int, out: np.ndarray | None = No
         k = min(_CHUNK, m - start)
         block = buffer[:k] if out is None else out[start : start + k]
         rng.random(out=block)
-        # in place, a row block at a time: the ppf temporaries stay in cache;
-        # every ppf is elementwise, so no bit changes
-        for first in range(0, k, _PPF_ROWS):
-            rows = block[first : first + _PPF_ROWS]
-            for n, axis in enumerate(spec.axes):
-                rows[:, n] = axis.ppf(rows[:, n])
+        for n, axis in enumerate(spec.axes):  # in place; every ppf is elementwise
+            block[:, n] = axis.ppf(block[:, n])
         yield block
 
 

@@ -48,8 +48,9 @@ import numpy as np
 from .errors import BinPdfError
 from .grid import _CHUNK, TensorGrid
 
-# Rows per formatting block; a 2-D block's text and temporaries take a few MB.
-_BLOCK_ROWS = 1 << 14
+# Rows per formatting block, half a ``_CHUNK``: a 2-D block's text and
+# temporaries take ~4 MB.
+_BLOCK_ROWS = 1 << 13
 
 # Bytes per read while hashing a CSV.
 _HASH_BLOCK = 1 << 20

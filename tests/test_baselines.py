@@ -119,6 +119,22 @@ class TestHistogram:
         # one chunk's location dominates both; unchunked, 1M points peak at ~3x
         assert peak(samples) <= 1.1 * peak(samples[:300_000])
 
+    def test_fine_grid_counts_hold_one_bin_array(self):
+        # counted in place, and turned into values in place: a count array per
+        # chunk, or values beside the counts, would double the peak
+        grid = TensorGrid((0.0, 0.0), (1.0, 1.0), (2048, 2048))
+        samples = np.random.default_rng(69).random((3 * _CHUNK + 5, 2))
+        flat = np.ravel_multi_index(tuple(grid.locate_bins(samples).T), grid.bin_shape)
+        counts = np.bincount(flat, minlength=grid.n_bins)
+        tracemalloc.start()
+        try:
+            h = fit_histogram(grid, samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(h.values, counts / (samples.shape[0] * h.bin_volume))
+        assert peak < 1.5 * 8 * grid.n_bins
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(64)
         grid = TensorGrid((0.0, 0.0), (1.0, 2.0), (3, 4))

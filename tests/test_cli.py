@@ -809,8 +809,25 @@ def test_no_worker_outlives_a_signalled_study(tmp_path, signum):
         proc.stderr.close()
 
 
+def peak_rss_mb(cwd, *argv) -> float:
+    """Peak RSS in MB of ``python *argv`` run in ``cwd`` with binpdf on the path,
+    from wait4 in a small launcher process: a child's peak starts at its
+    parent's RSS when it is forked. The child must exit 0."""
+    src = str(Path(binpdf.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    launcher = ("import os, subprocess, sys\n"
+                "child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+                "_, status, usage = os.wait4(child.pid, 0)\n"
+                "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024)\n")
+    out = subprocess.run([sys.executable, "-c", launcher, sys.executable, *argv], cwd=cwd,
+                         env=env, check=True, capture_output=True, text=True).stdout.split()
+    assert out[0] == "0"
+    return float(out[1])
+
+
 class TestStreamedSampleFiles:
-    """fit and compare read a sample file a block of 2**18 rows at a time."""
+    """fit and compare read a sample file a block of 2**14 rows at a time."""
 
     FIT = ["fit", "--lower=-5.5", "--upper=5.5", "--n-delta", "8", "--out", "pdf.csv"]
     FIT_AUTO = ["fit", "--support", "auto", "--n-delta", "8", "--out", "pdf.csv"]
@@ -856,22 +873,8 @@ class TestStreamedSampleFiles:
 
     @pytest.mark.slow
     def test_peak_memory_does_not_grow_with_rows(self, tmp_path):
-        # each command's own peak RSS, from wait4 in a small launcher process: a
-        # child's peak starts at its parent's RSS when it is forked
-        src = str(Path(binpdf.__file__).resolve().parent.parent)
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        launcher = ("import os, subprocess, sys\n"
-                    "child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
-                    "_, status, usage = os.wait4(child.pid, 0)\n"
-                    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024)\n")
-
         def peak_mb(*argv):
-            out = subprocess.run([sys.executable, "-c", launcher, sys.executable, "-m",
-                                  "binpdf.cli", *argv], cwd=tmp_path, env=env, check=True,
-                                 capture_output=True, text=True).stdout.split()
-            assert out[0] == "0"
-            return float(out[1])
+            return peak_rss_mb(tmp_path, "-m", "binpdf.cli", *argv)
 
         peaks = {}
         for rows in (2**18, 2**21):
@@ -886,3 +889,24 @@ class TestStreamedSampleFiles:
         # the larger file's twin alone is 32 MB
         for small, large in zip(peaks[2**18], peaks[2**21]):
             assert large < small + 3, peaks
+
+    @pytest.mark.slow
+    def test_each_command_peaks_near_its_imports(self, tmp_path):
+        # above a child that only imports what the command imports, a command
+        # holds one block's buffers and text: in blocks of 2**18 rows each of
+        # these took 15-18 MB on 2**20 rows
+        rows = str(2**20)
+        commands = [
+            ("binpdf.sampling",
+             ["sample", "--dist", "mixed2d", "--m", rows, "--out", "s.csv"]),
+            ("binpdf.estimator, binpdf.sampling",
+             ["fit", "--samples", "s.csv", "--lower=-5.5", "--upper=5.5", "--n-delta", "64",
+              "--out", "pdf.csv"]),
+            ("binpdf.analysis, binpdf.baselines, binpdf.estimator, binpdf.sampling",
+             ["compare", "--samples", "s.csv", "--ref-n-delta", "256", "--n-delta", "32",
+              "--m", str(2**18), "--estimators", "fe,histogram", "--out", "t.csv"]),
+        ]
+        for modules, argv in commands:
+            imports = peak_rss_mb(tmp_path, "-c", f"import hashlib, binpdf.cli, {modules}")
+            command = peak_rss_mb(tmp_path, "-m", "binpdf.cli", *argv)
+            assert command <= imports + 12, (argv[0], command, imports)

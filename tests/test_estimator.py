@@ -275,6 +275,14 @@ class TestFineGrids:
         node_bytes = 8 * (fine.n_nodes - coarse.n_nodes)
         assert grown < 1.5 * node_bytes
 
+    @pytest.mark.parametrize("fitter, entries", [(fit, "n_nodes"), (fit_histogram, "n_bins")])
+    def test_working_set_is_one_chunk_beyond_the_node_or_bin_array(self, fitter, entries):
+        # every point passes through one chunk's buffers; in chunks of 2**18
+        # rows these 2**20 points peaked at 12.6 MB (fit) and 8.9 MB (histogram)
+        grid = TensorGrid((0.0, 0.0), (1.0, 1.0), (32, 32))
+        samples = np.random.default_rng(68).random((1 << 20, 2))
+        assert traced_peak(lambda: fitter(grid, samples)) <= 8 * getattr(grid, entries) + 2e6
+
     def test_locate_keeps_one_float_array_per_chunk(self):
         # A 3-D chunk's location holds idx, frac and two of one axis's comparison
         # masks at its peak: ~2.08x the points' bytes (3x with float temporaries).
@@ -439,6 +447,15 @@ class TestIntegral:
         doubled = PiecewiseLinearPdf(grid, 2.0 * pdf.coefficients, pdf.sample_count)
         assert doubled.integral() == pytest.approx(2.0, abs=1e-10)
 
+    def test_fine_grid_integral_builds_no_node_sized_array(self):
+        # contracted one axis at a time; the dot product with basis_integrals()
+        # held a second node array, 17.4 MB for these 17.2 MB of nodes
+        grid = TensorGrid((0.0,) * 3, (1.0, 2.0, 3.0), (128,) * 3)
+        pdf = PiecewiseLinearPdf(grid, np.random.default_rng(44).random(grid.n_nodes), 1)
+        assert traced_peak(pdf.integral) < 0.05 * 8 * grid.n_nodes
+        assert pdf.integral() == pytest.approx(
+            float(pdf.coefficients @ grid.basis_integrals()), rel=1e-14, abs=0)
+
 
 class TestSerialization:
     @pytest.mark.parametrize("dim", [1, 2])
@@ -528,13 +545,14 @@ class TestAccumulator:
             Accumulator(self.GRID).finalize()
         with pytest.raises(EmptySampleSetError):
             HistogramAccumulator(self.GRID).finalize()
-        accumulator = Accumulator(self.GRID)
-        accumulator.add(self.PTS[:10])
-        accumulator.finalize()
-        with pytest.raises(ValueError, match="finalized"):
+        for make in (Accumulator, HistogramAccumulator):  # both finalize in place
+            accumulator = make(self.GRID)
             accumulator.add(self.PTS[:10])
-        with pytest.raises(ValueError, match="finalized"):
             accumulator.finalize()
+            with pytest.raises(ValueError, match="finalized"):
+                accumulator.add(self.PTS[:10])
+            with pytest.raises(ValueError, match="finalized"):
+                accumulator.finalize()
 
     def test_grid_beyond_physical_memory_raises_before_allocating(self, monkeypatch):
         monkeypatch.setattr("binpdf.estimator._physical_memory", lambda: 799)

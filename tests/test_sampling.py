@@ -21,6 +21,7 @@ from binpdf import (
     sample,
     write_samples_csv,
 )
+from binpdf.grid import _CHUNK
 from binpdf.sampling import _ndtri
 
 TGAUSS = DistributionSpec((TruncatedGaussian(0.0, 1.0, -5.5, 5.5),))
@@ -138,8 +139,9 @@ class TestSampling:
         with pytest.raises(ValueError, match=rf"^seed {seed} .*\[0, 2\*\*128\)$"):
             sample(TGAUSS, 10, seed)
 
+    @pytest.mark.parametrize("m", [5001, 2 * _CHUNK + 7])  # one block, then three
     @pytest.mark.parametrize("seed", [0, 3, 2024])
-    def test_equals_column_stack_of_axis_ppfs(self, seed):
+    def test_equals_column_stack_of_axis_ppfs(self, seed, m):
         spec = DistributionSpec(
             (
                 TruncatedGaussian(0.5, 2.0, -5.5, 4.0),
@@ -147,9 +149,9 @@ class TestSampling:
                 TruncatedLaplace(0.0, 1.5, -5.5, 5.5),
             )
         )
-        u = np.random.Generator(np.random.Philox(key=seed)).random((5001, 3))
+        u = np.random.Generator(np.random.Philox(key=seed)).random((m, 3))
         want = np.column_stack([axis.ppf(u[:, n]) for n, axis in enumerate(spec.axes)])
-        got = sample(spec, 5001, seed)
+        got = sample(spec, m, seed)
         assert got.dtype == np.float64 and got.flags.c_contiguous
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
