@@ -33,7 +33,6 @@ _SOURCES = {
     "baselines": (
         "Histogram",
         "KdeSpec",
-        "eval_histogram",
         "eval_kde",
         "eval_kde_batch",
         "fit_histogram",
@@ -45,7 +44,6 @@ _SOURCES = {
         "DegenerateSupportError",
         "EmptySampleSetError",
         "GridTooLargeError",
-        "IndexOutOfRangeError",
         "NonpositiveBandwidthError",
         "NonpositiveValueError",
         "OutOfDomainError",

@@ -115,9 +115,6 @@ def fit_histogram(grid: TensorGrid, samples) -> Histogram:
     return accumulator.finalize()
 
 
-eval_histogram = Histogram.evaluate
-
-
 # -- naive KDE ----------------------------------------------------------------
 
 KERNELS = ("triangular", "gaussian")

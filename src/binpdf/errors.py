@@ -35,10 +35,6 @@ class SampleOutOfDomainError(OutOfDomainError):
         return type(self), (self.index, self.axis, self.value)
 
 
-class IndexOutOfRangeError(BinPdfError):
-    """A node or bin multi-index is outside the grid's valid range."""
-
-
 class GridTooLargeError(BinPdfError):
     """A grid's node array would not fit in the machine's physical memory."""
 

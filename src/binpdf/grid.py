@@ -4,14 +4,13 @@ A :class:`TensorGrid` subdivides an axis-aligned box into congruent
 hyper-rectangular bins. Nodes are the bin vertices; each node carries a
 continuous, piecewise multilinear hat function that is 1 at its node, 0 at
 every other node, and supported on the bins touching the node. The module
-provides point location, node coordinates, the 2**dim corner stencil of hat
-weights that fit, evaluation and :meth:`TensorGrid.basis_eval` all consume,
-and the exact (closed-form) integral of each hat over the box. Every point
-goes through one location stream, which checks the domain before it locates:
-a point outside the closed box, NaN or infinite, raises
-:class:`OutOfDomainError` (:class:`SampleOutOfDomainError` for fit input).
-:func:`check_finite` raises the same errors on NaN or infinite coordinates
-where there is no domain.
+provides point location, the 2**dim corner stencil of hat weights that fit
+and evaluation consume, and the exact (closed-form) integral of each hat over
+the box. Every point goes through one location stream, which checks the
+domain before it locates: a point outside the closed box, NaN or infinite,
+raises :class:`OutOfDomainError` (:class:`SampleOutOfDomainError` for fit
+input). :func:`check_finite` raises the same errors on NaN or infinite
+coordinates where there is no domain.
 
 Point location uses direct index arithmetic, ``i = floor((y - a) / delta)``,
 followed by a one-step correction against the bin edge values so that the
@@ -35,9 +34,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .errors import IndexOutOfRangeError, OutOfDomainError, SampleOutOfDomainError
-
-MultiIndex = tuple[int, ...]
+from .errors import OutOfDomainError, SampleOutOfDomainError
 
 # Rows per chunk of every stream: the draw, sample files, the fit's scatter (whose
 # order, hence every coefficient's bits, it fixes), histogram counts, location and
@@ -205,44 +202,6 @@ class TensorGrid:
     def n_nodes(self) -> int:
         return math.prod(self.node_shape)
 
-    @cached_property
-    def volume(self) -> float:
-        return float(np.prod(np.subtract(self.upper, self.lower)))
-
-    # -- index plumbing ------------------------------------------------------
-
-    def _check_multi(self, index, shape: tuple[int, ...], what: str) -> tuple[int, ...]:
-        idx = tuple(int(i) for i in np.atleast_1d(index))
-        if len(idx) != self.dim:
-            raise IndexOutOfRangeError(
-                f"{what} index {idx} has wrong length for dimension {self.dim}"
-            )
-        for n, (i, s) in enumerate(zip(idx, shape)):
-            if not 0 <= i < s:
-                raise IndexOutOfRangeError(
-                    f"{what} index {idx} is out of range on axis {n} (size {s})"
-                )
-        return idx
-
-    def node_flat_index(self, node) -> int:
-        """Row-major flat index of a node multi-index."""
-        idx = self._check_multi(node, self.node_shape, "node")
-        return int(np.ravel_multi_index(idx, self.node_shape))
-
-    def node_multi_index(self, flat: int) -> MultiIndex:
-        if not 0 <= flat < self.n_nodes:
-            raise IndexOutOfRangeError(f"flat node index {flat} out of range")
-        return tuple(int(i) for i in np.unravel_index(flat, self.node_shape))
-
-    def bin_flat_index(self, bin_index) -> int:
-        idx = self._check_multi(bin_index, self.bin_shape, "bin")
-        return int(np.ravel_multi_index(idx, self.bin_shape))
-
-    def bin_multi_index(self, flat: int) -> MultiIndex:
-        if not 0 <= flat < self.n_bins:
-            raise IndexOutOfRangeError(f"flat bin index {flat} out of range")
-        return tuple(int(i) for i in np.unravel_index(flat, self.bin_shape))
-
     # -- domain checks -------------------------------------------------------
 
     def check_in_domain(
@@ -327,16 +286,11 @@ class TensorGrid:
                 i[near], row[near] = i_near, frac_near
         return idx.T, frac.T
 
-    def locate_bin(self, point) -> MultiIndex:
-        """Bin containing ``point``; interior faces go to the higher-index bin.
-
-        The exact upper boundary is clamped into the last bin. Raises
-        :class:`OutOfDomainError` for points outside the closed box.
-        """
-        return tuple(int(i) for i in self.locate_bins(as_point(point, self.dim)[None])[0])
-
     def locate_bins(self, points) -> np.ndarray:
-        """Vectorized :meth:`locate_bin`; returns an (m, dim) int array."""
+        """Bin of each point, an (m, dim) int array; interior faces go to the
+        higher-index bin, and the exact upper boundary is clamped into the last
+        bin. Raises :class:`OutOfDomainError` for points outside the closed box.
+        """
         pts = as_points(points, self.dim)
         bins = np.empty(pts.shape, np.int64)
         for start, idx, _ in self._located(pts):
@@ -402,52 +356,16 @@ class TensorGrid:
                 np.multiply(last, 1.0 if prod is None else prod, out=w)
                 yield start, corner, w
 
-    # -- nodes and basis -----------------------------------------------------
-
-    def node_coords(self, node) -> np.ndarray:
-        """Coordinates of a node: ``lower + index * delta`` per axis."""
-        idx = self._check_multi(node, self.node_shape, "node")
-        return np.array(self.lower) + np.array(idx, dtype=np.float64) * self.deltas
-
-    def _edge_mesh(self, counts) -> np.ndarray:
-        """``lower + index * delta`` for every index below ``counts``, row-major."""
-        axes = [a + np.arange(c) * d for a, d, c in zip(self.lower, self.deltas, counts)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.column_stack([m.ravel() for m in mesh])
-
-    def node_coords_array(self) -> np.ndarray:
-        """Coordinates of all nodes, shape (n_nodes, dim), row-major order."""
-        return self._edge_mesh(self.node_shape)
-
-    def bin_lower_corners(self) -> np.ndarray:
-        """Lower corner of every bin, shape (n_bins, dim), row-major order."""
-        return self._edge_mesh(self.n_delta)
-
-    def basis_eval(self, node, point) -> float:
-        """Hat function of ``node`` at ``point``: its weight in the point's stencil.
-
-        Product over axes of ``max(0, 1 - |y_n - node_n| / delta_n)``,
-        computed from the located bin's fractional offsets so that the value
-        is exactly 1 at the node itself and exactly 0 at every other node.
-        """
-        flat = self.node_flat_index(node)
-        for _, corner, w in self._stencil(as_point(point, self.dim)[None]):
-            if corner[0] == flat:
-                return float(w[0])
-        return 0.0
-
-    def basis_integral(self, node) -> float:
-        """Exact integral of the node's hat function over the domain.
-
-        Per axis the 1D hat integrates to ``delta`` at interior coordinates
-        and ``delta / 2`` at boundary coordinates; the tensor product gives
-        the closed form.
-        """
-        idx = self._check_multi(node, self.node_shape, "node")
-        return math.prod(float(c[i]) for c, i in zip(self._axis_hat_integrals(), idx))
+    # -- hat integrals -------------------------------------------------------
 
     def _axis_hat_integrals(self) -> list[np.ndarray]:
-        """Per-axis 1-D hat integrals: ``delta``, halved at both end nodes."""
+        """Per-axis 1-D hat integrals: ``delta``, halved at both end nodes.
+
+        A node's hat integral ``C_j`` is the product of its axes' factors. The
+        density's integral and :meth:`basis_integrals` take them from here; the
+        fit's finalization divides by the same values layer by layer, since in
+        1-D an axis's factor array is as large as the node array.
+        """
         factors = [np.full(s, d) for s, d in zip(self.node_shape, self.deltas)]
         for c in factors:
             c[[0, -1]] *= 0.5
@@ -456,11 +374,3 @@ class TensorGrid:
     def basis_integrals(self) -> np.ndarray:
         """Integrals of all hat functions, shape (n_nodes,), row-major order."""
         return reduce(np.multiply.outer, self._axis_hat_integrals()).ravel()
-
-    def bin_vertices(self, bin_index) -> list[MultiIndex]:
-        """The 2**dim corner nodes of a bin, in lexicographic offset order."""
-        idx = self._check_multi(bin_index, self.bin_shape, "bin")
-        return [
-            tuple(i + o for i, o in zip(idx, offsets))
-            for offsets in itertools.product((0, 1), repeat=self.dim)
-        ]

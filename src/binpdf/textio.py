@@ -397,20 +397,6 @@ def open_twin(path) -> TableReader | None:
     return None
 
 
-def read_twin(path) -> np.ndarray | None:
-    """The 2-D float64 array in the twin of the CSV at ``path``, or None
-    where :func:`open_twin` gives None. Never raises: the caller then parses
-    the CSV."""
-    reader = open_twin(path)
-    if reader is None:
-        return None
-    with reader:
-        try:
-            return reader.read()
-        except (OSError, BinPdfError):
-            return None
-
-
 def sidecar_path(path: Path) -> Path:
     return path.with_suffix(".json") if path.suffix else path.with_name(path.name + ".json")
 

@@ -36,6 +36,7 @@ from binpdf import (
 from binpdf.cli import main as cli_main
 
 from test_estimator import all_nodes_fit
+from test_grid import edge_mesh
 
 pytestmark = pytest.mark.acceptance
 
@@ -114,11 +115,11 @@ def test_c03_kde_identity_at_interior_nodes():
             pts = rng.uniform(delta, 1.0 - delta, size=(m, dim))
             pdf = fit(grid, pts)
             kde = KdeSpec("triangular", delta, pts)
-            for flat in range(grid.n_nodes):
-                node = grid.node_multi_index(flat)
+            coords = edge_mesh(grid, grid.node_shape)
+            for flat, node in enumerate(np.ndindex(grid.node_shape)):
                 if any(i == 0 or i == n for i in node):
                     continue
-                kde_value = eval_kde(kde, grid.node_coords(node))
+                kde_value = eval_kde(kde, coords[flat])
                 assert abs(pdf.coefficients[flat] - kde_value) <= 1e-12
 
 

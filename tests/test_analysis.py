@@ -44,6 +44,7 @@ from binpdf import (
     write_study_csv,
 )
 from binpdf import analysis
+from test_grid import edge_mesh
 
 TGAUSS = DistributionSpec((TruncatedGaussian(0.0, 1.0, -5.5, 5.5),))
 UNIFORM = DistributionSpec((Uniform(-1.0, 1.0),))
@@ -105,7 +106,7 @@ class TestRmseVsHistogram:
         rng = np.random.default_rng(12)
         grid = TensorGrid((0.0,), (1.0,), (8,))
         h = fit_histogram(grid, rng.random(4000))
-        centers = grid.bin_lower_corners() + 0.5 * grid.deltas[0]
+        centers = edge_mesh(grid, grid.n_delta) + 0.5 * grid.deltas[0]
         assert rmse_vs_histogram(h.evaluate_batch, h, centers) == 0.0
 
     def test_constant_offset(self):

@@ -15,7 +15,6 @@ from binpdf import (
     OutOfDomainError,
     SampleOutOfDomainError,
     TensorGrid,
-    eval_histogram,
     eval_kde,
     eval_kde_batch,
     fit,
@@ -24,6 +23,7 @@ from binpdf import (
     save_histogram,
 )
 from binpdf.grid import _CHUNK
+from test_grid import edge_mesh
 
 
 def brute_force_counts(grid, samples):
@@ -33,8 +33,7 @@ def brute_force_counts(grid, samples):
         samples = samples.reshape(-1, 1)
     counts = np.zeros(grid.n_bins, dtype=int)
     for y in samples:
-        for flat in range(grid.n_bins):
-            idx = grid.bin_multi_index(flat)
+        for flat, idx in enumerate(np.ndindex(grid.n_delta)):
             inside = True
             for n, i in enumerate(idx):
                 lo = grid.lower[n] + i * grid.deltas[n]
@@ -72,12 +71,12 @@ class TestHistogram:
 
     def test_eval_examples(self):
         h = fit_histogram(TensorGrid((0.0,), (1.0,), (2,)), [0.25, 0.75])
-        assert eval_histogram(h, 0.1) == 1.0
-        assert eval_histogram(h, 1.0) == h.values[1]
+        assert h.evaluate(0.1) == 1.0
+        assert h.evaluate(1.0) == h.values[1]
 
     def test_eval_at_face_uses_higher_bin(self):
         h = fit_histogram(TensorGrid((0.0,), (1.0,), (2,)), [0.25, 0.25, 0.75])
-        assert eval_histogram(h, 0.5) == h.values[1]
+        assert h.evaluate(0.5) == h.values[1]
 
     def test_errors(self):
         grid = TensorGrid((0.0,), (1.0,), (2,))
@@ -218,11 +217,11 @@ class TestKdeNodeIdentity:
         samples = rng.uniform(delta, 1.0 - delta, size=(400, dim))
         pdf = fit(grid, samples)
         kde = KdeSpec("triangular", delta, samples)
-        for flat in range(grid.n_nodes):
-            node = grid.node_multi_index(flat)
+        coords = edge_mesh(grid, grid.node_shape)
+        for flat, node in enumerate(np.ndindex(grid.node_shape)):
             if any(i == 0 or i == grid.n_delta[n] for n, i in enumerate(node)):
                 continue
-            assert eval_kde(kde, grid.node_coords(node)) == pytest.approx(
+            assert eval_kde(kde, coords[flat]) == pytest.approx(
                 pdf.coefficients[flat], abs=1e-12
             )
 
@@ -232,7 +231,7 @@ class TestKdeNodeIdentity:
         pdf = fit(grid, samples)
         kde = KdeSpec("triangular", grid.deltas[0], samples)
         for j in (1, 2, 3):
-            assert eval_kde(kde, grid.node_coords((j,))) == pytest.approx(
+            assert eval_kde(kde, edge_mesh(grid, grid.node_shape)[j]) == pytest.approx(
                 pdf.coefficients[j], abs=1e-12
             )
 

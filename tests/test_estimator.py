@@ -25,7 +25,14 @@ from binpdf import (
 from binpdf.baselines import HistogramAccumulator
 from binpdf.estimator import Accumulator
 from binpdf.grid import _CHUNK
-from test_grid import LOCATE_GRIDS, edge_points, hat_value, rowmajor_locate
+from test_grid import (
+    LOCATE_GRIDS,
+    edge_mesh,
+    edge_points,
+    hat_integral,
+    hat_value,
+    rowmajor_locate,
+)
 
 
 def all_nodes_fit(grid, samples):
@@ -40,10 +47,9 @@ def all_nodes_fit(grid, samples):
         samples = samples.reshape(-1, 1)
     m = samples.shape[0]
     coeffs = np.zeros(grid.n_nodes)
-    for flat in range(grid.n_nodes):
-        node = grid.node_multi_index(flat)
+    for flat, node in enumerate(np.ndindex(grid.node_shape)):
         weight = sum(hat_value(grid, node, y) for y in samples)
-        coeffs[flat] = weight / (m * grid.basis_integral(node))
+        coeffs[flat] = weight / (m * hat_integral(grid, node))
     return coeffs
 
 
@@ -105,7 +111,7 @@ class TestFitHandExamples:
         pdf = fit(grid, [(0.25, 0.25)])
         expected = all_nodes_fit(grid, [(0.25, 0.25)])
         np.testing.assert_allclose(pdf.coefficients, expected, atol=1e-13)
-        nonzero = {grid.node_multi_index(j) for j in np.flatnonzero(pdf.coefficients)}
+        nonzero = set(map(tuple, np.argwhere(pdf.coefficients.reshape(grid.node_shape)).tolist()))
         assert nonzero == {(0, 0), (1, 0), (0, 1), (1, 1)}
 
     def test_errors(self):
@@ -196,7 +202,7 @@ class TestFitProperties:
         grid = TensorGrid((0.0,), (1.0,), (4,))
         pdf = fit(grid, [1.0, 1.0])
         # all mass lands on the last node, whose hat integrates to delta / 2
-        assert pdf.coefficients[-1] == pytest.approx(1.0 / grid.basis_integral((4,)), rel=1e-15)
+        assert pdf.coefficients[-1] == pytest.approx(1.0 / grid.basis_integrals()[4], rel=1e-15)
         assert pdf.integral() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -348,38 +354,14 @@ class TestAxisMajorLocation:
         np.testing.assert_array_equal(grid.locate_bins(samples), idx)
 
 
-class TestOneStencil:
-    @pytest.mark.parametrize("lower, upper, n_delta", [
-        ((-1.0,), (2.0,), (5,)),
-        ((0.0, -1.5), (1.0, 2.0), (3, 4)),
-        ((-0.3, 0.0, 1.0), (0.7, 0.5, 4.0), (2, 3, 2)),
-    ])
-    def test_basis_eval_is_a_unit_coefficient_density(self, lower, upper, n_delta):
-        # basis_eval reads its node's weight from the same stencil that
-        # evaluation sums, so the two agree bit for bit
-        grid = TensorGrid(lower, upper, n_delta)
-        rng = np.random.default_rng(65)
-        pts = np.concatenate(
-            [grid.node_coords_array(), rng.uniform(grid.lower, grid.upper, (40, grid.dim))]
-        )
-        for flat in range(grid.n_nodes):
-            node = grid.node_multi_index(flat)
-            unit = np.zeros(grid.n_nodes)
-            unit[flat] = 1.0
-            want = PiecewiseLinearPdf(grid, unit, 1).evaluate_batch(pts)
-            got = np.array([grid.basis_eval(node, p) for p in pts])
-            np.testing.assert_array_equal(got, want)
-
-
 class TestEvaluate:
     def test_node_values_are_exact(self):
         rng = np.random.default_rng(31)
         grid = TensorGrid((0.0, -1.0), (2.0, 3.0), (4, 5))
         samples = rng.uniform(grid.lower, grid.upper, size=(500, 2))
         pdf = fit(grid, samples)
-        for flat in range(grid.n_nodes):
-            node = grid.node_multi_index(flat)
-            assert pdf.evaluate(grid.node_coords(node)) == pdf.coefficients[flat]
+        for flat, node in enumerate(edge_mesh(grid, grid.node_shape)):
+            assert pdf.evaluate(node) == pdf.coefficients[flat]
 
     def test_interpolates_between_nodes(self):
         pdf = fit(TensorGrid((0.0,), (1.0,), (2,)), [0.25, 0.75])

@@ -1,4 +1,7 @@
-"""Grid construction, indexing, point location, and hat-basis properties."""
+"""Grid construction, point location, and hat-basis properties."""
+
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +10,6 @@ from hypothesis import strategies as st
 
 from binpdf import (
     Histogram,
-    IndexOutOfRangeError,
     OutOfDomainError,
     PiecewiseLinearPdf,
     SampleOutOfDomainError,
@@ -28,8 +30,7 @@ def brute_force_locate(grid, point):
     ``lower + i * delta`` expression as the grid, so the comparison is the
     ground truth the O(1) index arithmetic must reproduce.
     """
-    for flat in range(grid.n_bins):
-        idx = grid.bin_multi_index(flat)
+    for idx in np.ndindex(grid.n_delta):
         inside = True
         for n, i in enumerate(idx):
             lo = grid.lower[n] + i * grid.deltas[n]
@@ -46,8 +47,7 @@ def brute_force_locate(grid, point):
 def brute_force_locate_all(grid, pts):
     """Same containment scan applied to every point at once."""
     result = np.full((pts.shape[0], grid.dim), -1, dtype=np.int64)
-    for flat in range(grid.n_bins):
-        idx = grid.bin_multi_index(flat)
+    for idx in np.ndindex(grid.n_delta):
         inside = np.ones(pts.shape[0], dtype=bool)
         for n, i in enumerate(idx):
             lo = grid.lower[n] + i * grid.deltas[n]
@@ -148,6 +148,27 @@ def hat_value(grid, node, point):
     return out
 
 
+def hat_integral(grid, node):
+    """Closed-form hat integral: ``delta`` per axis, halved at the end nodes."""
+    return math.prod(d * (0.5 if i in (0, nd) else 1.0)
+                     for d, i, nd in zip(grid.deltas, node, grid.n_delta))
+
+
+def edge_mesh(grid, counts):
+    """``lower + index * delta`` for every index below ``counts``, row-major: the
+    node coordinates for ``grid.node_shape``, the bins' lower corners for
+    ``grid.n_delta``."""
+    axes = [a + np.arange(c) * d for a, d, c in zip(grid.lower, grid.deltas, counts)]
+    return np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
+
+
+def unit_hats(grid, points):
+    """Column ``j``: node ``j``'s hat at ``points``, evaluated as the density
+    whose only nonzero coefficient is a 1 at node ``j``."""
+    return np.column_stack([PiecewiseLinearPdf(grid, unit, 1).evaluate_batch(points)
+                            for unit in np.eye(grid.n_nodes)])
+
+
 class TestConstruction:
     def test_scalar_axes_are_normalized(self):
         grid = TensorGrid((0.0,), (1.0,), (4,))
@@ -161,7 +182,6 @@ class TestConstruction:
         assert grid.deltas == (1.0, 1.0)
         assert grid.n_bins == 6
         assert grid.n_nodes == 12
-        assert grid.volume == 6.0
 
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError, match="lower < upper"):
@@ -196,52 +216,31 @@ class TestConstruction:
         assert TensorGrid((0.0,) * 3, (1.0,) * 3, (2**20,) * 3).n_bins == 2**60
 
 
-class TestIndexing:
-    @pytest.mark.parametrize("n_delta", [(5,), (3, 4), (2, 3, 4)])
-    def test_flat_multi_round_trip(self, n_delta):
-        grid = TensorGrid((0.0,) * len(n_delta), (1.0,) * len(n_delta), n_delta)
-        for flat in range(grid.n_nodes):
-            assert grid.node_flat_index(grid.node_multi_index(flat)) == flat
-        for flat in range(grid.n_bins):
-            assert grid.bin_flat_index(grid.bin_multi_index(flat)) == flat
-
-    def test_out_of_range_raises(self):
-        grid = TensorGrid((0.0,), (1.0,), (4,))
-        with pytest.raises(IndexOutOfRangeError):
-            grid.node_flat_index((5,))
-        with pytest.raises(IndexOutOfRangeError):
-            grid.bin_flat_index((4,))
-        with pytest.raises(IndexOutOfRangeError):
-            grid.node_multi_index(5**2)
-        with pytest.raises(IndexOutOfRangeError):
-            grid.node_coords((-1,))
-
-
 class TestLocateBin:
     def test_interior_point(self):
         grid = TensorGrid((0.0,), (1.0,), (4,))
-        assert grid.locate_bin([0.3]) == (1,)
+        assert grid.locate_bins([0.3]).tolist() == [[1]]
 
     def test_upper_boundary_clamps_to_last_bin(self):
         grid = TensorGrid((0.0,), (1.0,), (4,))
-        assert grid.locate_bin([1.0]) == (3,)
+        assert grid.locate_bins([1.0]).tolist() == [[3]]
 
     def test_corner_clamp_2d(self):
         grid = TensorGrid((-5.5, -5.5), (5.5, 5.5), (8, 8))
-        assert grid.locate_bin((-5.5, 5.5)) == (0, 7)
+        assert grid.locate_bins((-5.5, 5.5)).tolist() == [[0, 7]]
 
     def test_interior_face_goes_to_higher_bin(self):
         grid = TensorGrid((0.0,), (1.0,), (4,))
-        assert grid.locate_bin([0.5]) == (2,)
+        assert grid.locate_bins([0.5]).tolist() == [[2]]
 
     def test_out_of_domain(self):
         grid = TensorGrid((0.0,), (1.0,), (4,))
         with pytest.raises(OutOfDomainError) as err:
-            grid.locate_bin([1.5])
+            grid.locate_bins([1.5])
         assert err.value.axis == 0
         assert err.value.value == 1.5
         with pytest.raises(OutOfDomainError):
-            grid.locate_bin([-1e-12])
+            grid.locate_bins([-1e-12])
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_is_out_of_domain(self, value):
@@ -281,7 +280,7 @@ class TestLocateBin:
                 p.append(min(max(face, grid.lower[n]), grid.upper[n]))
             pts.append(p)
         for p in pts:
-            assert grid.locate_bin(p) == brute_force_locate(grid, p)
+            assert grid.locate_bins(p).tolist() == [list(brute_force_locate(grid, p))]
 
     def test_locate_bins_matches_scalar(self):
         grid = TensorGrid((0.0, 0.0), (1.0, 1.0), (4, 3))
@@ -289,7 +288,7 @@ class TestLocateBin:
         pts = rng.random((100, 2))
         batch = grid.locate_bins(pts)
         for i in range(100):
-            assert tuple(batch[i]) == grid.locate_bin(pts[i])
+            np.testing.assert_array_equal(batch[i : i + 1], grid.locate_bins(pts[i]))
 
 
 class TestAxisMajorLocate:
@@ -336,7 +335,7 @@ class TestAxisMajorLocate:
         pts = edge_points(grid, np.random.default_rng(5), n_random=0)[:200]
         want_idx, _ = rowmajor_locate(grid, pts)
         for p, want in zip(pts, want_idx):
-            assert grid.locate_bin(p) == tuple(want)
+            np.testing.assert_array_equal(grid.locate_bins(p), [want])
 
 
 class TestCheckInDomain:
@@ -459,8 +458,7 @@ class TestLocationStreamChecksDomain:
             (lambda: histogram.evaluate_batch(pts), OutOfDomainError, row),
             (lambda: pdf.evaluate(pts[row]), OutOfDomainError, 0),
             (lambda: grid.locate_bins(pts), OutOfDomainError, row),
-            (lambda: grid.locate_bin(pts[row]), OutOfDomainError, 0),
-            (lambda: grid.basis_eval((1, 1), pts[row]), OutOfDomainError, 0),
+            (lambda: grid.locate_bins(pts[row]), OutOfDomainError, 0),
         ]
         for call, kind, index in cases:
             with pytest.raises(kind) as err:
@@ -470,71 +468,54 @@ class TestLocationStreamChecksDomain:
             np.testing.assert_equal(err.value.value, value)
 
 
-class TestNodeCoords:
-    def test_examples(self):
-        assert TensorGrid((0.0,), (1.0,), (2,)).node_coords((1,)) == pytest.approx([0.5])
-        assert TensorGrid((-5.5,), (5.5,), (4,)).node_coords((0,))[0] == -5.5
-        grid = TensorGrid((0.0, 0.0), (2.0, 3.0), (2, 3))
-        np.testing.assert_array_equal(grid.node_coords((2, 3)), [2.0, 3.0])
-
-    def test_node_coords_array_order(self):
-        grid = TensorGrid((0.0, 0.0), (1.0, 1.0), (2, 2))
-        coords = grid.node_coords_array()
-        for flat in range(grid.n_nodes):
-            np.testing.assert_array_equal(
-                coords[flat], grid.node_coords(grid.node_multi_index(flat))
-            )
-
-
 class TestBasisEval:
+    """Each node's hat, read through evaluation of a unit-coefficient density."""
+
     @pytest.mark.parametrize(
         "lower,upper,n_delta",
         [((0.0,), (1.0,), (4,)), ((0.0, -1.0), (2.0, 1.0), (4, 4)), ((0.0,) * 3, (1.0,) * 3, (4, 4, 4))],
     )
     def test_kronecker_property_is_exact(self, lower, upper, n_delta):
         grid = TensorGrid(lower, upper, n_delta)
-        for j in range(grid.n_nodes):
-            node = grid.node_multi_index(j)
-            for jp in range(grid.n_nodes):
-                value = grid.basis_eval(node, grid.node_coords(grid.node_multi_index(jp)))
-                assert value == (1.0 if j == jp else 0.0)
+        hats = unit_hats(grid, edge_mesh(grid, grid.node_shape))
+        np.testing.assert_array_equal(hats, np.eye(grid.n_nodes))
 
     def test_1d_midpoint(self):
         grid = TensorGrid((0.0,), (1.0,), (2,))
-        assert grid.basis_eval((1,), [0.25]) == pytest.approx(0.5, abs=1e-15)
+        assert unit_hats(grid, [0.25])[0, 1] == pytest.approx(0.5, abs=1e-15)
 
     def test_2d_tensor_product(self):
         grid = TensorGrid((0.0, 0.0), (1.0, 1.0), (2, 2))
-        assert grid.basis_eval((1, 1), (0.25, 0.25)) == pytest.approx(0.25, abs=1e-15)
+        node = np.ravel_multi_index((1, 1), grid.node_shape)
+        assert unit_hats(grid, (0.25, 0.25))[0, node] == pytest.approx(0.25, abs=1e-15)
 
     def test_matches_direct_hat_formula(self):
         grid = TensorGrid((-1.5, 0.0), (1.5, 3.0), (5, 4))
         rng = np.random.default_rng(11)
         pts = rng.uniform(grid.lower, grid.upper, size=(200, 2))
-        for p in pts:
-            for flat in range(grid.n_nodes):
-                node = grid.node_multi_index(flat)
-                assert grid.basis_eval(node, p) == pytest.approx(
-                    hat_value(grid, node, p), abs=1e-12
-                )
+        hats = unit_hats(grid, pts)
+        for flat, node in enumerate(np.ndindex(grid.node_shape)):
+            want = [hat_value(grid, node, p) for p in pts]
+            np.testing.assert_allclose(hats[:, flat], want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n_delta", [(8,), (4, 4), (3, 3, 3)])
     def test_partition_of_unity(self, n_delta):
+        # the hats of the 2**dim vertices of each point's bin sum to one there
         dim = len(n_delta)
         grid = TensorGrid((-2.0,) * dim, (2.0,) * dim, n_delta)
         rng = np.random.default_rng(5)
-        pts = rng.uniform(-2.0, 2.0, size=(10_000, dim))
-        for p in pts[:500]:
-            vertices = grid.bin_vertices(grid.locate_bin(p))
-            total = sum(grid.basis_eval(v, p) for v in vertices)
-            assert total == pytest.approx(1.0, abs=1e-12)
+        pts = rng.uniform(-2.0, 2.0, size=(10_000, dim))[:500]
+        hats, bins = unit_hats(grid, pts), grid.locate_bins(pts)
+        total = np.zeros(pts.shape[0])
+        for offsets in itertools.product((0, 1), repeat=dim):
+            vertex = np.ravel_multi_index(tuple((bins + offsets).T), grid.node_shape)
+            total += hats[np.arange(pts.shape[0]), vertex]
+        np.testing.assert_allclose(total, 1.0, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n_delta", [(8,), (4, 4), (3, 3, 3)])
     def test_partition_of_unity_vectorized(self, n_delta):
         # an all-ones coefficient vector turns evaluation into the sum of
         # every hat active at the point
-        from binpdf import PiecewiseLinearPdf
-
         dim = len(n_delta)
         grid = TensorGrid((-2.0,) * dim, (2.0,) * dim, n_delta)
         ones = PiecewiseLinearPdf(grid, np.ones(grid.n_nodes), 1)
@@ -545,10 +526,9 @@ class TestBasisEval:
     def test_locality(self):
         grid = TensorGrid((0.0,), (1.0,), (10,))
         rng = np.random.default_rng(2)
-        for x in rng.random(200):
-            for j in range(grid.n_nodes):
-                if abs(x - grid.node_coords((j,))[0]) >= grid.deltas[0]:
-                    assert grid.basis_eval((j,), [x]) == 0.0
+        xs = rng.random(200)
+        far = np.abs(xs[:, None] - edge_mesh(grid, grid.node_shape)[:, 0]) >= grid.deltas[0]
+        assert (unit_hats(grid, xs)[far] == 0.0).all()
 
 
 class TestBasisIntegral:
@@ -566,23 +546,26 @@ class TestBasisIntegral:
             total *= axis_total
         return total
 
+    def basis_integral(self, grid, node):
+        return grid.basis_integrals()[np.ravel_multi_index(node, grid.node_shape)]
+
     def test_1d_interior_and_boundary(self):
         grid = TensorGrid((0.0,), (1.0,), (4,))
-        assert grid.basis_integral((2,)) == pytest.approx(0.25, abs=1e-15)
-        assert grid.basis_integral((0,)) == pytest.approx(0.125, abs=1e-15)
-        assert grid.basis_integral((4,)) == pytest.approx(0.125, abs=1e-15)
+        assert self.basis_integral(grid, (2,)) == pytest.approx(0.25, abs=1e-15)
+        assert self.basis_integral(grid, (0,)) == pytest.approx(0.125, abs=1e-15)
+        assert self.basis_integral(grid, (4,)) == pytest.approx(0.125, abs=1e-15)
         for j in range(5):
-            assert grid.basis_integral((j,)) == pytest.approx(
+            assert self.basis_integral(grid, (j,)) == pytest.approx(
                 self.quadrature_integral(grid, (j,)), abs=1e-9
             )
 
     def test_2d_corner(self):
         grid = TensorGrid((0.0, 0.0), (1.0, 1.0), (4, 4))
-        assert grid.basis_integral((0, 0)) == pytest.approx(0.015625, abs=1e-15)
-        assert grid.basis_integral((0, 4)) == pytest.approx(
+        assert self.basis_integral(grid, (0, 0)) == pytest.approx(0.015625, abs=1e-15)
+        assert self.basis_integral(grid, (0, 4)) == pytest.approx(
             self.quadrature_integral(grid, (0, 4)), abs=1e-9
         )
-        assert grid.basis_integral((2, 1)) == pytest.approx(
+        assert self.basis_integral(grid, (2, 1)) == pytest.approx(
             self.quadrature_integral(grid, (2, 1)), abs=1e-9
         )
 
@@ -592,28 +575,11 @@ class TestBasisIntegral:
     )
     def test_integrals_sum_to_volume(self, lower, upper, n_delta):
         grid = TensorGrid(lower, upper, n_delta)
-        assert grid.basis_integrals().sum() == pytest.approx(grid.volume, abs=1e-10)
+        volume = np.prod(np.subtract(grid.upper, grid.lower))
+        assert grid.basis_integrals().sum() == pytest.approx(volume, abs=1e-10)
 
     def test_basis_integrals_matches_scalar(self):
         grid = TensorGrid((0.0, -1.0), (2.0, 1.0), (3, 4))
         all_c = grid.basis_integrals()
-        for flat in range(grid.n_nodes):
-            assert all_c[flat] == grid.basis_integral(grid.node_multi_index(flat))
-
-
-class TestBinVertices:
-    def test_1d(self):
-        grid = TensorGrid((0.0,), (1.0,), (4,))
-        assert grid.bin_vertices((2,)) == [(2,), (3,)]
-
-    def test_2d(self):
-        grid = TensorGrid((0.0, 0.0), (1.0, 1.0), (2, 2))
-        assert set(grid.bin_vertices((0, 0))) == {(0, 0), (1, 0), (0, 1), (1, 1)}
-
-    def test_3d_distinct_and_valid(self):
-        grid = TensorGrid((0.0,) * 3, (1.0,) * 3, (2, 3, 2))
-        for flat in range(grid.n_bins):
-            vertices = grid.bin_vertices(grid.bin_multi_index(flat))
-            assert len(set(vertices)) == 8
-            for v in vertices:
-                grid.node_flat_index(v)
+        for flat, node in enumerate(np.ndindex(grid.node_shape)):
+            assert all_c[flat] == hat_integral(grid, node)

@@ -11,14 +11,13 @@ PUBLIC = {
         "rmse_vs_exact", "rmse_vs_histogram", "write_plot_script", "write_study_csv",
     ],
     "baselines": [
-        "Histogram", "KdeSpec", "eval_histogram", "eval_kde", "eval_kde_batch",
-        "fit_histogram", "load_histogram", "save_histogram",
+        "Histogram", "KdeSpec", "eval_kde", "eval_kde_batch", "fit_histogram",
+        "load_histogram", "save_histogram",
     ],
     "errors": [
         "BinPdfError", "DegenerateSupportError", "EmptySampleSetError", "GridTooLargeError",
-        "IndexOutOfRangeError", "NonpositiveBandwidthError", "NonpositiveValueError",
-        "OutOfDomainError", "SampleOutOfDomainError", "TooFewPointsError",
-        "UnsupportedOrderError",
+        "NonpositiveBandwidthError", "NonpositiveValueError", "OutOfDomainError",
+        "SampleOutOfDomainError", "TooFewPointsError", "UnsupportedOrderError",
     ],
     "estimator": ["PiecewiseLinearPdf", "fit", "load_pdf", "save_pdf"],
     "grid": ["TensorGrid"],

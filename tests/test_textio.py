@@ -37,7 +37,8 @@ from binpdf import textio
 from binpdf.cli import main
 from binpdf.grid import _CHUNK
 from binpdf.sampling import open_samples
-from binpdf.textio import _BLOCK_ROWS, read_twin, save_grid_table
+from binpdf.textio import _BLOCK_ROWS, open_twin, save_grid_table
+from test_grid import edge_mesh
 
 # bins per axis that put each table over one block but not on a block multiple
 N_DELTA = {1: (1 << 17) + 5, 2: 300, 3: 40}
@@ -92,7 +93,7 @@ class TestGridTables:
         pdf = PiecewiseLinearPdf(grid, coefficients, 123)
         save_pdf(pdf, tmp_path / "pdf.csv")
         table = np.column_stack(
-            [np.arange(grid.n_nodes), grid.node_coords_array(), coefficients]
+            [np.arange(grid.n_nodes), edge_mesh(grid, grid.node_shape), coefficients]
         )
         header = "node_index," + ",".join(f"coord{n}" for n in range(dim)) + ",coefficient"
         expected = savetxt_bytes(
@@ -108,7 +109,7 @@ class TestGridTables:
         histogram = fit_histogram(grid, samples)
         save_histogram(histogram, tmp_path / "h.csv")
         table = np.column_stack(
-            [np.arange(grid.n_bins), grid.bin_lower_corners(), histogram.values]
+            [np.arange(grid.n_bins), edge_mesh(grid, grid.n_delta), histogram.values]
         )
         header = "bin_index," + ",".join(f"corner{n}" for n in range(dim)) + ",value"
         expected = savetxt_bytes(
@@ -260,9 +261,9 @@ def grid_table_bytes_equal_savetxt(tmp_path, values):
     grid = TensorGrid((-3.25,), (1e7 / 3,), (values.size,))
     for save, kind, header, table in [
         (save_histogram, Histogram, "bin_index,corner0,value",
-         np.column_stack([np.arange(grid.n_bins), grid.bin_lower_corners(), values])),
+         np.column_stack([np.arange(grid.n_bins), edge_mesh(grid, grid.n_delta), values])),
         (save_pdf, PiecewiseLinearPdf, "node_index,coord0,coefficient",
-         np.column_stack([np.arange(grid.n_nodes), grid.node_coords_array(),
+         np.column_stack([np.arange(grid.n_nodes), edge_mesh(grid, grid.node_shape),
                           np.append(values, values[:1])])),
     ]:
         save(kind(grid, table[:, -1], 7), tmp_path / "table.csv")
@@ -369,8 +370,10 @@ class TestTwin:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "s.csv"
             write_samples_csv(path, table)
-            twin = read_twin(path)
-            assert twin is not None
+            reader = open_twin(path)
+            assert reader is not None
+            with reader:
+                twin = reader.read()
             parsed = parse(path)
             assert_same_bits(twin, parsed)
             assert_same_bits(read_samples_csv(path), parsed)
@@ -425,7 +428,7 @@ class TestTwin:
             twin.unlink()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert read_twin(path) is None
+            assert open_twin(path) is None
             assert_same_bits(read_samples_csv(path), parse(path))
 
     def test_twin_holds_the_digest_then_the_npy_of_the_table(self, tmp_path):
@@ -452,7 +455,8 @@ class TestTwin:
     def test_zero_rows_still_raise(self, tmp_path):
         path = tmp_path / "empty.csv"
         write_samples_csv(path, np.empty((0, 2)))
-        assert read_twin(path).shape == (0, 2)
+        with open_twin(path) as reader:
+            assert reader.read().shape == (0, 2)
         with pytest.raises(EmptySampleSetError, match="empty.csv"):
             read_samples_csv(path)
 
