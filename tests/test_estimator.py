@@ -32,6 +32,7 @@ from test_grid import (
     hat_integral,
     hat_value,
     rowmajor_locate,
+    unit_hats,
 )
 
 
@@ -352,6 +353,27 @@ class TestAxisMajorLocation:
         np.testing.assert_array_equal(hist.values, counts / (samples.shape[0] * hist.bin_volume))
         np.testing.assert_array_equal(hist.evaluate_batch(samples), hist.values[bins])
         np.testing.assert_array_equal(grid.locate_bins(samples), idx)
+
+
+class TestOneStencil:
+    @pytest.mark.parametrize("lower, upper, n_delta", [
+        ((-1.0,), (2.0,), (5,)),
+        ((0.0, -1.5), (1.0, 2.0), (3, 4)),
+        ((-0.3, 0.0, 1.0), (0.7, 0.5, 4.0), (2, 3, 2)),
+    ])
+    def test_basis_eval_is_a_unit_coefficient_density(self, lower, upper, n_delta):
+        # the hat weights one sample deposits come from the same stencil that
+        # evaluation sums, so they equal the unit-coefficient densities there
+        # bit for bit
+        grid = TensorGrid(lower, upper, n_delta)
+        rng = np.random.default_rng(65)
+        pts = np.concatenate(
+            [edge_mesh(grid, grid.node_shape), rng.uniform(grid.lower, grid.upper, (40, grid.dim))]
+        )
+        for p, want in zip(pts, unit_hats(grid, pts)):
+            accumulator = Accumulator(grid)
+            accumulator._scatter(p.reshape(1, -1), 0)
+            np.testing.assert_array_equal(accumulator._sums, want)
 
 
 class TestEvaluate:

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from binpdf import (
+    BinPdfError,
     Histogram,
     OutOfDomainError,
     PiecewiseLinearPdf,
@@ -16,8 +17,10 @@ from binpdf import (
     TensorGrid,
     fit,
     fit_histogram,
+    load_pdf,
+    save_pdf,
 )
-from binpdf.grid import _CHUNK, check_finite
+from binpdf.grid import _CHUNK, _ravel_rows, check_finite
 from binpdf.grid import _settle as settle
 
 
@@ -214,6 +217,37 @@ class TestConstruction:
         largest = TensorGrid((0.0,), (1.0,), (limit - 1,))
         assert largest.n_nodes == limit
         assert TensorGrid((0.0,) * 3, (1.0,) * 3, (2**20,) * 3).n_bins == 2**60
+
+
+class TestIndexing:
+    """The row-major flat index of nodes and bins that the stencil, the
+    histogram and the saved tables share."""
+
+    @pytest.mark.parametrize("n_delta", [(5,), (3, 4), (2, 3, 4)])
+    def test_flat_multi_round_trip(self, n_delta):
+        grid = TensorGrid((0.0,) * len(n_delta), (1.0,) * len(n_delta), n_delta)
+        for shape in (grid.node_shape, grid.bin_shape):
+            idx = np.array(list(np.ndindex(shape)), dtype=np.int64).T
+            flat = _ravel_rows(idx.copy(), shape)
+            np.testing.assert_array_equal(flat, np.arange(math.prod(shape)))
+            np.testing.assert_array_equal(np.unravel_index(flat, shape), idx)
+
+    def test_out_of_range_raises(self, tmp_path):
+        # one value per node or bin: a vector that runs short or past the last
+        # index is refused, and so is a saved table whose index column does
+        grid = TensorGrid((0.0,), (1.0,), (4,))
+        for count in (grid.n_nodes - 1, grid.n_nodes + 1):
+            with pytest.raises(ValueError, match="need 5 coefficients"):
+                PiecewiseLinearPdf(grid, np.ones(count), 1)
+        for count in (grid.n_bins - 1, grid.n_bins + 1):
+            with pytest.raises(ValueError, match="need 4 values"):
+                Histogram(grid, np.ones(count), 1)
+        path = tmp_path / "pdf.csv"
+        save_pdf(PiecewiseLinearPdf(grid, np.ones(grid.n_nodes), 1), path)
+        *rows, last = path.read_text().splitlines()
+        path.write_text("\n".join([*rows, "5" + last[last.index(","):]]) + "\n")
+        with pytest.raises(BinPdfError, match="permutation"):
+            load_pdf(path)
 
 
 class TestLocateBin:
@@ -468,6 +502,35 @@ class TestLocationStreamChecksDomain:
             np.testing.assert_equal(err.value.value, value)
 
 
+class TestNodeCoords:
+    """Node coordinates as a saved density's table states them."""
+
+    @staticmethod
+    def table(grid, tmp_path):
+        path = tmp_path / "pdf.csv"
+        save_pdf(PiecewiseLinearPdf(grid, np.zeros(grid.n_nodes), 1), path)
+        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+    def test_examples(self, tmp_path):
+        def node_coords(grid, node):
+            return self.table(grid, tmp_path)[np.ravel_multi_index(node, grid.node_shape), 1:-1]
+
+        assert node_coords(TensorGrid((0.0,), (1.0,), (2,)), (1,)) == pytest.approx([0.5])
+        assert node_coords(TensorGrid((-5.5,), (5.5,), (4,)), (0,))[0] == -5.5
+        grid = TensorGrid((0.0, 0.0), (2.0, 3.0), (2, 3))
+        np.testing.assert_array_equal(node_coords(grid, (2, 3)), [2.0, 3.0])
+
+    def test_node_coords_array_order(self, tmp_path):
+        grid = TensorGrid((0.0, 0.0), (1.0, 1.0), (2, 2))
+        table = self.table(grid, tmp_path)
+        np.testing.assert_array_equal(table[:, 0], np.arange(grid.n_nodes))
+        for flat in range(grid.n_nodes):
+            node = np.unravel_index(flat, grid.node_shape)
+            np.testing.assert_array_equal(
+                table[flat, 1:-1], [a + i * d for a, i, d in zip(grid.lower, node, grid.deltas)]
+            )
+
+
 class TestBasisEval:
     """Each node's hat, read through evaluation of a unit-coefficient density."""
 
@@ -583,3 +646,32 @@ class TestBasisIntegral:
         all_c = grid.basis_integrals()
         for flat, node in enumerate(np.ndindex(grid.node_shape)):
             assert all_c[flat] == hat_integral(grid, node)
+
+
+class TestBinVertices:
+    """The corners the stencil visits for a point: the 2**dim vertices of its bin."""
+
+    @staticmethod
+    def vertices(grid, point):
+        pts = np.asarray(point, dtype=np.float64).reshape(1, grid.dim)
+        return [tuple(int(i) for i in np.unravel_index(int(flat[0]), grid.node_shape))
+                for _, flat, _ in grid._stencil(pts)]
+
+    def test_1d(self):
+        grid = TensorGrid((0.0,), (1.0,), (4,))
+        assert self.vertices(grid, [0.625]) == [(2,), (3,)]
+
+    def test_2d(self):
+        grid = TensorGrid((0.0, 0.0), (1.0, 1.0), (2, 2))
+        assert set(self.vertices(grid, (0.25, 0.25))) == {(0, 0), (1, 0), (0, 1), (1, 1)}
+
+    def test_3d_distinct_and_valid(self):
+        grid = TensorGrid((0.0,) * 3, (1.0,) * 3, (2, 3, 2))
+        for idx in np.ndindex(grid.n_delta):
+            center = [a + (i + 0.5) * d for a, i, d in zip(grid.lower, idx, grid.deltas)]
+            vertices = self.vertices(grid, center)
+            assert len(set(vertices)) == 8
+            for v in vertices:
+                offsets = np.subtract(v, idx)
+                assert ((offsets == 0) | (offsets == 1)).all()
+                assert all(0 <= i < s for i, s in zip(v, grid.node_shape))
