@@ -59,13 +59,79 @@ def _scan(samples, points) -> tuple[int, object]:
     return pts.shape[0], (pts,)
 
 
+def _halves(n: int) -> tuple[int, int]:
+    """Where numpy's float64 pairwise sum splits ``n`` > 128 values."""
+    half = n // 2 - n // 2 % 8
+    return half, n - half
+
+
+def _leaves(n: int):
+    """Sizes, in order, of the leaves of :func:`_halves`'s tree over ``n``
+    values, split down to at most ``_CHUNK`` (> 128) values each."""
+    if n <= _CHUNK:
+        yield n
+    else:
+        for part in _halves(n):
+            yield from _leaves(part)
+
+
+class _PairwiseSum:
+    """``np.add.reduce``'s bits over ``n`` float64 values that arrive in blocks.
+
+    Above 128 values numpy sums pairwise: it splits the values at
+    :func:`_halves` and adds the two parts' sums (Higham 1993, "The accuracy
+    of floating point summation"). The same tree is followed here down to
+    leaves of at most ``_CHUNK`` values. Each leaf is summed by
+    ``np.add.reduce`` itself once its values have arrived, in one buffer
+    that carries it across blocks, and :meth:`total` adds the leaf sums in
+    tree order. Memory is the buffer and one float per leaf, whatever the
+    partition into blocks.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self._leaves = _leaves(n)
+        self._leaf = next(self._leaves)  # size of the leaf being filled; 0 once all are
+        self._held = 0  # of its values in the buffer
+        self._buffer = np.empty(min(n, _CHUNK))
+        self._sums = []
+
+    def add(self, values: np.ndarray) -> None:
+        at = 0
+        while at < values.shape[0]:
+            if not self._leaf:
+                raise ValueError(f"more than the {self.n} values declared")
+            take = min(values.shape[0] - at, self._leaf - self._held)
+            self._buffer[self._held : self._held + take] = values[at : at + take]
+            self._held += take
+            at += take
+            if self._held == self._leaf:
+                self._sums.append(np.add.reduce(self._buffer[: self._leaf]))
+                self._leaf, self._held = next(self._leaves, 0), 0
+
+    def total(self) -> float:
+        if self._leaf:
+            raise ValueError(f"fewer than the {self.n} values declared")
+        sums = iter(self._sums)
+
+        def tree(n):
+            if n <= _CHUNK:
+                return next(sums)
+            left, right = _halves(n)
+            return tree(left) + tree(right)
+
+        return float(tree(self.n))
+
+
 def _rmse(reference_eval, approx_eval, samples, dim: int, reference_count=None) -> float:
     """RMS difference of two evaluators at the samples; warns on a small reference.
 
     Both evaluators are pointwise, so evaluating them ``_CHUNK`` points
     at a time gives the bits of one whole-array call and holds one chunk's
-    temporaries instead of the whole sample's; of the samples only the
-    per-point differences are held.
+    temporaries instead of the whole sample's. The squared differences go
+    into a :class:`_PairwiseSum`, so the result has the bits of
+    ``sqrt(mean(diff**2))`` over the whole array while no per-point array is
+    held.
     """
     rows, blocks = _scan(samples, functools.partial(as_points, dim=dim))
     if rows == 0:
@@ -76,17 +142,15 @@ def _rmse(reference_eval, approx_eval, samples, dim: int, reference_count=None) 
             "approximation is being checked on; the surrogate error is unreliable",
             stacklevel=3,
         )
-    diff = np.empty(rows)
-    at = 0
+    squares, diff = _PairwiseSum(rows), np.empty(min(rows, _CHUNK))
     for block in blocks:
         for start in range(0, block.shape[0], _CHUNK):
             pts = block[start : start + _CHUNK]
-            chunk = diff[at : at + pts.shape[0]]
-            chunk[:] = reference_eval(pts)
-            chunk -= approx_eval(pts)
-            at += pts.shape[0]
-    diff *= diff
-    return float(np.sqrt(np.mean(diff)))
+            chunk = np.subtract(reference_eval(pts), approx_eval(pts),
+                                out=diff[: pts.shape[0]])
+            chunk *= chunk
+            squares.add(chunk)
+    return float(np.sqrt(squares.total() / rows))
 
 
 def rmse_vs_exact(approx_eval, exact: DistributionSpec, samples) -> float:
@@ -331,14 +395,14 @@ def _seed_runs(spec, params, grids, holdout: bool, seed: int) -> list[tuple[floa
 
 def _seed_bytes(dim: int, params, holdout: bool) -> int:
     """Peak memory of one :func:`_seed_runs`, from above: the draw (two with
-    a held-out set), the RMSE's per-point differences, the largest level's node
-    array, ``2 + 2 * dim`` chunk-sized arrays of location buffers and
-    evaluation temporaries, and 7 MiB that a seed takes at any size."""
+    a held-out set), the largest level's node array, ``2 + 2 * dim``
+    chunk-sized arrays of location buffers and evaluation temporaries, and
+    7 MiB that a seed takes at any size."""
     max_m = max(m for _, m in params)
     nodes = max((n_delta + 1) ** dim for n_delta, _ in params)
     chunk = min(_CHUNK, max_m)
     draws = max_m * dim * (2 if holdout else 1)
-    return 8 * (draws + max_m + nodes + (2 + 2 * dim) * chunk) + 7 * 2**20
+    return 8 * (draws + nodes + (2 + 2 * dim) * chunk) + 7 * 2**20
 
 
 def _memory_budget() -> int | None:

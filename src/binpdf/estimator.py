@@ -55,11 +55,12 @@ class PiecewiseLinearPdf:
 
     def integral(self) -> float:
         """Integral over the domain: sum of F_j * C_j, with C_j the product of
-        per-axis hat integrals contracted one axis at a time, last first, so no
-        node-sized array is built."""
+        per-axis hat integrals (``delta``, halved at both end nodes)
+        contracted one axis at a time, last first, by reductions of views, so
+        no node-sized array is built."""
         total = self.coefficients.reshape(self.grid.node_shape)
-        for factor in reversed(self.grid._axis_hat_integrals()):
-            total = total @ factor
+        for d in reversed(self.grid.deltas):
+            total = d * total[..., 1:-1].sum(-1) + (0.5 * d) * (total[..., 0] + total[..., -1])
         return float(total)
 
 

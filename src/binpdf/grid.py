@@ -361,10 +361,11 @@ class TensorGrid:
     def _axis_hat_integrals(self) -> list[np.ndarray]:
         """Per-axis 1-D hat integrals: ``delta``, halved at both end nodes.
 
-        A node's hat integral ``C_j`` is the product of its axes' factors. The
-        density's integral and :meth:`basis_integrals` take them from here; the
-        fit's finalization divides by the same values layer by layer, since in
-        1-D an axis's factor array is as large as the node array.
+        A node's hat integral ``C_j`` is the product of its axes' factors.
+        :meth:`basis_integrals` takes them from here. The fit's finalization
+        and the density's integral apply the same values to views of one
+        axis's layers instead, since in 1-D an axis's factor array is as large
+        as the node array.
         """
         factors = [np.full(s, d) for s, d in zip(self.node_shape, self.deltas)]
         for c in factors:

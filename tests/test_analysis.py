@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from binpdf import (
     BinPdfError,
@@ -44,6 +46,7 @@ from binpdf import (
     write_study_csv,
 )
 from binpdf import analysis
+from binpdf.grid import _CHUNK
 from test_grid import edge_mesh
 
 TGAUSS = DistributionSpec((TruncatedGaussian(0.0, 1.0, -5.5, 5.5),))
@@ -99,6 +102,55 @@ class TestRmseVsExact:
         a = rmse_vs_exact(pdf.evaluate_batch, TGAUSS, pts)
         b = rmse_vs_exact(pdf.evaluate_batch, TGAUSS, rng.permutation(pts, axis=0))
         assert a == pytest.approx(b, rel=1e-12)
+
+
+class TestPairwiseSum:
+    """The streamed sum of the RMSE has the bits of ``np.add.reduce``."""
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(st.integers(1, 5 * _CHUNK + 7), st.lists(st.integers(0, 5 * _CHUNK + 7), max_size=12),
+           st.integers(0, 2**32 - 1))
+    @example(1, [], 0)
+    @example(7, [3], 1)
+    @example(8, [8], 2)
+    @example(129, [1, 128], 3)
+    @example(_CHUNK - 1, [100], 4)
+    @example(_CHUNK + 1, [_CHUNK], 5)
+    @example(2 * _CHUNK + 1, [_CHUNK, 2 * _CHUNK], 6)
+    def test_any_partition_gives_the_whole_array_bits(self, n, cuts, seed):
+        rng = np.random.default_rng(seed)
+        # magnitudes over 16 decades and both signs, so the order of additions shows
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+        bounds = [0, *sorted(min(c, n) for c in cuts), n]
+        total = analysis._PairwiseSum(n)
+        for start, stop in zip(bounds, bounds[1:]):
+            total.add(values[start:stop])
+        assert np.float64(total.total()).tobytes() == np.add.reduce(values).tobytes()
+
+    def test_the_values_must_match_the_count(self):
+        total = analysis._PairwiseSum(3)
+        total.add(np.ones(2))
+        with pytest.raises(ValueError, match="fewer than the 3"):
+            total.total()
+        with pytest.raises(ValueError, match="more than the 3"):
+            total.add(np.ones(2))
+
+    def test_the_metrics_hold_no_per_point_array(self):
+        # 2**21 points: an array of their squared differences would take 16 MiB
+        m = 2**21
+        pts = sample(TGAUSS, m + 1, 21)
+        grid = TensorGrid((-5.5,), (5.5,), (32,))
+        pdf = fit(grid, pts[:m])
+        reference = fit_histogram(TensorGrid((-5.5,), (5.5,), (1024,)), pts)
+        for metric in (lambda: rmse_vs_exact(pdf.evaluate_batch, TGAUSS, pts[:m]),
+                       lambda: rmse_vs_histogram(pdf.evaluate_batch, reference, pts[:m])):
+            tracemalloc.start()
+            try:
+                metric()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * 2**20
 
 
 class TestRmseVsHistogram:
@@ -521,6 +573,28 @@ class TestSeedsInWorkers:
         assert pools == []
         monkeypatch.setattr("binpdf.estimator._physical_memory", lambda: 2 * seed_bytes)
         averaged_study(TGAUSS, mode, [20], [1, 2])
+        assert pools == [[1, 2]]
+
+    def test_a_seed_takes_its_draw_and_nodes_not_a_per_point_array(self, monkeypatch):
+        # the RMSE streams its sum, so of the evaluation points a seed holds
+        # only the draw, not 8 bytes a point of squared differences: a budget
+        # of two seeds' draws, node arrays and chunk buffers runs two workers
+        pools = self.pools(monkeypatch)
+        self.cpus(monkeypatch, 2)
+        m = 2**20
+        params = [analysis._level_params(FixedM(m), 4)]
+        seed_bytes = analysis._seed_bytes(1, params, False)
+        assert 2 * seed_bytes < 2 * 8 * (m + m)  # less than two draws and their differences
+        grids = [TensorGrid((-5.5,), (5.5,), (16,))]
+        tracemalloc.start()
+        try:
+            analysis._seed_runs(TGAUSS, params, grids, False, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 8 * m < peak < min(1.25 * 8 * m, seed_bytes)
+        monkeypatch.setattr("binpdf.estimator._physical_memory", lambda: 2 * seed_bytes)
+        averaged_study(TGAUSS, FixedM(m), [4], [1, 2])
         assert pools == [[1, 2]]
 
     @pytest.mark.skipif(not os.path.exists("/proc/meminfo"), reason="needs Linux's MemAvailable")

@@ -891,6 +891,20 @@ class TestStreamedSampleFiles:
             assert large < small + 3, peaks
 
     @pytest.mark.slow
+    def test_compare_over_every_row_does_not_grow_with_rows(self, tmp_path):
+        # without --m every row is an evaluation point: the RMSE streams its
+        # sum, where 8 bytes a row of squared differences took 16 MB on 2**21
+        peaks = {}
+        for rows in (2**18, 2**21):
+            out = f"s{rows}.csv"
+            peak_rss_mb(tmp_path, "-m", "binpdf.cli", "sample", "--dist", "mixed2d", "--m",
+                        str(rows), "--out", out)
+            peaks[rows] = peak_rss_mb(tmp_path, "-m", "binpdf.cli", "compare", "--samples", out,
+                                      "--ref-n-delta", "256", "--n-delta", "32",
+                                      "--estimators", "fe,histogram", "--out", "t.csv")
+        assert peaks[2**21] < peaks[2**18] + 3, peaks
+
+    @pytest.mark.slow
     def test_each_command_peaks_near_its_imports(self, tmp_path):
         # above a child that only imports what the command imports, a command
         # holds one block's buffers and text: in blocks of 2**18 rows each of

@@ -460,6 +460,15 @@ class TestIntegral:
         assert pdf.integral() == pytest.approx(
             float(pdf.coefficients @ grid.basis_integrals()), rel=1e-14, abs=0)
 
+    def test_one_dimensional_integral_builds_no_node_sized_array(self):
+        # in 1-D an axis's hat-integral factors are node-sized: contracting
+        # with them took 16 MB on these 2**21 bins
+        grid = TensorGrid((0.0,), (3.0,), (1 << 21,))
+        pdf = PiecewiseLinearPdf(grid, np.random.default_rng(45).random(grid.n_nodes), 1)
+        assert traced_peak(pdf.integral) < 0.05 * 8 * grid.n_nodes
+        assert pdf.integral() == pytest.approx(
+            float(pdf.coefficients @ grid.basis_integrals()), rel=1e-14, abs=0)
+
 
 class TestSerialization:
     @pytest.mark.parametrize("dim", [1, 2])
