@@ -3,7 +3,8 @@
 Every command is deterministic given identical flags (seeds included) and
 writes its files with the library writers, which publish atomically. Exit
 codes: 0 success, 2 usage error, 1 runtime or data error; failures print a
-line starting with ``error:`` on standard error.
+line starting with ``error:`` on standard error, and warnings one line each
+starting with ``warning:``.
 
 Distributions are written in a small axis-spec language, one spec per axis
 joined by ';':
@@ -26,6 +27,7 @@ import functools
 import math
 import sys
 import time
+import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -438,26 +440,33 @@ def main(argv=None) -> int:
         signal.signal(signal.SIGTERM, previous or signal.SIG_DFL)
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def _run(args) -> int:
-    """Run the parsed command; errors become one ``error:`` line and an exit code."""
-    try:
-        if not Path(args.out).name:  # checked before anything is read or drawn
-            raise UsageError(f"--out {args.out!r} does not name a file")
-        return args.func(args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except SampleOutOfDomainError as err:
-        where = "outside the grid domain" if math.isfinite(err.value) else "not finite"
-        print(f"error: sample row {err.index}: coordinate {err.value!r} on axis "
-              f"{err.axis} is {where}", file=sys.stderr)
-        return 1
-    except (BinPdfError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except MemoryError as err:
-        print(f"error: out of memory: {err}", file=sys.stderr)
-        return 1
+    """Run the parsed command; errors become one ``error:`` line and an exit
+    code, and each warning shown becomes one ``warning:`` line."""
+    with warnings.catch_warnings():  # restores showwarning on return
+        warnings.showwarning = _warning_line
+        try:
+            if not Path(args.out).name:  # checked before anything is read or drawn
+                raise UsageError(f"--out {args.out!r} does not name a file")
+            return args.func(args)
+        except UsageError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
+        except SampleOutOfDomainError as err:
+            where = "outside the grid domain" if math.isfinite(err.value) else "not finite"
+            print(f"error: sample row {err.index}: coordinate {err.value!r} on axis "
+                  f"{err.axis} is {where}", file=sys.stderr)
+            return 1
+        except (BinPdfError, OSError) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 1
+        except MemoryError as err:
+            print(f"error: out of memory: {err}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -59,10 +59,22 @@ _AS241_FAR = (
 )
 
 
-def _ratio(branch, r: np.ndarray) -> np.ndarray:
-    """``numerator(r) / denominator(r)`` of one AS 241 branch, by in-place Horner."""
-    num, den = (np.full_like(r, coeffs[-1]) for coeffs in branch)
-    for acc, coeffs in zip((num, den), branch):
+# Arrays as long as the input that a ppf takes as scratch (see ``_work``).
+_PPF_WORK = 5
+
+
+def _work(rows: int, size: int) -> list[np.ndarray]:
+    """``rows`` scratch arrays of ``size`` floats, each its own allocation,
+    so that the one a function returns holds no other."""
+    return [np.empty(size) for _ in range(rows)]
+
+
+def _ratio(branch, r: np.ndarray, out) -> np.ndarray:
+    """``numerator(r) / denominator(r)`` of one AS 241 branch, by in-place
+    Horner in the two arrays of ``out``; returned in the first."""
+    num, den = out
+    for acc, coeffs in zip(out, branch):
+        acc.fill(coeffs[-1])
         for c in coeffs[-2::-1]:
             acc *= r
             acc += c
@@ -70,28 +82,33 @@ def _ratio(branch, r: np.ndarray) -> np.ndarray:
     return num
 
 
-def _ndtri(p) -> np.ndarray:
+def _ndtri(p, work=None) -> np.ndarray:
     """Standard normal quantile by Wichura's AS 241 (PPND16), element by element.
 
     Within 1e-15 relative of the exact quantile of the double ``p``; ``p = 0``
     gives ``-inf``, ``p = 1`` gives ``inf``, and NaN or ``p`` outside [0, 1]
-    gives NaN, as ``scipy.special.ndtri`` does.
+    gives NaN, as ``scipy.special.ndtri`` does. The central branch is
+    computed in ``work``, four arrays as long as ``p``, and the result
+    returned in one of them: a caller that holds them allocates only the
+    tails' arrays.
     """
     shape = np.shape(p)
     p = np.asarray(p, dtype=np.float64).reshape(-1)  # flat, for the tail's indices
-    q = p - 0.5
-    x = _ratio(_AS241_CENTRAL, 0.180625 - q * q)
+    q, r, x, spare = _work(4, p.size) if work is None else work
+    np.subtract(p, 0.5, out=q)
+    np.subtract(0.180625, np.multiply(q, q, out=r), out=r)
+    _ratio(_AS241_CENTRAL, r, (x, spare))
     x *= q
-    tail = np.flatnonzero(~(np.abs(q) <= 0.425))  # NaN lands here too
+    tail = np.flatnonzero(~(np.abs(q, out=spare) <= 0.425))  # NaN lands here too
     if tail.size:
         pt = p[tail]
         with np.errstate(divide="ignore", invalid="ignore"):
             s = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
-            xt = _ratio(_AS241_NEAR, s - 1.6)
+            xt = _ratio(_AS241_NEAR, s - 1.6, _work(2, s.size))
             far = np.flatnonzero(~(s <= 5.0))
             if far.size:
                 t = s[far] - 5.0  # inf at p = 0 or 1, where the ratio is not
-                xt[far] = np.where(t == np.inf, t, _ratio(_AS241_FAR, t))
+                xt[far] = np.where(t == np.inf, t, _ratio(_AS241_FAR, t, _work(2, t.size)))
         x[tail] = np.copysign(xt, q[tail])
     return x.reshape(shape)
 
@@ -102,12 +119,13 @@ class _TruncatedAxis:
     A family supplies ``_loc_scale``, its standard kernel ``_kernel`` with
     normalizer ``_norm`` (the untruncated density is ``_kernel(z) / (_norm *
     scale)`` at ``z = (x - loc) / scale``) and the standard cdf ``_std_cdf``
-    with its inverse ``_std_ppf``. A window above the location runs on its
-    mirror image, by a negated scale: ``F(z_hi) - F(z_lo)`` cancels when both
-    are near 1, while the mirrored lower tail keeps its relative precision.
-    That needs a symmetric kernel; a uniform window never lies above ``lo``.
-    A family may also override ``_std_mass``, the ``F(w) - F(w_lo)`` behind
-    the mass and the cdf, with a form that cancels less.
+    with its inverse ``_std_ppf(p, work)``, which may overwrite ``p`` and the
+    ``_PPF_WORK - 1`` scratch arrays of ``work``. A window above the location
+    runs on its mirror image, by a negated scale: ``F(z_hi) - F(z_lo)``
+    cancels when both are near 1, while the mirrored lower tail keeps its
+    relative precision. That needs a symmetric kernel; a uniform window never
+    lies above ``lo``. A family may also override ``_std_mass``, the ``F(w) -
+    F(w_lo)`` behind the mass and the cdf, with a form that cancels less.
     """
 
     def __post_init__(self):
@@ -143,12 +161,21 @@ class _TruncatedAxis:
         out = self._std_mass(w_lo, (np.asarray(x, dtype=np.float64) - loc) / scale) / mass
         return np.clip(out, 0.0, 1.0)
 
-    def ppf(self, u: np.ndarray) -> np.ndarray:
+    def ppf(self, u: np.ndarray, work=None) -> np.ndarray:
+        """The quantile of ``u``, computed in ``work``: ``_PPF_WORK`` scratch
+        arrays as long as ``u`` (see ``_work``), which a draw holds for
+        all its chunks rather than allocating them anew per chunk."""
+        shape = np.shape(u)
+        u = np.asarray(u, dtype=np.float64).reshape(-1)
+        work = _work(_PPF_WORK, u.size) if work is None else work
         loc, scale, w_lo, mass = self._frame()
-        p = self._std_cdf(w_lo) + np.asarray(u, dtype=np.float64) * mass
-        x = loc + scale * self._std_ppf(p)
+        p = np.multiply(u, mass, out=work[0])
+        p += self._std_cdf(w_lo)
+        x = self._std_ppf(p, work[1:])
+        x *= scale
+        x += loc
         # clip absorbs inverse-CDF roundoff at the truncation bounds
-        return np.clip(x, self.lo, self.hi)
+        return np.clip(x, self.lo, self.hi, out=x).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -189,7 +216,8 @@ class Uniform(_TruncatedAxis):
     _loc_scale = property(lambda self: (self.lo, self.hi - self.lo))
     _norm = 1.0
     _kernel = staticmethod(lambda z: 1.0)
-    _std_cdf = _std_ppf = staticmethod(lambda p: p)  # on [0, 1]; cdf clips the rest
+    _std_cdf = staticmethod(lambda p: p)  # on [0, 1]; cdf clips the rest
+    _std_ppf = staticmethod(lambda p, work: p)
 
 
 @dataclass(frozen=True)
@@ -208,7 +236,8 @@ class TruncatedLaplace(_TruncatedAxis):
     _loc_scale = property(lambda self: (self.location, self.scale))
     _norm = 2.0
     _kernel = staticmethod(lambda z: np.exp(-np.abs(z)))
-    _std_ppf = staticmethod(lambda p: np.where(p < 0.5, np.log(2.0 * p), -np.log(2.0 * (1.0 - p))))
+    _std_ppf = staticmethod(
+        lambda p, work: np.where(p < 0.5, np.log(2.0 * p), -np.log(2.0 * (1.0 - p))))
 
     @staticmethod
     def _std_cdf(z):
@@ -291,12 +320,15 @@ def _draw(spec: DistributionSpec, m: int, seed: int, out: np.ndarray | None = No
     """
     rng = np.random.Generator(np.random.Philox(key=seed))
     buffer = np.empty((min(_CHUNK, m), spec.dim)) if out is None else out
+    # every chunk's ppf reuses these: chunk-sized temporaries freed per
+    # chunk would be handed back to the system and faulted in again
+    work = _work(_PPF_WORK, min(_CHUNK, m))
     for start in range(0, m, _CHUNK):
         k = min(_CHUNK, m - start)
         block = buffer[:k] if out is None else out[start : start + k]
         rng.random(out=block)
         for n, axis in enumerate(spec.axes):  # in place; every ppf is elementwise
-            block[:, n] = axis.ppf(block[:, n])
+            block[:, n] = axis.ppf(block[:, n], [w[:k] for w in work])
         yield block
 
 

@@ -3,11 +3,12 @@
 Floats are written with 17 significant digits, which round-trips float64
 exactly. Every CSV's bytes are those ``np.savetxt(fmt="%.17g",
 delimiter=",")`` writes, made in numpy rather than one Python ``%`` call per
-row: rows are formatted in fixed blocks, and only one block's text is held
-at a time. Per value, Dekker's error-free product gives the 17-digit decimal
-mantissa exactly, a 4-digit table turns it into text with its trailing zeros
-dropped, and the sign, point and exponent of ``%g`` are laid out around it
-(see ``_format_block``). Values outside the range the product is exact for
+row: rows are formatted in blocks of a fixed number of values, whatever the
+column count, and only one block's text is held at a time. Per value,
+Dekker's error-free product gives the 17-digit decimal mantissa exactly, a
+4-digit table turns it into text with its trailing zeros dropped, and the
+sign, point and exponent of ``%g`` are laid out around it (see
+``_format_block``). Values outside the range the product is exact for
 (magnitudes below 1e-6 or from 1e17 up, subnormals, infinities and NaN) are
 formatted with ``%`` one by one. An integral float below 1e17 reads the same
 as ``%d``, so index columns take the same path.
@@ -48,11 +49,11 @@ import numpy as np
 from .errors import BinPdfError
 from .grid import _CHUNK, TensorGrid
 
-# Rows per formatting block, half a ``_CHUNK``: a 2-D block's text and
-# temporaries take ~4 MB.
-_BLOCK_ROWS = 1 << 13
+# Values per formatting block, whatever the column count: a block's text and
+# temporaries take ~1.4 MB.
+_BLOCK_VALUES = 1 << 12
 
-# Bytes per read while hashing a CSV.
+# Bytes per read while hashing a CSV, into one buffer held for the call.
 _HASH_BLOCK = 1 << 20
 
 
@@ -128,15 +129,16 @@ def _digit_words() -> np.ndarray:
     """Word ``c`` holds the four digits of ``c`` (0..9999) at even bytes; word
     ``10000 + c`` the same without their trailing zeros.
 
-    Built per file rather than at import, where its temporaries would add to
-    the peak memory of a process that imports binpdf to draw samples."""
-    number = np.arange(10_000, dtype=np.int16)[:, None]
-    digits = (number // np.array([1000, 100, 10, 1], np.int16) % 10).astype(np.uint8)
-    full = np.zeros((10_000, 8), np.uint8)
-    full[:, ::2] = digits + ord("0")
-    trimmed = full.copy()
-    trimmed[:, ::2] *= np.cumsum(digits[:, ::-1], axis=1, dtype=np.int16)[:, ::-1] > 0
-    return np.concatenate([full, trimmed]).view(_WORD).ravel()
+    Built per file rather than at import, and from the 100 words of two
+    digits, so that its temporaries take a few kB."""
+    tens, ones = np.divmod(np.arange(100, dtype=_WORD), 10)
+    pair = tens + ord("0") | (ones + ord("0")) << 16
+    trimmed = np.where(ones > 0, pair, np.where(tens > 0, tens + ord("0"), 0))
+    words = np.empty((2, 100, 100), _WORD)  # c = 100 * high + low
+    np.bitwise_or(pair[:, None], pair << 32, out=words[0])
+    np.bitwise_or(pair[:, None], trimmed << 32, out=words[1])
+    words[1, :, 0] = trimmed  # low == 0: the high pair is trimmed instead
+    return words.ravel()
 
 
 def _veltkamp(a):
@@ -166,6 +168,11 @@ def _scaled(a, p):
 def _outside(hi, lo):
     """Whether ``hi + lo`` lies outside [1e16, 1e17)."""
     return (hi < 1e16) | ((hi == 1e16) & (lo < 0)) | (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+
+
+def _block_rows(cols: int) -> int:
+    """Rows per formatting block of a ``cols``-column table."""
+    return max(1, _BLOCK_VALUES // cols)
 
 
 def _format_block(values: np.ndarray, words: np.ndarray, digit_words: np.ndarray) -> bytes:
@@ -235,9 +242,12 @@ def _format_block(values: np.ndarray, words: np.ndarray, digit_words: np.ndarray
 
 
 def _csv_pieces(header: str, shape: tuple[int, int], blocks):
-    """The CSV's bytes: the header line, then one piece per ``_BLOCK_ROWS``
-    rows of the ``shape`` table whose rows ``blocks`` yields in order."""
-    rows, cols = min(_BLOCK_ROWS, shape[0]), shape[1]
+    """The CSV's bytes: the header line, then one piece per block of
+    :func:`_block_rows` rows of the ``shape`` table whose rows ``blocks``
+    yields in order."""
+    cols = shape[1]
+    step = _block_rows(cols)
+    rows = min(step, shape[0])
     words = np.zeros((rows, cols, _FIELD_BYTES // 8), _WORD)
     words[..., 5] = ord(",") << 32
     words[:, -1, 5] = ord("\n") << 32
@@ -246,8 +256,8 @@ def _csv_pieces(header: str, shape: tuple[int, int], blocks):
     yield f"{header}\n".encode()
     for block in blocks:
         block = np.asarray(block, dtype=np.float64)
-        for start in range(0, block.shape[0], _BLOCK_ROWS):
-            yield _format_block(block[start : start + _BLOCK_ROWS].ravel(), words, digit_words)
+        for start in range(0, block.shape[0], step):
+            yield _format_block(block[start : start + step].ravel(), words, digit_words)
 
 
 def _twin_path(path) -> Path:
@@ -302,9 +312,10 @@ def _sha256(path) -> bytes:
     import hashlib
 
     digest = hashlib.sha256()
+    buffer = memoryview(bytearray(_HASH_BLOCK))
     with open(path, "rb") as fh:
-        while block := fh.read(_HASH_BLOCK):
-            digest.update(block)
+        while size := fh.readinto(buffer):
+            digest.update(buffer[:size])
     return digest.digest()
 
 
@@ -424,8 +435,9 @@ def save_grid_table(
     rows = values.shape[0]
 
     def blocks():
-        for start in range(0, rows, _BLOCK_ROWS):
-            flat = np.arange(start, min(start + _BLOCK_ROWS, rows))
+        step = _block_rows(grid.dim + 2)
+        for start in range(0, rows, step):
+            flat = np.arange(start, min(start + step, rows))
             block = np.empty((flat.shape[0], grid.dim + 2))
             block[:, 0] = flat
             for n, i in enumerate(np.unravel_index(flat, shape)):

@@ -309,19 +309,26 @@ class TestStudy:
         assert ",10000," in out.read_text().splitlines()[1]
 
 
+SMALL_REFERENCE = ("warning: reference histogram was built from no more samples than the "
+                   "approximation is being checked on; the surrogate error is unreliable\n")
+
+
 class TestCompare:
-    @pytest.mark.filterwarnings("ignore:reference histogram")
     def test_reference_against_itself_is_zero(self, tmp_path, capsys):
         samples = tmp_path / "s.csv"
         run(capsys, "sample", "--dist", "tgauss1d", "--m", "2000", "--seed", "11",
             "--out", str(samples))
         out = tmp_path / "cmp.csv"
-        code, stdout, _ = run(
+        code, stdout, stderr = run(
             capsys, "compare", "--samples", str(samples), "--ref-n-delta", "8",
-            "--n-delta", "8", "--estimators", "histogram", "--out", str(out),
+            "--n-delta", "8", "--estimators", "fe,histogram", "--out", str(out),
         )
+        # without --m, --ref-m and --ref-samples the reference is built from
+        # the rows it is checked on: the warning is one stderr line
         assert code == 0
-        line = out.read_text().splitlines()[1]
+        assert stderr == SMALL_REFERENCE
+        fe, line = out.read_text().splitlines()[1:]
+        assert fe.startswith("fe,8,2000,8,2000,")
         assert line.startswith("histogram,8,2000,8,2000,")
         assert float(line.rsplit(",", 1)[1]) == 0.0
 

@@ -1,6 +1,7 @@
 """Samplers, exact densities, normalization constants, and sample CSV I/O."""
 
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -21,6 +22,7 @@ from binpdf import (
     sample,
     write_samples_csv,
 )
+from binpdf import sampling
 from binpdf.grid import _CHUNK
 from binpdf.sampling import _ndtri
 
@@ -155,6 +157,23 @@ class TestSampling:
         assert got.dtype == np.float64 and got.flags.c_contiguous
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    def test_later_chunks_allocate_no_chunk_sized_array(self):
+        # the ppf works in arrays the draw holds; per chunk only the tails'
+        # arrays, ~15% of a column each, are allocated. Five chunk-sized
+        # temporaries per ppf, freed per chunk, were given back to the
+        # system and faulted in again, more or less often with the heap's
+        # layout.
+        blocks = sampling._draw(DistributionSpec(TGAUSS.axes * 3), 8 * _CHUNK, 3)
+        next(blocks)
+        tracemalloc.start()
+        try:
+            for _ in blocks:
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * _CHUNK, peak  # bytes of two columns
 
     def test_truncated_gaussian_moments(self):
         mpmath.mp.dps = 30

@@ -37,7 +37,7 @@ from binpdf import textio
 from binpdf.cli import main
 from binpdf.grid import _CHUNK
 from binpdf.sampling import open_samples
-from binpdf.textio import _BLOCK_ROWS, open_twin, save_grid_table
+from binpdf.textio import _BLOCK_VALUES, _block_rows, open_twin, save_grid_table
 from test_grid import edge_mesh
 
 # bins per axis that put each table over one block but not on a block multiple
@@ -61,7 +61,7 @@ class TestSampleFiles:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("seed", [None, 17])
     def test_bytes_equal_savetxt_over_a_partial_block(self, tmp_path, dim, seed):
-        m = 2 * _BLOCK_ROWS + 3
+        m = _CHUNK + 3
         pts = samples_with_extremes(m, dim, dim)
         header = f"dim={dim} rows={m}" + ("" if seed is None else f" seed={seed}")
         expected = savetxt_bytes(tmp_path / "ref.csv", pts, fmt="%.17g", header=header)
@@ -73,14 +73,39 @@ class TestSampleFiles:
         assert b"4.9406564584124654e-324" in got
         assert b"1.7976931348623157e+308" in got
 
-    @pytest.mark.parametrize("m", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS])
-    def test_block_boundaries(self, tmp_path, m):
-        pts = samples_with_extremes(max(m, len(EXTREMES)), 2, m)[:m]
+    # a block holds at most _BLOCK_VALUES values, so where its rows end
+    # depends on the width: row counts around the first two ends at 1, 2, 5
+    # and 8 columns, and, at 2 columns, around the end of the 2**13-row
+    # blocks of earlier versions
+    @pytest.mark.parametrize("m, cols", [
+        *[pytest.param(m, 2, id=str(m)) for m in (1, 8191, 8192)],
+        *[pytest.param(m, cols, id=f"{m}x{cols}") for cols in (1, 2, 5, 8)
+          for rows in [_block_rows(cols)] for m in (rows - 1, rows, rows + 1, 2 * rows + 1)],
+    ])
+    def test_block_boundaries(self, tmp_path, m, cols):
+        assert _block_rows(cols) * cols <= _BLOCK_VALUES < (_block_rows(cols) + 1) * cols
+        pts = samples_with_extremes(max(m, len(EXTREMES)), cols, m)[:m]
         expected = savetxt_bytes(
-            tmp_path / "ref.csv", pts, fmt="%.17g", header=f"dim=2 rows={m}"
+            tmp_path / "ref.csv", pts, fmt="%.17g", header=f"dim={cols} rows={m}"
         )
         write_samples_csv(tmp_path / "new.csv", pts)
         assert (tmp_path / "new.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("cols", [1, 2, 5, 8])
+    def test_writer_memory_grows_with_neither_columns_nor_rows(self, tmp_path, cols):
+        # a block of _BLOCK_VALUES values, its text and temporaries take
+        # ~1.4 MB at every width; 2**13-row blocks took ~300 B per value
+        # (12.6 MB at 5 columns)
+        peaks = []
+        for rows in (2**13, 2**17):
+            table = np.random.default_rng(rows).normal(size=(rows, cols))
+            tracemalloc.start()
+            try:
+                write_samples_csv(tmp_path / "s.csv", table)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 2e6 and peaks[1] <= 1.05 * peaks[0], peaks
 
 
 class TestGridTables:
@@ -119,8 +144,9 @@ class TestGridTables:
         assert (tmp_path / "h.csv").read_bytes() == expected
 
     def test_save_memory_does_not_grow_with_the_grid(self, tmp_path):
-        # rows are built a block at a time; a whole (n, dim + 2) table would
-        # take ~40 B per node, 2.9x the 40^3 peak at 96^3
+        # rows are built and formatted a block at a time; a whole (n, dim + 2)
+        # table would take ~40 B per node, 2.9x the 40^3 peak at 96^3, and
+        # blocks of 2**13 rows took 12.7 MB
         def peak(n):
             grid = TensorGrid((-1.0,) * 3, (2.0,) * 3, (n,) * 3)
             pdf = PiecewiseLinearPdf(grid, np.ones(grid.n_nodes), 5)
@@ -131,7 +157,8 @@ class TestGridTables:
             finally:
                 tracemalloc.stop()
 
-        assert peak(96) <= 1.25 * peak(40)
+        large = peak(96)
+        assert large <= 1.25 * peak(40) and large <= 2e6
 
     def test_table_that_its_sidecar_would_overwrite_is_rejected(self, tmp_path):
         grid = TensorGrid((0.0,), (1.0,), (2,))
@@ -226,7 +253,10 @@ SPECIAL_BITS = [
     0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFF4000000000000,
     0x7FFFFFFFFFFFFFFF, 0xFFF8DEADBEEF0001,
 ]
-ROWS = [1, 2, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3]
+# row counts around the value-based block ends, around the 2**13-row block
+# ends of earlier versions, and past one _CHUNK of write_csv_with_twin
+ROWS = [1, 2, _BLOCK_VALUES - 1, _BLOCK_VALUES, _BLOCK_VALUES + 1, 2 * _BLOCK_VALUES + 3,
+        8191, 8192, 8193, _CHUNK + 3]
 
 
 def parse(path):
@@ -440,6 +470,19 @@ class TestTwin:
         data = (tmp_path / ".s.csv.npy").read_bytes()
         assert data[:32] == hashlib.sha256((tmp_path / "s.csv").read_bytes()).digest()
         assert data[32:] == expected.getvalue()
+
+    def test_the_csv_is_hashed_through_one_buffer(self, tmp_path):
+        # a fresh bytes per read held two reads, 2 MiB, at once
+        data = np.random.default_rng(5).bytes(3 * textio._HASH_BLOCK + 5)
+        (tmp_path / "s.csv").write_bytes(data)
+        tracemalloc.start()
+        try:
+            digest = textio._sha256(tmp_path / "s.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert digest == hashlib.sha256(data).digest()
+        assert peak < 1.25 * textio._HASH_BLOCK
 
     def test_failed_publication_leaves_the_csv_as_it_was(self, tmp_path):
         path = tmp_path / "s.csv"
