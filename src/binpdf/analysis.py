@@ -421,13 +421,9 @@ def _memory_budget() -> int | None:
 def _worker_count(seeds: int, seed_bytes: int) -> int:
     """One worker per seed and available CPU, no more than whose working sets
     (``seed_bytes`` each) fit in the memory budget together."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        cpus = os.cpu_count() or 1
     budget = _memory_budget()
     fitting = seeds if budget is None else budget // seed_bytes
-    return max(1, min(seeds, cpus, fitting))
+    return max(1, min(seeds, estimator._available_cpus(), fitting))
 
 
 # The fewest coordinates (rows times dim) in one seed's draw for which a study
@@ -446,12 +442,14 @@ _STOP_SIGNALS = (signal.SIGINT, signal.SIGTERM)
 
 
 def _start_worker(parent: int, owners) -> None:
-    """Pool initializer: a worker records its seeds in ``owners``, dies by
-    SIGTERM (not the CLI's handler, which would raise in the worker), and is
-    sent SIGKILL when its parent dies (Linux), since a forked worker never
-    sees its call queue close."""
+    """Pool initializer: a worker records its seeds in ``owners``, fits and
+    evaluates in its own thread only, dies by SIGTERM (not the CLI's
+    handler, which would raise in the worker), and is sent SIGKILL when its
+    parent dies (Linux), since a forked worker never sees its call queue
+    close."""
     global _owners
     _owners = owners
+    estimator._threads_allowed = False  # the pool has a worker per CPU already
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)  # blocked while forking
     try:

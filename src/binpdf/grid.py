@@ -324,14 +324,13 @@ class TensorGrid:
         (``as_samples`` and ``offset`` as there), and within each over the
         2**dim corners of every point's bin in lexicographic offset order.
         The index and weight arrays are buffers reused for every corner of a
-        chunk, so consume them before asking for the next corner; the index
-        array is read-only, since the next corner's index is stepped from it.
+        chunk, so consume them before asking for the next corner, and do not
+        write the index array: the next corner's index is stepped from it. It
+        is not flagged read-only, since ``np.take`` copies a read-only index.
         """
         strides = [math.prod(self.node_shape[n + 1 :]) for n in range(self.dim - 1)]
         for start, idx, frac in self._located(pts, as_samples=as_samples, offset=offset):
             flat = _ravel_rows(idx, self.node_shape)  # stepped from corner to corner
-            corner = flat.view()
-            corner.flags.writeable = False  # a consumer's write would move later corners
             # the other index rows are free now: one holds the leading product, one w
             lead = idx[1].view(np.float64) if self.dim > 1 else None
             w = idx[2].view(np.float64) if self.dim > 2 else np.empty(flat.shape[0])
@@ -350,26 +349,32 @@ class TensorGrid:
                 np.subtract(1.0, last, out=w)
                 if prod is not None:
                     w *= prod
-                yield start, corner, w
+                yield start, flat, w
                 flat += 1  # the last axis has stride 1
                 at = to + 1
                 np.multiply(last, 1.0 if prod is None else prod, out=w)
-                yield start, corner, w
+                yield start, flat, w
 
     # -- hat integrals -------------------------------------------------------
 
-    def _axis_hat_integrals(self) -> list[np.ndarray]:
-        """Per-axis 1-D hat integrals: ``delta``, halved at both end nodes.
+    @cached_property
+    def _layer_factors(self) -> tuple[tuple[float, float], ...]:
+        """Per axis, the 1-D hat integral of an interior node and of an end
+        node: ``(delta, delta / 2)``.
 
         A node's hat integral ``C_j`` is the product of its axes' factors.
-        :meth:`basis_integrals` takes them from here. The fit's finalization
-        and the density's integral apply the same values to views of one
-        axis's layers instead, since in 1-D an axis's factor array is as large
-        as the node array.
+        The fit's finalization and the density's integral apply them to views
+        of one axis's layers, since in 1-D an axis's factor array would be as
+        large as the node array; :meth:`basis_integrals` spreads them out.
         """
-        factors = [np.full(s, d) for s, d in zip(self.node_shape, self.deltas)]
-        for c in factors:
-            c[[0, -1]] *= 0.5
+        return tuple((d, d * 0.5) for d in self.deltas)
+
+    def _axis_hat_integrals(self) -> list[np.ndarray]:
+        """Per-axis 1-D hat integrals, one per node along the axis."""
+        factors = []
+        for s, (inner, end) in zip(self.node_shape, self._layer_factors):
+            factors.append(np.full(s, inner))
+            factors[-1][[0, -1]] = end
         return factors
 
     def basis_integrals(self) -> np.ndarray:

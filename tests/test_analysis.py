@@ -45,7 +45,7 @@ from binpdf import (
     write_plot_script,
     write_study_csv,
 )
-from binpdf import analysis
+from binpdf import analysis, estimator
 from binpdf.grid import _CHUNK
 from test_grid import edge_mesh
 
@@ -472,6 +472,18 @@ class TwoArgumentError(Exception):
         super().__init__(f"{a} {b}")
 
 
+def fits_counting_threads(seed: int) -> int:
+    """Threads started by one fit and one evaluation on a 1-D grid."""
+    started = []
+    start = threading.Thread.start
+    threading.Thread.start = lambda t: (started.append(t), start(t))
+    try:
+        fit(TensorGrid((-5.5,), (5.5,), (64,)), sample(TGAUSS, 1000, seed)).evaluate_batch([0.0, 1.0])
+    finally:
+        threading.Thread.start = start
+    return len(started)
+
+
 class TestSeedsInWorkers:
     """Seeds whose draw holds at least 2**17 coordinates run in forked worker
     processes, one per available CPU; the CPU count is patched, so two workers
@@ -560,6 +572,27 @@ class TestSeedsInWorkers:
             other.join(timeout=10)
         assert not other.is_alive()
         assert pools == []
+
+    def test_a_threaded_fit_leaves_the_pool_on(self, monkeypatch):
+        # fit and evaluation join their threads before they return
+        pools = self.pools(monkeypatch)
+        self.cpus(monkeypatch, 2)
+        monkeypatch.setattr(estimator, "_THREAD_MIN_NODES", 0)
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: (started.append(t), start(t)))
+        grid = TensorGrid((-5.5,), (5.5,), (64,))
+        fit(grid, sample(TGAUSS, 1000, 1)).evaluate_batch([0.0, 1.0])
+        assert len(started) == 2
+        averaged_study(TGAUSS, FixedM(analysis._POOL_MIN_COORDS), [2], [1, 2])
+        assert pools == [[1, 2]]
+
+    def test_a_study_worker_starts_no_thread(self, monkeypatch):
+        # each worker owns a CPU already; the same fits in this process start two
+        self.cpus(monkeypatch, 2)
+        monkeypatch.setattr(estimator, "_THREAD_MIN_NODES", 0)
+        assert fits_counting_threads(1) == 2
+        assert analysis._map_in_workers(fits_counting_threads, [1, 2], 2) == [0, 0]
 
     def test_the_node_array_counts_against_memory(self, monkeypatch):
         # a 2**20-bin grid's node array is four times a 2**18-row 1-D draw

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -22,6 +24,7 @@ from binpdf import (
     save_pdf,
 )
 
+from binpdf import estimator
 from binpdf.baselines import HistogramAccumulator
 from binpdf.estimator import Accumulator
 from binpdf.grid import _CHUNK
@@ -417,6 +420,28 @@ class TestEvaluate:
         assert err.value.index == 2
         assert err.value.value == 3.0
 
+    def test_later_chunks_allocate_no_chunk_sized_array(self, monkeypatch):
+        # every corner gathers its coefficients into one buffer held for the
+        # evaluation; a fresh gather per corner allocated a chunk-sized array
+        grid = TensorGrid((0.0,) * 3, (1.0,) * 3, (8,) * 3)
+        pts = np.random.default_rng(71).random((8 * _CHUNK, 3))
+        pdf = fit(grid, pts[:1000])
+        stencil = TensorGrid._stencil
+
+        def traced_after_the_first_chunk(self, *args, **kwargs):
+            for start, flat, w in stencil(self, *args, **kwargs):
+                if start and not tracemalloc.is_tracing():
+                    tracemalloc.start()
+                yield start, flat, w
+
+        monkeypatch.setattr(TensorGrid, "_stencil", traced_after_the_first_chunk)
+        try:
+            pdf.evaluate_batch(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < peak < 8 * _CHUNK, peak
+
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
@@ -573,3 +598,106 @@ class TestAccumulator:
             Accumulator(TensorGrid((0.0,), (1.0,), (99,)))
         with pytest.raises(GridTooLargeError):
             HistogramAccumulator(TensorGrid((0.0,), (1.0,), (100,)))
+
+
+def threads_started(mp) -> list:
+    """The threads started from now on, as ``mp`` (a MonkeyPatch) keeps them."""
+    started = []
+    start = threading.Thread.start
+
+    def spy(thread):
+        started.append(thread)
+        start(thread)
+
+    mp.setattr(threading.Thread, "start", spy)
+    return started
+
+
+def with_cpus(mp, n: int) -> None:
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+class TestThreadedParts:
+    """From ``_THREAD_MIN_NODES`` nodes up, finalization and evaluation split
+    over one thread per available CPU. The threshold is patched to 0 and the
+    CPU count to 2 or 3, so small grids take the threaded path on any machine."""
+
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(lambda dim: st.lists(
+            st.sampled_from([1, 2, 3, 5, 8]), min_size=dim, max_size=dim)),
+        st.one_of(st.sampled_from([1, 2, 3, _CHUNK + 1]), st.integers(1, 2 * _CHUNK + 777)),
+        st.sampled_from([2, 3]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_results_do_not_depend_on_the_cpu_count(self, n_delta, m, cpus, seed):
+        rng = np.random.default_rng(seed)
+        grid = random_grid(rng, len(n_delta), 1)
+        grid = TensorGrid(grid.lower, grid.upper, n_delta)
+        samples = edge_points(grid, rng, n_random=m)[:m]
+        pts = rng.uniform(grid.lower, grid.upper, size=(m + 2, grid.dim))
+        pts[-2:] = grid.lower, grid.upper
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimator, "_THREAD_MIN_NODES", 0)
+            with_cpus(mp, 1)
+            serial = fit(grid, samples)
+            want = serial.evaluate_batch(pts)
+            with_cpus(mp, cpus)
+            started = threads_started(mp)
+            threaded = fit(grid, samples)
+            got = threaded.evaluate_batch(pts)
+        assert len(started) == min(cpus, grid.node_shape[0]) - 1 + min(cpus, len(pts)) - 1
+        np.testing.assert_array_equal(threaded.coefficients, serial.coefficients)
+        np.testing.assert_array_equal(threaded.integral(), serial.integral())
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("value", [math.nan, 1.5, -math.inf])
+    @pytest.mark.parametrize("offenders", [
+        [(_CHUNK + 400, 1), (2 * _CHUNK, 0)],  # in the second of two parts only
+        [(300, 2), (_CHUNK + 400, 0)],  # in both parts
+    ], ids=["second-part", "both-parts"])
+    def test_threaded_evaluation_raises_the_serial_error(self, monkeypatch, value, offenders):
+        grid = TensorGrid((0.0,) * 3, (1.0,) * 3, (4,) * 3)
+        rng = np.random.default_rng(72)
+        pdf = fit(grid, rng.random((1000, 3)))
+        pts = rng.random((2 * _CHUNK + 777, 3))  # parts of rows [0, 16772) and [16772, 33545)
+        for row, axis in offenders:
+            pts[row, axis] = value
+        monkeypatch.setattr(estimator, "_THREAD_MIN_NODES", 0)
+        raised = []
+        for cpus in (1, 2):
+            with_cpus(monkeypatch, cpus)
+            before = threading.active_count()
+            with pytest.raises(OutOfDomainError) as err:
+                pdf.evaluate_batch(pts)
+            assert threading.active_count() == before
+            raised.append((type(err.value), err.value.index, err.value.axis))
+            np.testing.assert_equal(err.value.value, value)
+        assert raised == [(OutOfDomainError, *offenders[0])] * 2
+
+    def test_every_thread_is_joined_on_return(self, monkeypatch):
+        grid = TensorGrid((0.0,) * 2, (1.0,) * 2, (6, 6))
+        pts = np.random.default_rng(73).random((5000, 2))
+        monkeypatch.setattr(estimator, "_THREAD_MIN_NODES", 0)
+        with_cpus(monkeypatch, 3)
+        started = threads_started(monkeypatch)
+        before = threading.active_count()
+        fit(grid, pts).evaluate_batch(pts)
+        assert threading.active_count() == before
+        assert len(started) == 4 and not any(t.is_alive() for t in started)
+
+    def test_the_lowest_failing_part_raises(self, monkeypatch):
+        with_cpus(monkeypatch, 3)
+        ran = []
+
+        def run(a, b):
+            ran.append((a, b))
+            if a:
+                raise ValueError(a)
+
+        with pytest.raises(ValueError, match="^3$"):
+            estimator._in_parts(run, 9, estimator._THREAD_MIN_NODES)
+        assert sorted(ran) == [(0, 3), (3, 6), (6, 9)]
+        ran.clear()
+        estimator._in_parts(run, 9, estimator._THREAD_MIN_NODES - 1)  # below it: one part
+        assert ran == [(0, 9)]
