@@ -30,14 +30,13 @@ from . import estimator
 from .errors import (
     BinPdfError,
     DegenerateSupportError,
-    EmptySampleSetError,
     NonpositiveValueError,
     TooFewPointsError,
     UnsupportedOrderError,
 )
 from .grid import _CHUNK, TensorGrid, _whole, as_points, check_finite
 from .sampling import DistributionSpec, check_seed, sample
-from .textio import TableReader, write_text
+from .textio import _scan, write_text
 
 if TYPE_CHECKING:  # an annotation only: a study does not load the baselines
     from .baselines import Histogram
@@ -48,15 +47,6 @@ _HOLDOUT_SEED_XOR = 0x9E3779B97F4A7C15
 
 
 # -- error metrics -------------------------------------------------------------
-
-
-def _scan(samples, points) -> tuple[int, object]:
-    """``(rows, blocks)`` of ``samples``: a :class:`TableReader`'s own, or the
-    one block that ``points`` makes of an array."""
-    if isinstance(samples, TableReader):
-        return samples.shape[0], samples.blocks()
-    pts = points(samples)
-    return pts.shape[0], (pts,)
 
 
 def _halves(n: int) -> tuple[int, int]:
@@ -133,9 +123,8 @@ def _rmse(reference_eval, approx_eval, samples, dim: int, reference_count=None) 
     ``sqrt(mean(diff**2))`` over the whole array while no per-point array is
     held.
     """
-    rows, blocks = _scan(samples, functools.partial(as_points, dim=dim))
-    if rows == 0:
-        raise EmptySampleSetError("error metric needs at least one sample point")
+    rows, blocks = _scan(samples, functools.partial(as_points, dim=dim),
+                         "error metric needs at least one sample point")
     if reference_count is not None and reference_count <= rows:
         warnings.warn(
             "reference histogram was built from no more samples than the "
@@ -245,9 +234,7 @@ def estimate_support(samples) -> list[tuple[float, float]]:
     scanned a block at a time. A NaN or infinite coordinate raises
     :class:`SampleOutOfDomainError` naming its row and axis.
     """
-    rows, blocks = _scan(samples, _as_columns)
-    if rows == 0:
-        raise EmptySampleSetError("support estimation needs samples")
+    _, blocks = _scan(samples, _as_columns, "support estimation needs samples")
     bounds, start = None, 0
     for pts in blocks:
         # a column at a time: reducing a strided column is several times faster

@@ -1,11 +1,12 @@
 """Reference estimators: the bin-count histogram and a naive sample-centered KDE.
 
-The histogram is piecewise constant on the grid's bins and shares the grid's
-point-location tie rule, so histogram and piecewise-linear estimator can only
-disagree by approximation order, never by binning convention. The KDE places
-a product kernel at every sample and therefore costs O(M) per evaluation;
-it is kept deliberately naive (no boundary correction, user-supplied
-bandwidth) as a comparison baseline.
+The histogram is piecewise constant on the grid's bins. It is degree 0 of
+the estimator's stencil and accumulator: each sample deposits weight 1 on its
+bin through the same location, scatter and density code. So histogram and
+piecewise-linear estimator can only disagree by approximation order, never
+by binning convention. The KDE places a product kernel at every sample and
+therefore costs O(M) per evaluation; it is kept deliberately naive (no
+boundary correction, user-supplied bandwidth) as a comparison baseline.
 """
 
 from __future__ import annotations
@@ -18,87 +19,33 @@ import numpy as np
 
 from . import estimator
 from .errors import EmptySampleSetError, NonpositiveBandwidthError
-from .grid import _CHUNK, TensorGrid, _ravel_rows, as_point, as_points, check_finite
-from .textio import load_grid_table, save_grid_table
+from .grid import TensorGrid, as_point, as_points, check_finite
+from .textio import load_grid_table
 
 
-@dataclass(frozen=True, eq=False)
-class Histogram:
+class Histogram(estimator._GridDensity):
     """Piecewise-constant density: one value per bin, unit integral."""
 
-    grid: TensorGrid
-    values: np.ndarray
-    sample_count: int
+    _degree = 0
+    _columns = ("bin_index", "corner", "value")
+    _nouns = ("bins", "counts")
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64).ravel()
-        if values.shape[0] != self.grid.n_bins:
-            raise ValueError(f"need {self.grid.n_bins} values, got {values.shape[0]}")
-        object.__setattr__(self, "values", values)
+    @property
+    def values(self) -> np.ndarray:
+        """The coefficients: the value on each bin, row-major."""
+        return self.coefficients
 
     @property
     def bin_volume(self) -> float:
-        return float(np.prod(self.grid.deltas))
-
-    def evaluate(self, point) -> float:
-        return float(self.evaluate_batch(as_point(point, self.grid.dim).reshape(1, -1))[0])
-
-    def evaluate_batch(self, points) -> np.ndarray:
-        pts = as_points(points, self.grid.dim)
-        out = np.empty(pts.shape[0])
-        for start, idx, _ in self.grid._located(pts):
-            # in range, so mode="clip" changes no index; it only skips take's buffer
-            np.take(self.values, _ravel_rows(idx, self.grid.bin_shape), mode="clip",
-                    out=out[start : start + idx.shape[1]])
-        return out
-
-    def integral(self) -> float:
-        return float(self.values.sum() * self.bin_volume)
+        return self.grid._bin_volume
 
 
-class HistogramAccumulator:
-    """Bin counts, fed the samples a block at a time.
+class HistogramAccumulator(estimator.Accumulator):
+    """The degree-0 :class:`~binpdf.estimator.Accumulator`: bin counts, as
+    float64 sums of 1.0, exact below 2**53 rows and so independent of order
+    and partition. :meth:`finalize` divides them once by ``M * bin_volume``."""
 
-    Integer counts do not depend on the partition, so :meth:`finalize`
-    returns exactly the :func:`fit_histogram` of all the samples added.
-    :meth:`add` checks each block's domain first; the error names the
-    offending sample's row in the whole stream. Memory is one ``n_bins``
-    array and a fixed per-chunk working set: :meth:`finalize` turns the
-    counts into the values in place, so it may be called once.
-
-    Raises :class:`GridTooLargeError` before allocating a bin array (8 bytes
-    per bin) larger than physical memory.
-    """
-
-    def __init__(self, grid: TensorGrid):
-        estimator._check_memory(grid.n_bins, "bins", "counts")
-        self.grid = grid
-        self.count = 0  # rows added
-        self._counts = np.zeros(grid.n_bins, np.int64)
-
-    def add(self, block) -> None:
-        """Count the samples of ``block``, an (m, dim) array, after checking
-        them (:class:`SampleOutOfDomainError` names the row in the stream)."""
-        if self._counts is None:
-            raise ValueError("samples added to a finalized accumulator")
-        pts = as_points(block, self.grid.dim)
-        for _, idx, _ in self.grid._located(pts, as_samples=True, offset=self.count):
-            np.add.at(self._counts, _ravel_rows(idx, self.grid.bin_shape), 1)
-        self.count += pts.shape[0]
-
-    def finalize(self) -> Histogram:
-        """Counts scaled by ``1 / (M * bin_volume)``; raises
-        :class:`EmptySampleSetError` if no sample was added."""
-        if self._counts is None:
-            raise ValueError("accumulator already finalized")
-        if self.count == 0:
-            raise EmptySampleSetError("cannot fit a histogram to zero samples")
-        counts, self._counts = self._counts, None
-        scale = self.count * float(np.prod(self.grid.deltas))
-        values = counts.view(np.float64)  # a chunk at a time: numpy copies an overlapping input
-        for start in range(0, counts.size, _CHUNK):
-            np.divide(counts[start : start + _CHUNK], scale, out=values[start : start + _CHUNK])
-        return Histogram(self.grid, values, self.count)
+    _density = Histogram
 
 
 def fit_histogram(grid: TensorGrid, samples) -> Histogram:
@@ -107,12 +54,7 @@ def fit_histogram(grid: TensorGrid, samples) -> Histogram:
     Like :func:`estimator.fit`, raises :class:`GridTooLargeError` before
     allocating a bin array (8 bytes per bin) larger than physical memory.
     """
-    pts = as_points(samples, grid.dim)
-    if pts.shape[0] == 0:
-        raise EmptySampleSetError("cannot fit a histogram to zero samples")
-    accumulator = HistogramAccumulator(grid)
-    accumulator.add(pts)
-    return accumulator.finalize()
+    return estimator._fit(HistogramAccumulator, grid, samples)
 
 
 # -- naive KDE ----------------------------------------------------------------
@@ -182,10 +124,7 @@ def eval_kde_batch(spec: KdeSpec, points) -> np.ndarray:
 
 def save_histogram(histogram: Histogram, path) -> Path:
     """Publish ``<path>`` (flat bin index, bin lower corner, value) plus sidecar."""
-    return save_grid_table(
-        path, histogram.grid, ("bin_index", "corner", "value"), histogram.grid.bin_shape,
-        histogram.values, histogram.sample_count,
-    )
+    return histogram._save(path)
 
 
 def load_histogram(path) -> Histogram:

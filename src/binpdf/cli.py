@@ -200,13 +200,6 @@ def _open_samples(path: str) -> textio.TableReader:
         raise BinPdfError(f"could not parse sample file {path}: {err}") from err
 
 
-def _fitted(accumulator, rows: textio.TableReader):
-    """``accumulator`` fed every block of ``rows``, finalized."""
-    for block in rows.blocks():
-        accumulator.add(block)
-    return accumulator.finalize()
-
-
 def cmd_fit(args) -> int:
     from . import estimator, textio
 
@@ -230,7 +223,7 @@ def cmd_fit(args) -> int:
                                        convert=functools.partial(_parse_count, what="--n-delta")))
 
         t0 = time.perf_counter()
-        pdf = _fitted(estimator.Accumulator(grid), rows)
+        pdf = estimator._fit(estimator.Accumulator, grid, rows)
         seconds = time.perf_counter() - t0
 
     estimator.save_pdf(pdf, out)
@@ -286,13 +279,12 @@ def _parse_estimators(text: str) -> list[tuple[str, object]]:
     batch evaluator."""
     from . import baselines, estimator
 
+    accumulators = {"fe": estimator.Accumulator, "histogram": baselines.HistogramAccumulator}
     wanted = []
     for part in text.split(","):
-        if part == "fe":
-            wanted.append(("fe", lambda g, r: _fitted(estimator.Accumulator(g), r).evaluate_batch))
-        elif part == "histogram":
-            wanted.append(("histogram", lambda g, r:
-                           _fitted(baselines.HistogramAccumulator(g), r).evaluate_batch))
+        if part in accumulators:
+            wanted.append((part, lambda g, r, a=accumulators[part]:
+                           estimator._fit(a, g, r).evaluate_batch))
         elif part.startswith("kde:"):
             pieces = part.split(":")
             kernel = pieces[1] if len(pieces) == 3 else "triangular"
@@ -313,7 +305,7 @@ def _parse_estimators(text: str) -> list[tuple[str, object]]:
 
 
 def cmd_compare(args) -> int:
-    from . import analysis, baselines, textio
+    from . import analysis, baselines, estimator, textio
 
     with contextlib.ExitStack() as stack:
         samples = stack.enter_context(_open_samples(args.samples))
@@ -336,8 +328,8 @@ def cmd_compare(args) -> int:
         else:
             bounds = _per_axis(args.domain, dim, "--domain", sep=";", convert=_pair)
 
-        reference = _fitted(baselines.HistogramAccumulator(_grid(bounds, (ref_n,) * dim)),
-                            ref_samples.head(ref_m))
+        reference = estimator._fit(baselines.HistogramAccumulator,
+                                   _grid(bounds, (ref_n,) * dim), ref_samples.head(ref_m))
         coarse = samples.head(fit_m)
         coarse_grid = _grid(bounds, (coarse_n,) * dim)
 

@@ -5,11 +5,14 @@ bin, weighted by the multilinear hat values at the sample. The coefficient at
 node ``j`` is the accumulated weight divided by ``M * C_j``, where ``C_j`` is
 the exact integral of the node's hat function. The resulting density is
 non-negative, integrates to one, and is continuous across bin faces; fitting
-is a single O(M * 2**dim) pass with an O(n_nodes) finalization.
+is a single O(M * 2**dim) pass with an O(n_nodes) finalization. The histogram
+(:mod:`binpdf.baselines`) is degree 0 of the same stencil, accumulator and
+density code: each sample deposits 1 on its bin, and ``C_j`` is the bin volume.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -19,36 +22,38 @@ import numpy as np
 
 from .errors import EmptySampleSetError, GridTooLargeError
 from .grid import _CHUNK, TensorGrid, as_point, as_points
-from .textio import load_grid_table, save_grid_table
+from .textio import _scan, load_grid_table, save_grid_table
 
 
 @dataclass(frozen=True, eq=False)
-class PiecewiseLinearPdf:
-    """A fitted piecewise multilinear density: grid plus one coefficient per node.
-
-    Immutable after fit; evaluation is pure and thread-safe.
-    """
+class _GridDensity:
+    """A density on a grid: one coefficient per basis function of the
+    subclass's ``_degree``, a node's hat at 1 and a bin's indicator at 0."""
 
     grid: TensorGrid
     coefficients: np.ndarray
     sample_count: int
 
+    @classmethod
+    def _shape(cls, grid: TensorGrid) -> tuple[int, ...]:
+        """The grid's node shape at degree 1, its bin shape at degree 0."""
+        return grid.node_shape if cls._degree else grid.bin_shape
+
     def __post_init__(self):
         coeffs = np.asarray(self.coefficients, dtype=np.float64).ravel()
-        if coeffs.shape[0] != self.grid.n_nodes:
-            raise ValueError(
-                f"need {self.grid.n_nodes} coefficients, got {coeffs.shape[0]}"
-            )
+        count = math.prod(self._shape(self.grid))
+        if coeffs.shape[0] != count:
+            raise ValueError(f"need {count} {self._columns[-1]}s, got {coeffs.shape[0]}")
         object.__setattr__(self, "coefficients", coeffs)
 
     def evaluate(self, point) -> float:
-        """Density value at a single point (exactly F_j at node j)."""
+        """Density value at a single point (exactly F_j at node j at degree 1)."""
         return float(self.evaluate_batch(as_point(point, self.grid.dim).reshape(1, -1))[0])
 
     def evaluate_batch(self, points) -> np.ndarray:
         """Elementwise :meth:`evaluate`, order preserving.
 
-        On a grid of at least ``_THREAD_MIN_NODES`` nodes, contiguous row
+        With at least ``_THREAD_MIN_NODES`` coefficients, contiguous row
         ranges are evaluated on threads (:func:`_in_parts`); a value takes
         the same steps in the same order either way, so its bits do not
         depend on the CPU count. The first point outside the domain raises,
@@ -59,28 +64,47 @@ class PiecewiseLinearPdf:
 
         def evaluate_rows(a, b):
             gathered = np.empty(min(_CHUNK, b - a))  # one buffer for every corner
-            for start, flat, w in self.grid._stencil(pts[a:b], offset=a):
+            for start, flat, w in self.grid._stencil(pts[a:b], degree=self._degree, offset=a):
                 k = w.shape[0]
                 w *= np.take(self.coefficients, flat, out=gathered[:k], mode="clip")
                 values[a + start : a + start + k] += w
 
-        _in_parts(evaluate_rows, pts.shape[0], self.grid.n_nodes)
+        _in_parts(evaluate_rows, pts.shape[0], self.coefficients.size)
         return values
 
     def integral(self) -> float:
-        """Integral over the domain: sum of F_j * C_j, with C_j the product of
-        per-axis hat integrals (``delta``, halved at both end nodes)
+        """Integral over the domain: sum of F_j * C_j. At degree 0, C_j is the
+        bin volume, which multiplies the sum. At degree 1, C_j is the product
+        of per-axis hat integrals (``delta``, halved at both end nodes)
         contracted one axis at a time, last first, by reductions of views, so
         no node-sized array is built."""
+        if not self._degree:
+            return float(self.coefficients.sum() * self.grid._bin_volume)
         total = self.coefficients.reshape(self.grid.node_shape)
         for inner, end in reversed(self.grid._layer_factors):
             total = inner * total[..., 1:-1].sum(-1) + end * (total[..., 0] + total[..., -1])
         return float(total)
 
+    def _save(self, path) -> Path:
+        """Publish the table of ``_columns`` and its sidecar; returns the sidecar."""
+        return save_grid_table(path, self.grid, self._columns, self._shape(self.grid),
+                               self.coefficients, self.sample_count)
 
-# The fewest nodes for which finalization and evaluation split their work
-# over threads, one part per CPU. One thread -> two on 2 cores, medians of 9-11
-# alternating runs on 1M Gaussian samples:
+
+class PiecewiseLinearPdf(_GridDensity):
+    """A fitted piecewise multilinear density: grid plus one coefficient per node.
+
+    Immutable after fit; evaluation is pure and thread-safe.
+    """
+
+    _degree = 1
+    _columns = ("node_index", "coord", "coefficient")  # the table's header words
+    _nouns = ("nodes", "coefficients")  # the words of its memory error
+
+
+# The fewest coefficients (nodes or bins) for which finalization and evaluation
+# split their work over threads, one part per CPU. One thread -> two on 2 cores,
+# hat fits, medians of 9-11 alternating runs on 1M Gaussian samples:
 #
 #   3-D finalize     65**3 1.29 -> 1.29 ms, 73**3 1.80 -> 1.45, 129**3 8.9 -> 5.3, 257**3 76 -> 42
 #   2-D finalize     513**2 0.89 -> 1.02 ms, 725**2 1.66 -> 1.41, 1025**2 3.2 -> 2.2
@@ -102,18 +126,19 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _in_parts(run, n: int, n_nodes: int) -> None:
+def _in_parts(run, n: int, size: int) -> None:
     """``run(a, b)`` over contiguous parts ``[a, b)`` of ``range(n)``.
 
-    On a grid of at least ``_THREAD_MIN_NODES`` nodes, outside a study
-    worker, there is one part per available CPU (at most ``n``): the first
-    runs in the calling thread, each other one in a thread of its own. Every
+    For a density of at least ``_THREAD_MIN_NODES`` coefficients (``size``),
+    outside a study worker, there is one part per available CPU (at most
+    ``n``): the first runs in the calling thread, each other one in a thread
+    of its own. Every
     thread is joined before this returns or raises, and the exception of the
     lowest failing part is raised. ``run`` must give each part work that no
     other part touches, and the same bits as one call over ``range(n)``.
     """
     parts = 1
-    if _threads_allowed and n_nodes >= _THREAD_MIN_NODES:
+    if _threads_allowed and size >= _THREAD_MIN_NODES:
         parts = max(1, min(n, _available_cpus()))
     bounds = [n * i // parts for i in range(parts + 1)]
     errors = [None] * parts
@@ -148,18 +173,6 @@ def _physical_memory() -> int | None:
     return pages * page_size if pages > 0 and page_size > 0 else None
 
 
-def _check_memory(count: int, entries: str, array: str) -> None:
-    """Raise :class:`GridTooLargeError` if ``count`` 8-byte ``entries`` exceed
-    physical memory; called before the array is allocated, since under
-    overcommit the allocation itself may succeed and the process be killed later."""
-    memory = _physical_memory()
-    if memory is not None and 8 * count > memory:
-        raise GridTooLargeError(
-            f"a grid of {count} {entries} needs {8 * count} bytes of {array}, "
-            f"more than the {memory} bytes of physical memory"
-        )
-
-
 class Accumulator:
     """Linear-binning node sums, fed the samples a block at a time.
 
@@ -172,17 +185,26 @@ class Accumulator:
     offending sample's row in the whole stream. Memory is one ``n_nodes``
     array, up to one held chunk and a fixed per-chunk working set.
     :meth:`finalize` hands the node array to the density, so it may be
-    called once.
+    called once. The sums are of the ``_density`` class's degree: a subclass
+    naming the histogram sums bin counts (``baselines.HistogramAccumulator``).
 
     Raises :class:`GridTooLargeError` before allocating a node array (8
-    bytes per node) larger than physical memory.
+    bytes per node) larger than physical memory: under overcommit the
+    allocation itself may succeed and the process be killed later.
     """
 
+    _density = PiecewiseLinearPdf
+
     def __init__(self, grid: TensorGrid):
-        _check_memory(grid.n_nodes, "nodes", "coefficients")
+        entries, array = self._density._nouns
+        count = math.prod(self._density._shape(grid))
+        memory = _physical_memory()
+        if memory is not None and 8 * count > memory:
+            raise GridTooLargeError(f"a grid of {count} {entries} needs {8 * count} bytes of "
+                                    f"{array}, more than the {memory} bytes of physical memory")
         self.grid = grid
         self.count = 0  # rows added
-        self._sums = np.zeros(grid.n_nodes)
+        self._sums = np.zeros(count)
         self._held = None  # the unfinished chunk's rows, in a buffer grown as they come
         self._filled = 0  # rows of it held; always count % _CHUNK
 
@@ -217,10 +239,11 @@ class Accumulator:
     def _scatter(self, pts: np.ndarray, row: int) -> None:
         """Scatter whole chunks of ``pts`` (the last may be partial), row
         ``row`` of the stream first."""
-        for _, flat, w in self.grid._stencil(pts, as_samples=True, offset=row):
+        degree = self._density._degree
+        for _, flat, w in self.grid._stencil(pts, degree=degree, as_samples=True, offset=row):
             np.add.at(self._sums, flat, w)
 
-    def finalize(self) -> PiecewiseLinearPdf:
+    def finalize(self) -> _GridDensity:
         """The fitted density; raises :class:`EmptySampleSetError` if no
         sample was added."""
         if self._sums is None:
@@ -230,13 +253,17 @@ class Accumulator:
         if self._filled:
             self._scatter(self._held[: self._filled], self.count - self._filled)
         sums, self._sums, self._held = self._sums, None, None
-        shape = self.grid.node_shape
-        nodes = sums.reshape(shape)
+        shape = self._density._shape(self.grid)
+        entries = sums.reshape(shape)
 
         def normalize(a, b):
-            # divide the axis-0 layers [a, b) by M * C_j in place, C_j being the
-            # product of per-axis factors applied as views of one axis's layers
-            slab = nodes[a:b]
+            # divide the axis-0 layers [a, b) by M * C_j in place: at degree 0 in
+            # one division by M times the bin volume; at degree 1 by M, then by
+            # C_j's per-axis factors, applied as views of one axis's layers
+            slab = entries[a:b]
+            if not self._density._degree:
+                slab /= self.count * self.grid._bin_volume
+                return
             slab /= self.count
             for n, (inner, end) in enumerate(self.grid._layer_factors):
                 lo, hi = (a, b) if n == 0 else (0, shape[n])  # the slab's layers of axis n
@@ -247,8 +274,19 @@ class Accumulator:
                 if hi == shape[n]:
                     layers[-1] /= end
 
-        _in_parts(normalize, shape[0], self.grid.n_nodes)
-        return PiecewiseLinearPdf(self.grid, sums, self.count)
+        _in_parts(normalize, shape[0], sums.size)
+        return self._density(self.grid, sums, self.count)
+
+
+def _fit(accumulator: type[Accumulator], grid: TensorGrid, samples) -> _GridDensity:
+    """``accumulator(grid)`` fed ``samples``, an array or a :class:`TableReader`
+    read a block at a time, and finalized; no samples raise first."""
+    _, blocks = _scan(samples, lambda pts: as_points(pts, grid.dim),
+                      "cannot fit a density to zero samples")
+    fitted = accumulator(grid)
+    for block in blocks:
+        fitted.add(block)
+    return fitted.finalize()
 
 
 def fit(grid: TensorGrid, samples, *, threads: int = 1) -> PiecewiseLinearPdf:
@@ -283,12 +321,7 @@ def fit(grid: TensorGrid, samples, *, threads: int = 1) -> PiecewiseLinearPdf:
     """
     if not isinstance(threads, (int, np.integer)) or threads < 1:
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
-    pts = as_points(samples, grid.dim)
-    if pts.shape[0] == 0:
-        raise EmptySampleSetError("cannot fit a density to zero samples")
-    accumulator = Accumulator(grid)
-    accumulator.add(pts)
-    return accumulator.finalize()
+    return _fit(Accumulator, grid, samples)
 
 
 # -- serialization -----------------------------------------------------------
@@ -299,10 +332,7 @@ def fit(grid: TensorGrid, samples, *, threads: int = 1) -> PiecewiseLinearPdf:
 
 def save_pdf(pdf: PiecewiseLinearPdf, path) -> Path:
     """Publish ``<path>`` (CSV, not ``.json``) and a ``.json`` sidecar; returns the sidecar."""
-    return save_grid_table(
-        path, pdf.grid, ("node_index", "coord", "coefficient"), pdf.grid.node_shape,
-        pdf.coefficients, pdf.sample_count,
-    )
+    return pdf._save(path)
 
 
 def load_pdf(path) -> PiecewiseLinearPdf:

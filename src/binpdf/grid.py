@@ -4,13 +4,14 @@ A :class:`TensorGrid` subdivides an axis-aligned box into congruent
 hyper-rectangular bins. Nodes are the bin vertices; each node carries a
 continuous, piecewise multilinear hat function that is 1 at its node, 0 at
 every other node, and supported on the bins touching the node. The module
-provides point location, the 2**dim corner stencil of hat weights that fit
-and evaluation consume, and the exact (closed-form) integral of each hat over
-the box. Every point goes through one location stream, which checks the
-domain before it locates: a point outside the closed box, NaN or infinite,
-raises :class:`OutOfDomainError` (:class:`SampleOutOfDomainError` for fit
-input). :func:`check_finite` raises the same errors on NaN or infinite
-coordinates where there is no domain.
+provides point location, the corner stencil that fit and evaluation consume
+(degree 1: the 2**dim corners of a point's bin with their hat weights; degree
+0, the histogram's: the bin itself with weight 1), and the exact integral of
+each hat over the box. Every point goes through one location stream, which
+checks the domain before it locates: a point outside the closed box, NaN or
+infinite, raises :class:`OutOfDomainError` (:class:`SampleOutOfDomainError`
+for fit input). :func:`check_finite` raises the same errors on NaN or
+infinite coordinates where there is no domain.
 
 Point location uses direct index arithmetic, ``i = floor((y - a) / delta)``,
 followed by a one-step correction against the bin edge values so that the
@@ -37,8 +38,8 @@ import numpy as np
 from .errors import OutOfDomainError, SampleOutOfDomainError
 
 # Rows per chunk of every stream: the draw, sample files, the fit's scatter (whose
-# order, hence every coefficient's bits, it fixes), histogram counts, location and
-# evaluation. Small enough that a chunk's buffers and temporaries stay in cache.
+# order, hence every coefficient's bits, it fixes), location and evaluation. Small
+# enough that a chunk's buffers and temporaries stay in cache.
 _CHUNK = 1 << 14
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -317,19 +318,26 @@ class TensorGrid:
             self._locate_with_frac(pts[start : start + k], out=out)
             yield (start, *out)
 
-    def _stencil(self, pts: np.ndarray, *, as_samples: bool = False, offset: int = 0):
-        """Yield ``(chunk start, flat node index, hat weight)`` per corner.
+    def _stencil(self, pts: np.ndarray, *, degree: int = 1, as_samples: bool = False,
+                 offset: int = 0):
+        """Yield ``(chunk start, flat index, weight)`` per corner.
 
         Runs over the chunks of :meth:`_located`, which checks the domain first
-        (``as_samples`` and ``offset`` as there), and within each over the
-        2**dim corners of every point's bin in lexicographic offset order.
-        The index and weight arrays are buffers reused for every corner of a
-        chunk, so consume them before asking for the next corner, and do not
-        write the index array: the next corner's index is stepped from it. It
-        is not flagged read-only, since ``np.take`` copies a read-only index.
+        (``as_samples`` and ``offset`` as there). At ``degree`` 1 the corners
+        are the 2**dim nodes of every point's bin, in lexicographic offset
+        order, weighted by their hats; at ``degree`` 0 the one corner is the
+        point's bin, by its flat index, weighted 1.0. The index and weight
+        arrays are buffers reused for every corner of a chunk, so consume them
+        before asking for the next corner, and do not write the index array:
+        the next corner's index is stepped from it. It is not flagged
+        read-only, since ``np.take`` copies a read-only index.
         """
         strides = [math.prod(self.node_shape[n + 1 :]) for n in range(self.dim - 1)]
         for start, idx, frac in self._located(pts, as_samples=as_samples, offset=offset):
+            if not degree:  # the fractions are free: one row holds the weights
+                frac[0].fill(1.0)
+                yield start, _ravel_rows(idx, self.bin_shape), frac[0]
+                continue
             flat = _ravel_rows(idx, self.node_shape)  # stepped from corner to corner
             # the other index rows are free now: one holds the leading product, one w
             lead = idx[1].view(np.float64) if self.dim > 1 else None
@@ -355,7 +363,7 @@ class TensorGrid:
                 np.multiply(last, 1.0 if prod is None else prod, out=w)
                 yield start, flat, w
 
-    # -- hat integrals -------------------------------------------------------
+    # -- basis integrals -----------------------------------------------------
 
     @cached_property
     def _layer_factors(self) -> tuple[tuple[float, float], ...]:
@@ -369,14 +377,13 @@ class TensorGrid:
         """
         return tuple((d, d * 0.5) for d in self.deltas)
 
-    def _axis_hat_integrals(self) -> list[np.ndarray]:
-        """Per-axis 1-D hat integrals, one per node along the axis."""
-        factors = []
-        for s, (inner, end) in zip(self.node_shape, self._layer_factors):
-            factors.append(np.full(s, inner))
-            factors[-1][[0, -1]] = end
-        return factors
+    @cached_property
+    def _bin_volume(self) -> float:
+        """The integral of a bin's indicator, the degree-0 ``C_j``."""
+        return float(np.prod(self.deltas))
 
     def basis_integrals(self) -> np.ndarray:
         """Integrals of all hat functions, shape (n_nodes,), row-major order."""
-        return reduce(np.multiply.outer, self._axis_hat_integrals()).ravel()
+        axes = (np.concatenate(([end], np.full(s - 2, inner), [end]))
+                for s, (inner, end) in zip(self.node_shape, self._layer_factors))
+        return reduce(np.multiply.outer, axes).ravel()

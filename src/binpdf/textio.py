@@ -46,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BinPdfError
+from .errors import BinPdfError, EmptySampleSetError
 from .grid import _CHUNK, TensorGrid
 
 # Values per formatting block, whatever the column count: a block's text and
@@ -379,6 +379,20 @@ class TableReader:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _scan(samples, points, empty: str) -> tuple[int, object]:
+    """``(rows, blocks)`` of ``samples``: a :class:`TableReader`'s own, or the
+    one block that ``points`` makes of an array. No rows raise
+    :class:`EmptySampleSetError` with the message ``empty``."""
+    if isinstance(samples, TableReader):
+        rows, blocks = samples.shape[0], samples.blocks()
+    else:
+        pts = points(samples)
+        rows, blocks = pts.shape[0], (pts,)
+    if rows == 0:
+        raise EmptySampleSetError(empty)
+    return rows, blocks
 
 
 def open_twin(path) -> TableReader | None:

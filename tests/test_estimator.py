@@ -70,6 +70,16 @@ def rowmajor_corners(grid, pts):
             yield start, base + np.ravel_multi_index(offsets, grid.node_shape), w
 
 
+def axis_hat_integrals(grid):
+    """Per axis, the 1-D hat integral of each node along it: the grid's
+    interior factor, and its end factor at both end nodes."""
+    factors = []
+    for s, (inner, end) in zip(grid.node_shape, grid._layer_factors):
+        factors.append(np.full(s, inner))
+        factors[-1][[0, -1]] = end
+    return factors
+
+
 def rowmajor_fit(grid, samples):
     """Oracle: the fit's scatter and finalization on point-major location."""
     sums = np.zeros(grid.n_nodes)
@@ -77,7 +87,7 @@ def rowmajor_fit(grid, samples):
         np.add.at(sums, flat, w)
     sums /= samples.shape[0]
     nodes = sums.reshape(grid.node_shape)
-    for n, c in enumerate(grid._axis_hat_integrals()):
+    for n, c in enumerate(axis_hat_integrals(grid)):
         nodes /= c.reshape((-1,) + (1,) * (grid.dim - n - 1))
     return sums
 
@@ -618,19 +628,22 @@ def with_cpus(mp, n: int) -> None:
 
 
 class TestThreadedParts:
-    """From ``_THREAD_MIN_NODES`` nodes up, finalization and evaluation split
-    over one thread per available CPU. The threshold is patched to 0 and the
-    CPU count to 2 or 3, so small grids take the threaded path on any machine."""
+    """From ``_THREAD_MIN_NODES`` nodes (or bins) up, finalization and
+    evaluation split over one thread per available CPU. The threshold is
+    patched to 0 and the CPU count to 2 or 3, so small grids take the
+    threaded path on any machine."""
 
-    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
     @given(
         st.integers(1, 3).flatmap(lambda dim: st.lists(
             st.sampled_from([1, 2, 3, 5, 8]), min_size=dim, max_size=dim)),
         st.one_of(st.sampled_from([1, 2, 3, _CHUNK + 1]), st.integers(1, 2 * _CHUNK + 777)),
         st.sampled_from([2, 3]),
         st.integers(0, 2**32 - 1),
+        st.sampled_from([(fit, "node_shape"), (fit_histogram, "bin_shape")]),
     )
-    def test_results_do_not_depend_on_the_cpu_count(self, n_delta, m, cpus, seed):
+    def test_results_do_not_depend_on_the_cpu_count(self, n_delta, m, cpus, seed, estimate):
+        fitter, shape = estimate
         rng = np.random.default_rng(seed)
         grid = random_grid(rng, len(n_delta), 1)
         grid = TensorGrid(grid.lower, grid.upper, n_delta)
@@ -640,13 +653,13 @@ class TestThreadedParts:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(estimator, "_THREAD_MIN_NODES", 0)
             with_cpus(mp, 1)
-            serial = fit(grid, samples)
+            serial = fitter(grid, samples)
             want = serial.evaluate_batch(pts)
             with_cpus(mp, cpus)
             started = threads_started(mp)
-            threaded = fit(grid, samples)
+            threaded = fitter(grid, samples)
             got = threaded.evaluate_batch(pts)
-        assert len(started) == min(cpus, grid.node_shape[0]) - 1 + min(cpus, len(pts)) - 1
+        assert len(started) == min(cpus, getattr(grid, shape)[0]) - 1 + min(cpus, len(pts)) - 1
         np.testing.assert_array_equal(threaded.coefficients, serial.coefficients)
         np.testing.assert_array_equal(threaded.integral(), serial.integral())
         np.testing.assert_array_equal(got, want)
