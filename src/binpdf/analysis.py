@@ -65,65 +65,31 @@ def _leaves(n: int):
             yield from _leaves(part)
 
 
-class _PairwiseSum:
-    """``np.add.reduce``'s bits over ``n`` float64 values that arrive in blocks.
+def _pairwise(n: int, sums) -> float:
+    """``np.add.reduce``'s sum of ``n`` float64 values, from ``sums``, an
+    iterator over the sums of :func:`_leaves`'s leaves in order.
 
     Above 128 values numpy sums pairwise: it splits the values at
     :func:`_halves` and adds the two parts' sums (Higham 1993, "The accuracy
-    of floating point summation"). The same tree is followed here down to
-    leaves of at most ``_CHUNK`` values. Each leaf is summed by
-    ``np.add.reduce`` itself once its values have arrived, in one buffer
-    that carries it across blocks, and :meth:`total` adds the leaf sums in
-    tree order. Memory is the buffer and one float per leaf, whatever the
-    partition into blocks.
+    of floating point summation"). A leaf summed by ``np.add.reduce`` has
+    those bits, and the leaf sums are added here in the same tree order.
     """
-
-    def __init__(self, n: int):
-        self.n = n
-        self._leaves = _leaves(n)
-        self._leaf = next(self._leaves)  # size of the leaf being filled; 0 once all are
-        self._held = 0  # of its values in the buffer
-        self._buffer = np.empty(min(n, _CHUNK))
-        self._sums = []
-
-    def add(self, values: np.ndarray) -> None:
-        at = 0
-        while at < values.shape[0]:
-            if not self._leaf:
-                raise ValueError(f"more than the {self.n} values declared")
-            take = min(values.shape[0] - at, self._leaf - self._held)
-            self._buffer[self._held : self._held + take] = values[at : at + take]
-            self._held += take
-            at += take
-            if self._held == self._leaf:
-                self._sums.append(np.add.reduce(self._buffer[: self._leaf]))
-                self._leaf, self._held = next(self._leaves, 0), 0
-
-    def total(self) -> float:
-        if self._leaf:
-            raise ValueError(f"fewer than the {self.n} values declared")
-        sums = iter(self._sums)
-
-        def tree(n):
-            if n <= _CHUNK:
-                return next(sums)
-            left, right = _halves(n)
-            return tree(left) + tree(right)
-
-        return float(tree(self.n))
+    if n <= _CHUNK:
+        return next(sums)
+    left, right = _halves(n)
+    return _pairwise(left, sums) + _pairwise(right, sums)
 
 
 def _rmse(reference_eval, approx_eval, samples, dim: int, reference_count=None) -> float:
     """RMS difference of two evaluators at the samples; warns on a small reference.
 
-    Both evaluators are pointwise, so evaluating them ``_CHUNK`` points
-    at a time gives the bits of one whole-array call and holds one chunk's
-    temporaries instead of the whole sample's. The squared differences go
-    into a :class:`_PairwiseSum`, so the result has the bits of
-    ``sqrt(mean(diff**2))`` over the whole array while no per-point array is
-    held.
+    The samples are read a leaf of :func:`_leaves` at a time. Both evaluators
+    are pointwise, so a leaf's values are the bits of one whole-array call,
+    and :func:`_pairwise` adds the leaves' sums of squared differences, so
+    the result has the bits of ``sqrt(mean(diff**2))`` over the whole array
+    while one leaf's temporaries are held instead of the whole sample's.
     """
-    rows, blocks = _scan(samples, functools.partial(as_points, dim=dim),
+    rows, reader = _scan(samples, functools.partial(as_points, dim=dim),
                          "error metric needs at least one sample point")
     if reference_count is not None and reference_count <= rows:
         warnings.warn(
@@ -131,15 +97,15 @@ def _rmse(reference_eval, approx_eval, samples, dim: int, reference_count=None) 
             "approximation is being checked on; the surrogate error is unreliable",
             stacklevel=3,
         )
-    squares, diff = _PairwiseSum(rows), np.empty(min(rows, _CHUNK))
-    for block in blocks:
-        for start in range(0, block.shape[0], _CHUNK):
-            pts = block[start : start + _CHUNK]
-            chunk = np.subtract(reference_eval(pts), approx_eval(pts),
-                                out=diff[: pts.shape[0]])
-            chunk *= chunk
-            squares.add(chunk)
-    return float(np.sqrt(squares.total() / rows))
+    diff = np.empty(min(rows, _CHUNK))
+
+    def squares(pts):
+        leaf = np.subtract(reference_eval(pts), approx_eval(pts), out=diff[: pts.shape[0]])
+        leaf *= leaf
+        return np.add.reduce(leaf)
+
+    leaves = map(squares, reader.blocks(_leaves(rows)))
+    return float(np.sqrt(_pairwise(rows, leaves) / rows))
 
 
 def rmse_vs_exact(approx_eval, exact: DistributionSpec, samples) -> float:
@@ -234,9 +200,9 @@ def estimate_support(samples) -> list[tuple[float, float]]:
     scanned a block at a time. A NaN or infinite coordinate raises
     :class:`SampleOutOfDomainError` naming its row and axis.
     """
-    _, blocks = _scan(samples, _as_columns, "support estimation needs samples")
+    _, reader = _scan(samples, _as_columns, "support estimation needs samples")
     bounds, start = None, 0
-    for pts in blocks:
+    for pts in reader.blocks():
         # a column at a time: reducing a strided column is several times faster
         # than min(axis=0) over C-ordered rows. NaN propagates through both
         # extremes, and an infinity is one of them.
@@ -556,8 +522,8 @@ def averaged_study(
     :class:`BinPdfError` naming its seed.
     """
     levels = [_whole(k, "level") for k in levels]
-    if not levels or levels != sorted(levels):
-        raise ValueError(f"levels must be nonempty and ascending, got {levels}")
+    if not levels or any(a >= b for a, b in zip(levels, levels[1:])):
+        raise ValueError(f"levels must be nonempty and strictly ascending, got {levels}")
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")

@@ -108,7 +108,7 @@ def _parse_dist(text: str) -> sampling.DistributionSpec:
 
 
 def _parse_levels(text: str) -> list[int]:
-    """``LO..HI`` or ``K1,K2,...``; the study rejects empty or unsorted levels."""
+    """``LO..HI`` or ``K1,K2,...``; the study rejects empty or non-ascending levels."""
     try:
         if ".." in text:
             lo, _, hi = text.partition("..")
@@ -245,7 +245,7 @@ def cmd_study(args) -> int:
     mode = _parse_mode(args)
     levels = _parse_levels(args.k)
     try:
-        seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [args.seed]
+        seeds = [args.seed] if args.seeds is None else [int(s) for s in args.seeds.split(",")]
     except ValueError as err:
         raise UsageError(f"bad --seeds {args.seeds!r}") from err
 

@@ -179,14 +179,15 @@ class Accumulator:
     :meth:`add` takes the samples in any partition into blocks, and
     :meth:`finalize` returns the density :func:`fit` gives for all of them,
     bit for bit: rows are scattered in chunks of ``_CHUNK`` rows that start
-    at multiples of ``_CHUNK`` in the stream, and the rows of an unfinished
-    chunk are copied and held until it fills or :meth:`finalize` scatters
-    it. :meth:`add` checks each block's domain first; the error names the
-    offending sample's row in the whole stream. Memory is one ``n_nodes``
-    array, up to one held chunk and a fixed per-chunk working set.
-    :meth:`finalize` hands the node array to the density, so it may be
-    called once. The sums are of the ``_density`` class's degree: a subclass
-    naming the histogram sums bin counts (``baselines.HistogramAccumulator``).
+    at multiples of ``_CHUNK`` in the stream. :meth:`add` checks each row's
+    domain once, a block's rows before any is located; the error names the
+    offending sample's row in the whole stream. Rows are then located into
+    one held chunk, their bins and fractions, scattered when it fills or by
+    :meth:`finalize`. Memory is one ``n_nodes`` array, the held chunk and a
+    fixed per-chunk working set. :meth:`finalize` hands the node array to
+    the density, so it may be called once. The sums are of the ``_density``
+    class's degree: a subclass naming the histogram sums bin counts
+    (``baselines.HistogramAccumulator``).
 
     Raises :class:`GridTooLargeError` before allocating a node array (8
     bytes per node) larger than physical memory: under overcommit the
@@ -205,8 +206,8 @@ class Accumulator:
         self.grid = grid
         self.count = 0  # rows added
         self._sums = np.zeros(count)
-        self._held = None  # the unfinished chunk's rows, in a buffer grown as they come
-        self._filled = 0  # rows of it held; always count % _CHUNK
+        # the unfinished chunk's (idx, frac), its count % _CHUNK rows as columns
+        self._held = [np.empty((grid.dim, 0), np.int64), np.empty((grid.dim, 0))]
 
     def add(self, block) -> None:
         """Deposit the samples of ``block``, an (m, dim) array, after checking
@@ -215,32 +216,27 @@ class Accumulator:
             raise ValueError("samples added to a finalized accumulator")
         pts = as_points(block, self.grid.dim)
         m, start = pts.shape[0], 0
+        for at in range(0, m, _CHUNK):  # every row, before any is held; a slice at a time
+            self.grid.check_in_domain(pts[at : at + _CHUNK], as_samples=True,
+                                      offset=self.count + at)
         while start < m:
-            row = self.count + start
-            if not self._filled and m - start >= _CHUNK:  # whole chunks, in place
-                stop = m - (m - start) % _CHUNK
-                self._scatter(pts[start:stop], row)
-            else:
-                stop = min(m, start + _CHUNK - self._filled)
-                self.grid.check_in_domain(pts[start:stop], as_samples=True, offset=row)
-                held, self._filled = self._filled, self._filled + stop - start
-                if self._held is None or self._held.shape[0] < self._filled:  # grow
-                    grown = np.empty((min(_CHUNK, max(self._filled, 2 * held)), self.grid.dim))
-                    if held:
-                        grown[:held] = self._held[:held]
-                    self._held = grown
-                self._held[held : self._filled] = pts[start:stop]
-                if self._filled == _CHUNK:
-                    self._scatter(self._held, row + stop - start - _CHUNK)
-                    self._filled = 0
+            held = (self.count + start) % _CHUNK
+            stop = min(m, start + _CHUNK - held)
+            filled = held + stop - start
+            if self._held[1].shape[1] < filled:  # grow
+                size = min(_CHUNK, max(filled, 2 * held))
+                self._held = [np.pad(part[:, :held], ((0, 0), (0, size - held)))
+                              for part in self._held]
+            self.grid._locate_with_frac(pts[start:stop],
+                                        out=[part[:, held:filled] for part in self._held])
+            if filled == _CHUNK:
+                self._scatter(*self._held)
             start = stop
         self.count += m
 
-    def _scatter(self, pts: np.ndarray, row: int) -> None:
-        """Scatter whole chunks of ``pts`` (the last may be partial), row
-        ``row`` of the stream first."""
-        degree = self._density._degree
-        for _, flat, w in self.grid._stencil(pts, degree=degree, as_samples=True, offset=row):
+    def _scatter(self, idx: np.ndarray, frac: np.ndarray) -> None:
+        """Deposit the corners of the points located at ``(idx, frac)``."""
+        for flat, w in self.grid._corners(idx, frac, self._density._degree):
             np.add.at(self._sums, flat, w)
 
     def finalize(self) -> _GridDensity:
@@ -250,8 +246,8 @@ class Accumulator:
             raise ValueError("accumulator already finalized")
         if self.count == 0:
             raise EmptySampleSetError("cannot fit a density to zero samples")
-        if self._filled:
-            self._scatter(self._held[: self._filled], self.count - self._filled)
+        if self.count % _CHUNK:
+            self._scatter(*(part[:, : self.count % _CHUNK] for part in self._held))
         sums, self._sums, self._held = self._sums, None, None
         shape = self._density._shape(self.grid)
         entries = sums.reshape(shape)
@@ -281,10 +277,10 @@ class Accumulator:
 def _fit(accumulator: type[Accumulator], grid: TensorGrid, samples) -> _GridDensity:
     """``accumulator(grid)`` fed ``samples``, an array or a :class:`TableReader`
     read a block at a time, and finalized; no samples raise first."""
-    _, blocks = _scan(samples, lambda pts: as_points(pts, grid.dim),
+    _, reader = _scan(samples, lambda pts: as_points(pts, grid.dim),
                       "cannot fit a density to zero samples")
     fitted = accumulator(grid)
-    for block in blocks:
+    for block in reader.blocks():
         fitted.add(block)
     return fitted.finalize()
 

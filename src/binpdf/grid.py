@@ -7,11 +7,11 @@ every other node, and supported on the bins touching the node. The module
 provides point location, the corner stencil that fit and evaluation consume
 (degree 1: the 2**dim corners of a point's bin with their hat weights; degree
 0, the histogram's: the bin itself with weight 1), and the exact integral of
-each hat over the box. Every point goes through one location stream, which
-checks the domain before it locates: a point outside the closed box, NaN or
-infinite, raises :class:`OutOfDomainError` (:class:`SampleOutOfDomainError`
-for fit input). :func:`check_finite` raises the same errors on NaN or
-infinite coordinates where there is no domain.
+each hat over the box. Every point's domain is checked before it is
+located: a point outside the closed box, NaN or infinite, raises
+:class:`OutOfDomainError` (:class:`SampleOutOfDomainError` for fit input).
+:func:`check_finite` raises the same errors on NaN or infinite coordinates
+where there is no domain.
 
 Point location uses direct index arithmetic, ``i = floor((y - a) / delta)``,
 followed by a one-step correction against the bin edge values so that the
@@ -320,48 +320,55 @@ class TensorGrid:
 
     def _stencil(self, pts: np.ndarray, *, degree: int = 1, as_samples: bool = False,
                  offset: int = 0):
-        """Yield ``(chunk start, flat index, weight)`` per corner.
-
-        Runs over the chunks of :meth:`_located`, which checks the domain first
-        (``as_samples`` and ``offset`` as there). At ``degree`` 1 the corners
-        are the 2**dim nodes of every point's bin, in lexicographic offset
-        order, weighted by their hats; at ``degree`` 0 the one corner is the
-        point's bin, by its flat index, weighted 1.0. The index and weight
-        arrays are buffers reused for every corner of a chunk, so consume them
-        before asking for the next corner, and do not write the index array:
-        the next corner's index is stepped from it. It is not flagged
-        read-only, since ``np.take`` copies a read-only index.
-        """
-        strides = [math.prod(self.node_shape[n + 1 :]) for n in range(self.dim - 1)]
+        """Yield ``(chunk start, flat index, weight)`` per corner: the
+        :meth:`_corners` of each chunk of :meth:`_located`, which checks the
+        domain first (``as_samples`` and ``offset`` as there)."""
         for start, idx, frac in self._located(pts, as_samples=as_samples, offset=offset):
-            if not degree:  # the fractions are free: one row holds the weights
-                frac[0].fill(1.0)
-                yield start, _ravel_rows(idx, self.bin_shape), frac[0]
-                continue
-            flat = _ravel_rows(idx, self.node_shape)  # stepped from corner to corner
-            # the other index rows are free now: one holds the leading product, one w
-            lead = idx[1].view(np.float64) if self.dim > 1 else None
-            w = idx[2].view(np.float64) if self.dim > 2 else np.empty(flat.shape[0])
-            *leading, last = frac
-            at = 0  # the offset that flat holds from each point's lowest corner node
-            for offsets in itertools.product((0, 1), repeat=self.dim - 1):
-                # a weight multiplies its axis factors, f or 1 - f, left to right; the
-                # product of the leading ones serves both corners along the last axis
-                prod = None
-                for f, o in zip(leading, offsets):
-                    if not o:
-                        f = np.subtract(1.0, f, out=lead if prod is None else w)
-                    prod = f if prod is None else np.multiply(prod, f, out=lead)
-                to = sum(o * s for o, s in zip(offsets, strides))
-                flat += to - at
-                np.subtract(1.0, last, out=w)
-                if prod is not None:
-                    w *= prod
+            for flat, w in self._corners(idx, frac, degree):
                 yield start, flat, w
-                flat += 1  # the last axis has stride 1
-                at = to + 1
-                np.multiply(last, 1.0 if prod is None else prod, out=w)
-                yield start, flat, w
+
+    def _corners(self, idx: np.ndarray, frac: np.ndarray, degree: int):
+        """Yield ``(flat index, weight)`` per corner of the points located at
+        ``(idx, frac)``, (dim, k) buffers with contiguous rows, which it
+        overwrites.
+
+        At ``degree`` 1 the corners are the 2**dim nodes of every point's bin,
+        in lexicographic offset order, weighted by their hats; at ``degree`` 0
+        the one corner is the point's bin, by its flat index, weighted 1.0.
+        The index and weight arrays are buffers reused for every corner, so
+        consume them before asking for the next corner, and do not write the
+        index array: the next corner's index is stepped from it. It is not
+        flagged read-only, since ``np.take`` copies a read-only index.
+        """
+        if not degree:  # the fractions are free: one row holds the weights
+            frac[0].fill(1.0)
+            yield _ravel_rows(idx, self.bin_shape), frac[0]
+            return
+        strides = [math.prod(self.node_shape[n + 1 :]) for n in range(self.dim - 1)]
+        flat = _ravel_rows(idx, self.node_shape)  # stepped from corner to corner
+        # the other index rows are free now: one holds the leading product, one w
+        lead = idx[1].view(np.float64) if self.dim > 1 else None
+        w = idx[2].view(np.float64) if self.dim > 2 else np.empty(flat.shape[0])
+        *leading, last = frac
+        at = 0  # the offset that flat holds from each point's lowest corner node
+        for offsets in itertools.product((0, 1), repeat=self.dim - 1):
+            # a weight multiplies its axis factors, f or 1 - f, left to right; the
+            # product of the leading ones serves both corners along the last axis
+            prod = None
+            for f, o in zip(leading, offsets):
+                if not o:
+                    f = np.subtract(1.0, f, out=lead if prod is None else w)
+                prod = f if prod is None else np.multiply(prod, f, out=lead)
+            to = sum(o * s for o, s in zip(offsets, strides))
+            flat += to - at
+            np.subtract(1.0, last, out=w)
+            if prod is not None:
+                w *= prod
+            yield flat, w
+            flat += 1  # the last axis has stride 1
+            at = to + 1
+            np.multiply(last, 1.0 if prod is None else prod, out=w)
+            yield flat, w
 
     # -- basis integrals -----------------------------------------------------
 

@@ -29,9 +29,10 @@ SHA-256 digest of the CSV's bytes, then the array as an ``.npy`` payload.
 Hashing the CSV and reading the payload take a fraction of the time a parse
 takes, and the twin is used only while its digest matches the CSV's bytes,
 so it returns what the parse would. Both sides stream: the writer takes the
-rows a block at a time, and :class:`TableReader` reads the payload a block
-of ``_CHUNK`` rows at a time into one buffer, once its byte count is found
-equal to what the header's shape needs. The CSV stays the authoritative
+rows a block at a time, and :class:`TableReader` reads the payload into one
+buffer a block at a time, of the row counts its caller asks for (at most
+``_CHUNK`` each), once the payload's byte count is found equal to what the
+header's shape needs. The CSV stays the authoritative
 format: a twin that is missing, stale or damaged is ignored, and deleting
 it is always safe.
 """
@@ -320,8 +321,7 @@ def _sha256(path) -> bytes:
 
 
 class TableReader:
-    """The rows of a 2-D float64 table, served a block of at most ``_CHUNK``
-    rows at a time.
+    """The rows of a 2-D float64 table, served in consecutive blocks.
 
     Made by :func:`open_twin` over a twin, each pass of :meth:`blocks` reads
     the payload into one reused buffer from the twin's handle, which stays
@@ -341,34 +341,35 @@ class TableReader:
         head.shape = (rows, self.shape[1])
         return head
 
-    def blocks(self, out: np.ndarray | None = None):
-        """Yield the rows in consecutive blocks of ``_CHUNK`` (the last may be
-        shorter): slices of the array, or of ``out``, a ``shape`` array to
-        read into, or else of one buffer that every block of the pass reuses
-        (valid until the next step). Each pass has its own buffer and reads
-        each block at its own offset, so passes may run side by side."""
+    def blocks(self, sizes=None):
+        """Yield the rows in consecutive blocks of the row counts ``sizes``,
+        each at most ``_CHUNK``; by default blocks of ``_CHUNK`` rows from a
+        twin (the last may be shorter) and the whole table from an array.
+        A twin's blocks are slices of one buffer that every block of the pass
+        reuses (valid until the next step); each pass has its own buffer and
+        reads each block at its own offset, so passes may run side by side."""
         rows, cols = self.shape
-        if self._table is not None:
-            for start in range(0, rows, _CHUNK):
-                yield self._table[start : min(start + _CHUNK, rows)]
-            return
-        buffer = np.empty((min(_CHUNK, rows), cols)) if out is None else out
-        for start in range(0, rows, _CHUNK):
-            k = min(_CHUNK, rows - start)
-            block = buffer[:k] if out is None else out[start : start + k]
-            self._twin.seek(self._payload + 8 * cols * start)  # passes may interleave
-            if self._twin.readinto(block) != block.nbytes:
-                raise BinPdfError(f"{self._twin.name} was truncated while it was read")
-            yield block
+        if sizes is None:
+            sizes = [rows] if self._table is not None else (
+                min(_CHUNK, rows - start) for start in range(0, rows, _CHUNK))
+        buf = None if self._table is not None else np.empty((min(_CHUNK, rows), cols))
+        start = 0
+        for k in sizes:
+            yield self._table[start : start + k] if buf is None else self._read(buf[:k], start)
+            start += k
+
+    def _read(self, block: np.ndarray, start: int) -> np.ndarray:
+        """``block`` filled with the twin's rows from row ``start`` on."""
+        self._twin.seek(self._payload + 8 * self.shape[1] * start)  # passes may interleave
+        if self._twin.readinto(block) != block.nbytes:
+            raise BinPdfError(f"{self._twin.name} was truncated while it was read")
+        return block
 
     def read(self) -> np.ndarray:
         """The whole table, in one array."""
         if self._table is not None:
             return self._table[: self.shape[0]]
-        out = np.empty(self.shape)
-        for _ in self.blocks(out):
-            pass
-        return out
+        return self._read(np.empty(self.shape), 0)
 
     def close(self) -> None:
         if self._twin is not None:
@@ -381,18 +382,14 @@ class TableReader:
         self.close()
 
 
-def _scan(samples, points, empty: str) -> tuple[int, object]:
-    """``(rows, blocks)`` of ``samples``: a :class:`TableReader`'s own, or the
-    one block that ``points`` makes of an array. No rows raise
+def _scan(samples, points, empty: str) -> tuple[int, TableReader]:
+    """``(rows, reader)`` of ``samples``: a :class:`TableReader` itself, or
+    one over the array that ``points`` makes of them. No rows raise
     :class:`EmptySampleSetError` with the message ``empty``."""
-    if isinstance(samples, TableReader):
-        rows, blocks = samples.shape[0], samples.blocks()
-    else:
-        pts = points(samples)
-        rows, blocks = pts.shape[0], (pts,)
-    if rows == 0:
+    reader = samples if isinstance(samples, TableReader) else TableReader(points(samples))
+    if reader.shape[0] == 0:
         raise EmptySampleSetError(empty)
-    return rows, blocks
+    return reader.shape[0], reader
 
 
 def open_twin(path) -> TableReader | None:
@@ -477,15 +474,19 @@ def load_grid_table(path, make):
 
     ``make`` is the density's class, which checks that the table has one row
     per node or bin of the grid. Raises :class:`BinPdfError` naming the table
-    and its sidecar unless the sidecar is JSON describing a valid grid, the
-    index column holds each of ``0..rows-1`` once, every value is finite and
-    >= 0, and ``make`` accepts the rows.
+    and its sidecar unless the sidecar is JSON describing a valid grid and
+    holding a ``sample_count`` that is a JSON integer >= 1, the index column
+    holds each of ``0..rows-1`` once, every value is finite and >= 0, and
+    ``make`` accepts the rows.
     """
     path = Path(path)
     sidecar = sidecar_path(path)
     try:
         meta = json.loads(sidecar.read_text())
         grid = TensorGrid(tuple(meta["lower"]), tuple(meta["upper"]), tuple(meta["n_delta"]))
+        count = meta["sample_count"]
+        if type(count) is not int or count < 1:  # JSON true loads as a bool, an int subclass
+            raise ValueError(f"sample_count must be a JSON integer >= 1, got {count!r}")
         table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         order = np.argsort(table[:, 0])
         if not np.array_equal(table[order, 0], np.arange(table.shape[0])):
@@ -493,6 +494,6 @@ def load_grid_table(path, make):
         values = table[order, -1]
         if not (np.isfinite(values).all() and (values >= 0).all()):
             raise ValueError("a value is negative or not finite")
-        return make(grid, values, int(meta["sample_count"]))
+        return make(grid, values, count)
     except (ValueError, KeyError, TypeError) as err:  # JSONDecodeError is a ValueError
         raise BinPdfError(f"{path} (sidecar {sidecar}): {err}") from err

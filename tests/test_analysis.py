@@ -44,9 +44,11 @@ from binpdf import (
     sample,
     write_plot_script,
     write_study_csv,
+    write_samples_csv,
 )
 from binpdf import analysis, estimator
 from binpdf.grid import _CHUNK
+from binpdf.sampling import open_samples
 from test_grid import edge_mesh
 
 TGAUSS = DistributionSpec((TruncatedGaussian(0.0, 1.0, -5.5, 5.5),))
@@ -95,6 +97,21 @@ class TestRmseVsExact:
         assert rmse_vs_exact(evaluate, spec, pts) == float(np.sqrt(np.mean(diff * diff)))
         assert sum(sizes) == m and max(sizes) <= 2**18
 
+    def test_a_twin_reader_gives_the_array_bits(self, tmp_path):
+        # 2 * _CHUNK + 9 rows: the leaves (16384, 8192, 8201 rows) cross the
+        # twin's default 2**14-row reads
+        spec = DistributionSpec((TruncatedGaussian(0.0, 2.0, -5.5, 5.5),
+                                 TruncatedGaussian(0.0, 1.0, -5.5, 5.5)))
+        pts = sample(spec, 2 * _CHUNK + 9, 17)
+        write_samples_csv(tmp_path / "s.csv", pts)
+        pdf = fit(TensorGrid((-5.5, -5.5), (5.5, 5.5), (16, 16)), pts)
+        diff = spec.pdf(pts) - pdf.evaluate_batch(pts)
+        want = float(np.sqrt(np.mean(diff * diff)))
+        assert rmse_vs_exact(pdf.evaluate_batch, spec, pts) == want
+        with open_samples(tmp_path / "s.csv") as reader:
+            assert rmse_vs_exact(pdf.evaluate_batch, spec, reader) == want
+            assert rmse_vs_exact(pdf.evaluate_batch, spec, reader) == want  # a second pass
+
     def test_permutation_invariant(self):
         rng = np.random.default_rng(9)
         pts = sample(TGAUSS, 2000, 3)
@@ -108,32 +125,25 @@ class TestPairwiseSum:
     """The streamed sum of the RMSE has the bits of ``np.add.reduce``."""
 
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
-    @given(st.integers(1, 5 * _CHUNK + 7), st.lists(st.integers(0, 5 * _CHUNK + 7), max_size=12),
-           st.integers(0, 2**32 - 1))
-    @example(1, [], 0)
-    @example(7, [3], 1)
-    @example(8, [8], 2)
-    @example(129, [1, 128], 3)
-    @example(_CHUNK - 1, [100], 4)
-    @example(_CHUNK + 1, [_CHUNK], 5)
-    @example(2 * _CHUNK + 1, [_CHUNK, 2 * _CHUNK], 6)
-    def test_any_partition_gives_the_whole_array_bits(self, n, cuts, seed):
+    @given(st.integers(1, 5 * _CHUNK + 7), st.integers(0, 2**32 - 1))
+    @example(1, 0)
+    @example(7, 1)
+    @example(8, 2)
+    @example(129, 3)
+    @example(_CHUNK - 1, 4)
+    @example(_CHUNK + 1, 5)
+    @example(2 * _CHUNK + 1, 6)
+    def test_leaf_sums_in_tree_order_give_the_whole_array_bits(self, n, seed):
         rng = np.random.default_rng(seed)
         # magnitudes over 16 decades and both signs, so the order of additions shows
         values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
-        bounds = [0, *sorted(min(c, n) for c in cuts), n]
-        total = analysis._PairwiseSum(n)
-        for start, stop in zip(bounds, bounds[1:]):
-            total.add(values[start:stop])
-        assert np.float64(total.total()).tobytes() == np.add.reduce(values).tobytes()
-
-    def test_the_values_must_match_the_count(self):
-        total = analysis._PairwiseSum(3)
-        total.add(np.ones(2))
-        with pytest.raises(ValueError, match="fewer than the 3"):
-            total.total()
-        with pytest.raises(ValueError, match="more than the 3"):
-            total.add(np.ones(2))
+        leaves = list(analysis._leaves(n))
+        assert sum(leaves) == n and max(leaves) <= _CHUNK
+        bounds = np.cumsum([0, *leaves])
+        sums = (np.add.reduce(values[a:b]) for a, b in zip(bounds, bounds[1:]))
+        total = analysis._pairwise(n, sums)
+        assert next(sums, None) is None  # every leaf's sum taken
+        assert np.float64(total).tobytes() == np.add.reduce(values).tobytes()
 
     def test_the_metrics_hold_no_per_point_array(self):
         # 2**21 points: an array of their squared differences would take 16 MiB
@@ -424,6 +434,7 @@ class TestConvergenceStudy:
         ([2, 3], [(0.0, math.nan)], "lower < upper"),
         ([2, 3], [(-1.0, math.inf)], "lower < upper"),
         ([0, 1], None, "level k must be >= 1"),
+        ([2, 2], None, "strictly ascending, got \\[2, 2\\]"),  # two identical rows, nan rates
     ])
     def test_bad_domain_or_level_is_rejected_before_sampling(
         self, monkeypatch, levels, grid_domain, message

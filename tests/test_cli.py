@@ -420,6 +420,8 @@ STUDY = ["study", "--dist", "uniform1d", "--mode", "coupled:2", "--k", "2..3"]
     (STUDY + ["--domain=0,nan"], "need lower < upper"),
     (STUDY + ["--seeds", "a"], "bad --seeds 'a'"),
     (STUDY + ["--seeds", "1,,2"], "bad --seeds '1,,2'"),
+    (STUDY + ["--seeds", ""], "bad --seeds ''"),  # not --seed's draw
+    (STUDY[:-1] + ["2,2"], "levels must be nonempty and strictly ascending, got [2, 2]"),
     (["study", "--dist", "uniform1d", "--mode", "coupled:1", "--k", "0..2"],
      "level k must be >= 1"),
 ])

@@ -385,7 +385,8 @@ class TestOneStencil:
         )
         for p, want in zip(pts, unit_hats(grid, pts)):
             accumulator = Accumulator(grid)
-            accumulator._scatter(p.reshape(1, -1), 0)
+            idx, frac = grid._locate_with_frac(p.reshape(1, -1))
+            accumulator._scatter(idx.T, frac.T)
             np.testing.assert_array_equal(accumulator._sums, want)
 
 
@@ -571,6 +572,21 @@ class TestAccumulator:
     def test_partitions_around_chunk_boundaries(self, sizes):
         assert np.array_equal(fed(Accumulator(self.GRID), self.PTS, sizes).coefficients,
                               self.FIT.coefficients)
+
+    @pytest.mark.parametrize("make, fitted", [(Accumulator, FIT), (HistogramAccumulator, HISTOGRAM)])
+    def test_each_row_is_checked_once(self, monkeypatch, make, fitted):
+        # held rows are located as they come, so scattering them checks none again
+        checked = []
+        check = TensorGrid.check_in_domain
+
+        def counted(self, pts, **kwargs):
+            checked.append(pts.shape[0])
+            return check(self, pts, **kwargs)
+
+        monkeypatch.setattr(TensorGrid, "check_in_domain", counted)
+        got = fed(make(self.GRID), self.PTS, [1000] * 30)
+        assert sum(checked) == self.PTS.shape[0]
+        assert np.array_equal(got.coefficients, fitted.coefficients)
 
     @pytest.mark.parametrize("make", [Accumulator, HistogramAccumulator])
     @pytest.mark.parametrize("value", [np.nan, 1.5, -np.inf])

@@ -34,6 +34,7 @@ from binpdf import (
     write_samples_csv,
 )
 from binpdf import textio
+from binpdf.analysis import _leaves
 from binpdf.cli import main
 from binpdf.grid import _CHUNK
 from binpdf.sampling import open_samples
@@ -230,6 +231,18 @@ class TestLoadGridTable:
             meta = meta_edit(json.loads(sidecar.read_text()))
             sidecar.write_text(meta if isinstance(meta, str) else json.dumps(meta))
         with pytest.raises(BinPdfError, match=match) as err:
+            load(path)
+        assert str(path) in str(err.value) and str(sidecar) in str(err.value)
+
+    @pytest.mark.parametrize("kind", ["pdf", "histogram"])
+    @pytest.mark.parametrize("count", [1.5, -3, 0, True, "7", None])
+    def test_a_sample_count_that_is_not_an_integer_of_at_least_1_is_rejected(
+        self, tmp_path, kind, count
+    ):
+        path, load, _ = self.saved(tmp_path, kind)
+        sidecar = path.with_suffix(".json")
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "sample_count": count}))
+        with pytest.raises(BinPdfError, match="sample_count must be a JSON integer >= 1") as err:
             load(path)
         assert str(path) in str(err.value) and str(sidecar) in str(err.value)
 
@@ -525,6 +538,23 @@ class TestTableReader:
                 assert_same_bits(whole[: head.shape[0]], head)
             assert_same_bits(reader.head(_CHUNK + 1).read(), self.PTS[: _CHUNK + 1])
             assert_same_bits(reader.read(), self.PTS)
+
+    @pytest.mark.parametrize("sizes", [
+        [5, _CHUNK, _CHUNK - 3, 7],  # each block past the first crosses a multiple of _CHUNK
+        list(_leaves(2 * _CHUNK + 9)),  # the RMSE's leaves: 16384, 8192, 8201 rows
+    ], ids=["straddling", "leaves"])
+    def test_twin_blocks_of_given_sizes(self, path, sizes):
+        bounds = np.cumsum([0, *sizes])
+        with open_samples(path) as reader:
+            for _ in range(2):  # a second pass reads the same rows again
+                blocks = [block.copy() for block in reader.blocks(sizes)]
+                assert [b.shape[0] for b in blocks] == sizes
+                for block, a, b in zip(blocks, bounds, bounds[1:]):
+                    assert_same_bits(block, self.PTS[a:b])
+            head = reader.head(_CHUNK + 1)
+            assert_same_bits(np.concatenate([b.copy() for b in head.blocks([3, _CHUNK - 3, 1])]),
+                             self.PTS[: _CHUNK + 1])
+            assert [b.shape[0] for b in head.blocks()] == [_CHUNK, 1]
 
     def test_a_csv_without_a_twin_is_parsed_once(self, path, monkeypatch):
         (path.parent / ".s.csv.npy").unlink()
