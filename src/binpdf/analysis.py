@@ -525,10 +525,10 @@ def averaged_study(
     if not levels or any(a >= b for a, b in zip(levels, levels[1:])):
         raise ValueError(f"levels must be nonempty and strictly ascending, got {levels}")
     seeds = list(seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
     for seed in seeds:
         check_seed(seed)
+    if not seeds or len(set(seeds)) < len(seeds):  # a repeat would be averaged as distinct
+        raise ValueError(f"seeds must be nonempty and distinct, got {seeds}")
     params = [_level_params(mode, k) for k in levels]
     domain = _resolve_domain(spec, grid_domain)
     if holdout and domain == "auto":

@@ -44,7 +44,11 @@ class _GridDensity:
         count = math.prod(self._shape(self.grid))
         if coeffs.shape[0] != count:
             raise ValueError(f"need {count} {self._columns[-1]}s, got {coeffs.shape[0]}")
+        m = self.sample_count  # saved to, and loaded from, the sidecar as a JSON integer
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+            raise ValueError(f"sample_count must be a JSON integer >= 1, got {m!r}")
         object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "sample_count", int(m))
 
     def evaluate(self, point) -> float:
         """Density value at a single point (exactly F_j at node j at degree 1)."""
@@ -64,10 +68,11 @@ class _GridDensity:
 
         def evaluate_rows(a, b):
             gathered = np.empty(min(_CHUNK, b - a))  # one buffer for every corner
-            for start, flat, w in self.grid._stencil(pts[a:b], degree=self._degree, offset=a):
-                k = w.shape[0]
-                w *= np.take(self.coefficients, flat, out=gathered[:k], mode="clip")
-                values[a + start : a + start + k] += w
+            for start, idx, frac in self.grid._located(pts[a:b], offset=a):
+                for flat, w in self.grid._corners(idx, frac, self._degree):
+                    k = w.shape[0]
+                    w *= np.take(self.coefficients, flat, out=gathered[:k], mode="clip")
+                    values[a + start : a + start + k] += w
 
         _in_parts(evaluate_rows, pts.shape[0], self.coefficients.size)
         return values
@@ -179,10 +184,11 @@ class Accumulator:
     :meth:`add` takes the samples in any partition into blocks, and
     :meth:`finalize` returns the density :func:`fit` gives for all of them,
     bit for bit: rows are scattered in chunks of ``_CHUNK`` rows that start
-    at multiples of ``_CHUNK`` in the stream. :meth:`add` checks each row's
-    domain once, a block's rows before any is located; the error names the
-    offending sample's row in the whole stream. Rows are then located into
-    one held chunk, their bins and fractions, scattered when it fills or by
+    at multiples of ``_CHUNK`` in the stream. :meth:`add` reads the location
+    stream, ``TensorGrid._located``, which checks a block's rows once, before
+    any is located, and names an offending sample's row in the whole stream.
+    It locates the rows into one held chunk of bins and fractions, allocated
+    once at full width, which is scattered when it fills or by
     :meth:`finalize`. Memory is one ``n_nodes`` array, the held chunk and a
     fixed per-chunk working set. :meth:`finalize` hands the node array to
     the density, so it may be called once. The sums are of the ``_density``
@@ -207,7 +213,7 @@ class Accumulator:
         self.count = 0  # rows added
         self._sums = np.zeros(count)
         # the unfinished chunk's (idx, frac), its count % _CHUNK rows as columns
-        self._held = [np.empty((grid.dim, 0), np.int64), np.empty((grid.dim, 0))]
+        self._held = np.empty((grid.dim, _CHUNK), np.int64), np.empty((grid.dim, _CHUNK))
 
     def add(self, block) -> None:
         """Deposit the samples of ``block``, an (m, dim) array, after checking
@@ -215,24 +221,11 @@ class Accumulator:
         if self._sums is None:
             raise ValueError("samples added to a finalized accumulator")
         pts = as_points(block, self.grid.dim)
-        m, start = pts.shape[0], 0
-        for at in range(0, m, _CHUNK):  # every row, before any is held; a slice at a time
-            self.grid.check_in_domain(pts[at : at + _CHUNK], as_samples=True,
-                                      offset=self.count + at)
-        while start < m:
-            held = (self.count + start) % _CHUNK
-            stop = min(m, start + _CHUNK - held)
-            filled = held + stop - start
-            if self._held[1].shape[1] < filled:  # grow
-                size = min(_CHUNK, max(filled, 2 * held))
-                self._held = [np.pad(part[:, :held], ((0, 0), (0, size - held)))
-                              for part in self._held]
-            self.grid._locate_with_frac(pts[start:stop],
-                                        out=[part[:, held:filled] for part in self._held])
-            if filled == _CHUNK:
+        for start, idx, _ in self.grid._located(pts, as_samples=True, offset=self.count,
+                                                out=self._held):
+            if (self.count + start + idx.shape[1]) % _CHUNK == 0:  # the chunk is full
                 self._scatter(*self._held)
-            start = stop
-        self.count += m
+        self.count += pts.shape[0]
 
     def _scatter(self, idx: np.ndarray, frac: np.ndarray) -> None:
         """Deposit the corners of the points located at ``(idx, frac)``."""

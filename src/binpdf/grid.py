@@ -7,11 +7,12 @@ every other node, and supported on the bins touching the node. The module
 provides point location, the corner stencil that fit and evaluation consume
 (degree 1: the 2**dim corners of a point's bin with their hat weights; degree
 0, the histogram's: the bin itself with weight 1), and the exact integral of
-each hat over the box. Every point's domain is checked before it is
-located: a point outside the closed box, NaN or infinite, raises
-:class:`OutOfDomainError` (:class:`SampleOutOfDomainError` for fit input).
-:func:`check_finite` raises the same errors on NaN or infinite coordinates
-where there is no domain.
+each hat over the box. Location is one loop, ``TensorGrid._located``, which the
+fit's accumulator, evaluation and ``locate_bins`` read. It checks every point's
+domain before locating it: a point outside the closed box, NaN or infinite,
+raises :class:`OutOfDomainError` (:class:`SampleOutOfDomainError` for fit
+input). :func:`check_finite` raises the same errors on NaN or infinite
+coordinates where there is no domain.
 
 Point location uses direct index arithmetic, ``i = floor((y - a) / delta)``,
 followed by a one-step correction against the bin edge values so that the
@@ -298,34 +299,29 @@ class TensorGrid:
             bins[start : start + idx.shape[1]] = idx.T
         return bins
 
-    def _located(self, pts: np.ndarray, *, as_samples: bool = False, offset: int = 0):
-        """Yield ``(chunk start, idx, frac)``, the (dim, k) location of each
-        ``_CHUNK`` slice of points, in one int64 and one float64 buffer that all
-        chunks share: valid until the next step, and the consumer's to overwrite.
+    def _located(self, pts: np.ndarray, *, as_samples: bool = False, offset: int = 0,
+                 out=None):
+        """Yield ``(piece start, idx, frac)``, the (dim, k) location of each
+        piece of points, cut where the stream's ``_CHUNK``-row chunks end,
+        counting the row of ``pts[0]`` as ``offset``. A piece is located into
+        one int64 and one float64 buffer that all pieces share: valid until the
+        next step, and the consumer's to overwrite. ``out`` may give that pair
+        as (dim, ``_CHUNK``) arrays, each piece at its columns within its chunk.
         :meth:`check_in_domain` (given ``as_samples`` and ``offset``) sees every
-        point first, a slice at a time, since the index arithmetic would turn
+        point first, a piece at a time, since the index arithmetic would turn
         one outside into a wrong index."""
         m = pts.shape[0]
-        starts = range(0, m, _CHUNK)
-        for start in starts:  # in row order: the first slice to raise holds the first offender
-            self.check_in_domain(pts[start : start + _CHUNK], as_samples=as_samples,
-                                 offset=offset + start)
-        idx = np.empty((self.dim, min(_CHUNK, m)), np.int64)
-        frac = np.empty(idx.shape)
-        for start in starts:
-            k = min(_CHUNK, m - start)
-            out = idx[:, :k], frac[:, :k]
-            self._locate_with_frac(pts[start : start + k], out=out)
-            yield (start, *out)
-
-    def _stencil(self, pts: np.ndarray, *, degree: int = 1, as_samples: bool = False,
-                 offset: int = 0):
-        """Yield ``(chunk start, flat index, weight)`` per corner: the
-        :meth:`_corners` of each chunk of :meth:`_located`, which checks the
-        domain first (``as_samples`` and ``offset`` as there)."""
-        for start, idx, frac in self._located(pts, as_samples=as_samples, offset=offset):
-            for flat, w in self._corners(idx, frac, degree):
-                yield start, flat, w
+        cuts = [0, *range(_CHUNK - offset % _CHUNK, m, _CHUNK), m] if m else []
+        pieces = list(zip(cuts, cuts[1:]))
+        for a, b in pieces:  # in row order: the first piece to raise holds the first offender
+            self.check_in_domain(pts[a:b], as_samples=as_samples, offset=offset + a)
+        idx, frac = out or (np.empty((self.dim, min(_CHUNK, m)), np.int64),
+                            np.empty((self.dim, min(_CHUNK, m))))
+        for a, b in pieces:
+            at = (offset + a) % _CHUNK if out else 0
+            piece = idx[:, at : at + b - a], frac[:, at : at + b - a]
+            self._locate_with_frac(pts[a:b], out=piece)
+            yield (a, *piece)
 
     def _corners(self, idx: np.ndarray, frac: np.ndarray, degree: int):
         """Yield ``(flat index, weight)`` per corner of the points located at

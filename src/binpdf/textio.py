@@ -473,20 +473,17 @@ def load_grid_table(path, make):
     """Read a :func:`save_grid_table` file as ``make(grid, values, sample_count)``.
 
     ``make`` is the density's class, which checks that the table has one row
-    per node or bin of the grid. Raises :class:`BinPdfError` naming the table
-    and its sidecar unless the sidecar is JSON describing a valid grid and
-    holding a ``sample_count`` that is a JSON integer >= 1, the index column
-    holds each of ``0..rows-1`` once, every value is finite and >= 0, and
-    ``make`` accepts the rows.
+    per node or bin of the grid and a ``sample_count`` of at least 1. Raises
+    :class:`BinPdfError` naming the table and its sidecar unless the sidecar
+    is JSON describing a valid grid, the index column holds each of
+    ``0..rows-1`` once, every value is finite and >= 0, and ``make`` accepts
+    the rows and the count.
     """
     path = Path(path)
     sidecar = sidecar_path(path)
     try:
         meta = json.loads(sidecar.read_text())
         grid = TensorGrid(tuple(meta["lower"]), tuple(meta["upper"]), tuple(meta["n_delta"]))
-        count = meta["sample_count"]
-        if type(count) is not int or count < 1:  # JSON true loads as a bool, an int subclass
-            raise ValueError(f"sample_count must be a JSON integer >= 1, got {count!r}")
         table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         order = np.argsort(table[:, 0])
         if not np.array_equal(table[order, 0], np.arange(table.shape[0])):
@@ -494,6 +491,6 @@ def load_grid_table(path, make):
         values = table[order, -1]
         if not (np.isfinite(values).all() and (values >= 0).all()):
             raise ValueError("a value is negative or not finite")
-        return make(grid, values, count)
+        return make(grid, values, meta["sample_count"])
     except (ValueError, KeyError, TypeError) as err:  # JSONDecodeError is a ValueError
         raise BinPdfError(f"{path} (sidecar {sidecar}): {err}") from err

@@ -451,6 +451,7 @@ class TestConvergenceStudy:
         (Coupled(2), [2, 3], [2**128], "seed 340282366920938463463374607431768211456 is"),
         (FixedM(100), [-1, 0], [0], "level k must be >= 0, got -1"),
         (FixedDelta(4), [-1, 0], [0], "level k must be >= 0, got -1"),
+        (Coupled(2), [2, 3], [1, 2, 1.0], "distinct, got \\[1, 2, 1.0\\]"),  # one seed twice
     ])
     def test_bad_seed_or_negative_level_is_rejected_before_sampling(
         self, monkeypatch, mode, levels, seeds, message

@@ -424,6 +424,7 @@ STUDY = ["study", "--dist", "uniform1d", "--mode", "coupled:2", "--k", "2..3"]
     (STUDY[:-1] + ["2,2"], "levels must be nonempty and strictly ascending, got [2, 2]"),
     (["study", "--dist", "uniform1d", "--mode", "coupled:1", "--k", "0..2"],
      "level k must be >= 1"),
+    (STUDY + ["--seeds", "1,1"], "seeds must be nonempty and distinct, got [1, 1]"),
 ])
 def test_malformed_per_axis_value_is_one_usage_error(tmp_path, capsys, argv, message):
     samples = tmp_path / "s.csv"

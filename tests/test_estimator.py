@@ -437,15 +437,15 @@ class TestEvaluate:
         grid = TensorGrid((0.0,) * 3, (1.0,) * 3, (8,) * 3)
         pts = np.random.default_rng(71).random((8 * _CHUNK, 3))
         pdf = fit(grid, pts[:1000])
-        stencil = TensorGrid._stencil
+        located = TensorGrid._located
 
         def traced_after_the_first_chunk(self, *args, **kwargs):
-            for start, flat, w in stencil(self, *args, **kwargs):
+            for start, idx, frac in located(self, *args, **kwargs):
                 if start and not tracemalloc.is_tracing():
                     tracemalloc.start()
-                yield start, flat, w
+                yield start, idx, frac
 
-        monkeypatch.setattr(TensorGrid, "_stencil", traced_after_the_first_chunk)
+        monkeypatch.setattr(TensorGrid, "_located", traced_after_the_first_chunk)
         try:
             pdf.evaluate_batch(pts)
             peak = tracemalloc.get_traced_memory()[1]

@@ -446,6 +446,19 @@ class TestCheckFinite:
         assert (err.value.index, err.value.axis, err.value.value) == (8, 0, 1.5)
 
 
+def stencil(grid, pts, degree=1, **kwargs):
+    """Yield ``(piece start, flat index, weight)`` per corner: the
+    ``_corners`` of each piece of the location stream ``_located``."""
+    for start, idx, frac in grid._located(pts, **kwargs):
+        for flat, w in grid._corners(idx, frac, degree):
+            yield start, flat, w
+
+
+# the location stream, and the corners that fit and evaluation read from it
+STREAMS = {"_located": lambda grid, pts, **kwargs: grid._located(pts, **kwargs),
+           "_stencil": stencil}
+
+
 def second_chunk_offenders(value):
     """Points in [0, 1]**2 whose first chunk is inside; the second chunk holds
     ``value`` at (row ``_CHUNK + 3``, axis 1) and then at (``_CHUNK + 4``, 0)."""
@@ -465,7 +478,7 @@ class TestLocationStreamChecksDomain:
         # unchecked, the first chunk would be yielded and the offender located
         # to a wrong index (below 0 or past the last node; NaN casts to -2**63)
         pts, (row, axis) = second_chunk_offenders(value)
-        chunks = getattr(self.GRID, stream)(pts, as_samples=as_samples)
+        chunks = STREAMS[stream](self.GRID, pts, as_samples=as_samples)
         with pytest.raises(SampleOutOfDomainError if as_samples else OutOfDomainError) as err:
             next(chunks)
         assert as_samples or not isinstance(err.value, SampleOutOfDomainError)
@@ -476,7 +489,7 @@ class TestLocationStreamChecksDomain:
     def test_default_is_not_sample_error(self, stream):
         pts, _ = second_chunk_offenders(-0.5)
         with pytest.raises(OutOfDomainError) as err:
-            list(getattr(self.GRID, stream)(pts))
+            list(STREAMS[stream](self.GRID, pts))
         assert not isinstance(err.value, SampleOutOfDomainError)
 
     @pytest.mark.parametrize("value", OUTSIDE_UNIT_BOX)
@@ -500,6 +513,39 @@ class TestLocationStreamChecksDomain:
             assert type(err.value) is kind
             assert (err.value.index, err.value.axis) == (index, axis)
             np.testing.assert_equal(err.value.value, value)
+
+
+class TestLocationStreamPieces:
+    """``_located`` cuts its pieces where the stream's chunks end, counting rows
+    from ``offset``, and locates them as :meth:`TensorGrid.locate_bins` does."""
+
+    GRID = TensorGrid((-1.0, 0.0), (2.0, 1.0), (7, 5))
+
+    @pytest.mark.parametrize("offset", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 5])
+    @pytest.mark.parametrize("m", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+                                   2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 1])
+    def test_pieces_end_at_chunk_ends_and_locate_every_row(self, offset, m):
+        grid = self.GRID
+        pts = np.random.default_rng(m + offset).uniform(grid.lower, grid.upper, (m, 2))
+        expected = grid.locate_bins(pts)
+        out = np.empty((2, _CHUNK), np.int64), np.empty((2, _CHUNK))
+        fracs = []
+        for buffers in (None, out):
+            rows, located = 0, np.empty((m, 2))
+            for start, idx, frac in grid._located(pts, offset=offset, out=buffers):
+                end = start + idx.shape[1]
+                assert start == rows and start < end
+                assert (offset + end) % _CHUNK == 0 or end == m
+                assert np.array_equal(idx.T, expected[start:end])
+                if buffers is not None:  # at the piece's columns within its chunk
+                    at = (offset + start) % _CHUNK
+                    assert np.shares_memory(idx[:, 0], out[0][:, at])
+                    assert np.shares_memory(frac[:, 0], out[1][:, at])
+                located[start:end] = frac.T
+                rows = end
+            assert rows == m
+            fracs.append(located)
+        assert np.array_equal(*fracs)
 
 
 class TestNodeCoords:
@@ -655,7 +701,7 @@ class TestBinVertices:
     def vertices(grid, point):
         pts = np.asarray(point, dtype=np.float64).reshape(1, grid.dim)
         return [tuple(int(i) for i in np.unravel_index(int(flat[0]), grid.node_shape))
-                for _, flat, _ in grid._stencil(pts)]
+                for _, flat, _ in stencil(grid, pts)]
 
     def test_1d(self):
         grid = TensorGrid((0.0,), (1.0,), (4,))

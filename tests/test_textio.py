@@ -246,6 +246,27 @@ class TestLoadGridTable:
             load(path)
         assert str(path) in str(err.value) and str(sidecar) in str(err.value)
 
+    @pytest.mark.parametrize("make, size", [(PiecewiseLinearPdf, 4), (Histogram, 3)],
+                             ids=["pdf", "histogram"])
+    @pytest.mark.parametrize("count", [0, 2.5, True, np.True_, -3, "7", None])
+    def test_a_sample_count_the_loader_would_reject_is_rejected_at_construction(
+        self, make, size, count
+    ):
+        with pytest.raises(ValueError, match="sample_count must be a JSON integer >= 1"):
+            make(self.GRID, np.ones(size), count)
+
+    @pytest.mark.parametrize("make, size, save, load", [
+        (PiecewiseLinearPdf, 4, save_pdf, load_pdf),
+        (Histogram, 3, save_histogram, load_histogram),
+    ], ids=["pdf", "histogram"])
+    def test_a_numpy_integer_sample_count_saves_and_loads_as_an_int(
+        self, tmp_path, make, size, save, load
+    ):
+        density = make(self.GRID, np.ones(size), np.int64(4))
+        save(density, tmp_path / "t.csv")
+        for got in (density, load(tmp_path / "t.csv")):
+            assert type(got.sample_count) is int and got.sample_count == 4
+
     @pytest.mark.parametrize("kind", ["pdf", "histogram"])
     def test_shuffled_rows_and_negative_zero_load(self, tmp_path, kind):
         path, load, values = self.saved(tmp_path, kind)
