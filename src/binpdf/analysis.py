@@ -395,14 +395,12 @@ _STOP_SIGNALS = (signal.SIGINT, signal.SIGTERM)
 
 
 def _start_worker(parent: int, owners) -> None:
-    """Pool initializer: a worker records its seeds in ``owners``, fits and
-    evaluates in its own thread only, dies by SIGTERM (not the CLI's
-    handler, which would raise in the worker), and is sent SIGKILL when its
-    parent dies (Linux), since a forked worker never sees its call queue
-    close."""
+    """Pool initializer: a worker records its seeds in ``owners``, dies by
+    SIGTERM (not the CLI's handler, which would raise in the worker), and is
+    sent SIGKILL when its parent dies (Linux), since a forked worker never
+    sees its call queue close. Forked after import, it starts no thread."""
     global _owners
     _owners = owners
-    estimator._threads_allowed = False  # the pool has a worker per CPU already
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)  # blocked while forking
     try:

@@ -119,10 +119,14 @@ def _parse_levels(text: str) -> list[int]:
 
 
 def _parse_mode(args) -> analysis.StudyMode:
-    """``--mode`` with the ``--m`` or ``--n-delta`` it needs."""
+    """``--mode`` with the ``--m`` or ``--n-delta`` it needs, and no other."""
     from . import analysis
 
     text = args.mode
+    if args.m is not None and text != "fixed_m":
+        raise UsageError("--m is only for --mode fixed_m")
+    if args.n_delta is not None and text != "fixed_delta":
+        raise UsageError("--n-delta is only for --mode fixed_delta")
     if text == "fixed_m":
         if args.m is None:
             raise UsageError("--mode fixed_m requires --m")
@@ -142,12 +146,16 @@ def _parse_mode(args) -> analysis.StudyMode:
     raise UsageError(f"unknown mode {text!r} (fixed_m | fixed_delta | coupled:R)")
 
 
-def _per_axis(text: str, dim: int, what: str, sep: str = ",", convert=float) -> tuple:
-    """One ``convert``-ed value per axis; a single value applies to every axis."""
+def _values(text: str, what: str, sep: str = ",", convert=float) -> tuple:
+    """The ``convert``-ed values of a per-axis flag, read before its dimension is known."""
     try:
-        values = tuple(convert(p) for p in text.split(sep))
+        return tuple(convert(p) for p in text.split(sep))
     except ValueError as err:
         raise UsageError(f"bad {what} {text!r}") from err
+
+
+def _per_axis(values: tuple, dim: int, what: str) -> tuple:
+    """One of ``values`` per axis; a single value applies to every axis."""
     if len(values) == 1:
         values *= dim
     if len(values) != dim:
@@ -201,6 +209,15 @@ def _open_samples(path: str) -> textio.TableReader:
 
 
 def cmd_fit(args) -> int:
+    if args.support == "auto":
+        if args.lower is not None or args.upper is not None:
+            raise UsageError("--support auto conflicts with --lower/--upper")
+    elif args.lower is None or args.upper is None:
+        raise UsageError("either --support auto or both --lower and --upper")
+    else:
+        lower, upper = _values(args.lower, "--lower"), _values(args.upper, "--upper")
+    n_delta = _values(args.n_delta, "--n-delta",
+                      convert=functools.partial(_parse_count, what="--n-delta"))
     from . import estimator, textio
 
     out = Path(args.out)
@@ -209,18 +226,12 @@ def cmd_fit(args) -> int:
     with _open_samples(args.samples) as rows:
         dim = rows.shape[1]
         if args.support == "auto":
-            if args.lower is not None or args.upper is not None:
-                raise UsageError("--support auto conflicts with --lower/--upper")
             from . import analysis
 
             bounds = analysis.estimate_support(rows)
         else:
-            if args.lower is None or args.upper is None:
-                raise UsageError("either --support auto or both --lower and --upper")
-            bounds = zip(_per_axis(args.lower, dim, "--lower"),
-                         _per_axis(args.upper, dim, "--upper"))
-        grid = _grid(bounds, _per_axis(args.n_delta, dim, "--n-delta",
-                                       convert=functools.partial(_parse_count, what="--n-delta")))
+            bounds = zip(_per_axis(lower, dim, "--lower"), _per_axis(upper, dim, "--upper"))
+        grid = _grid(bounds, _per_axis(n_delta, dim, "--n-delta"))
 
         t0 = time.perf_counter()
         pdf = estimator._fit(estimator.Accumulator, grid, rows)
@@ -244,8 +255,9 @@ def cmd_study(args) -> int:
     spec = _parse_dist(args.dist)
     mode = _parse_mode(args)
     levels = _parse_levels(args.k)
-    try:
-        seeds = [args.seed] if args.seeds is None else [int(s) for s in args.seeds.split(",")]
+    try:  # --seed and --seeds exclude each other; a study of neither uses seed 0
+        seeds = ([0 if args.seed is None else args.seed] if args.seeds is None
+                 else [int(s) for s in args.seeds.split(",")])
     except ValueError as err:
         raise UsageError(f"bad --seeds {args.seeds!r}") from err
 
@@ -256,7 +268,8 @@ def cmd_study(args) -> int:
             raise UsageError("--holdout conflicts with --support auto")
         grid_domain = "auto"
     elif args.domain is not None:
-        grid_domain = _per_axis(args.domain, spec.dim, "--domain", sep=";", convert=_pair)
+        grid_domain = _per_axis(_values(args.domain, "--domain", sep=";", convert=_pair),
+                                spec.dim, "--domain")
     else:
         grid_domain = None
 
@@ -273,22 +286,19 @@ def cmd_study(args) -> int:
     return 0
 
 
-def _parse_estimators(text: str) -> list[tuple[str, object]]:
-    """``(label, make_evaluator)`` pairs; ``make_evaluator(grid, rows)`` fits
-    one estimator to the rows of a :class:`TableReader` and returns its
-    batch evaluator."""
-    from . import baselines, estimator
+_KDE_KERNELS = ("triangular", "gaussian")  # baselines.KERNELS, named here without numpy
 
-    accumulators = {"fe": estimator.Accumulator, "histogram": baselines.HistogramAccumulator}
-    wanted = []
+
+def _parse_estimators(text: str) -> dict[str, tuple[str, float] | None]:
+    """Each estimator's label, ``kde:B`` labelled ``kde:triangular:B``, and
+    its ``(kernel, bandwidth)`` if it is a KDE, else None."""
+    wanted = {}
     for part in text.split(","):
-        if part in accumulators:
-            wanted.append((part, lambda g, r, a=accumulators[part]:
-                           estimator._fit(a, g, r).evaluate_batch))
-        elif part.startswith("kde:"):
+        label, kde = part, None
+        if part.startswith("kde:"):
             pieces = part.split(":")
             kernel = pieces[1] if len(pieces) == 3 else "triangular"
-            if len(pieces) > 3 or kernel not in baselines.KERNELS:
+            if len(pieces) > 3 or kernel not in _KDE_KERNELS:
                 raise UsageError(f"bad kde estimator {part!r} (kde:B | kde:KERNEL:B)")
             try:
                 bandwidth = float(pieces[-1])
@@ -296,15 +306,24 @@ def _parse_estimators(text: str) -> list[tuple[str, object]]:
                 raise UsageError(f"bad kde bandwidth in {part!r}") from err
             if not (math.isfinite(bandwidth) and bandwidth > 0):
                 raise UsageError(f"kde bandwidth must be finite and > 0, got {bandwidth}")
-            wanted.append((f"kde:{kernel}:{bandwidth:g}", lambda g, r, k=kernel, b=bandwidth:
-                           functools.partial(baselines.eval_kde_batch,
-                                             baselines.KdeSpec(k, b, r.read()))))
-        else:
+            label, kde = f"kde:{kernel}:{bandwidth:g}", (kernel, bandwidth)
+        elif part not in ("fe", "histogram"):
             raise UsageError(f"unknown estimator {part!r} (fe | histogram | kde:B)")
+        if label in wanted:  # its rows could not be told apart
+            raise UsageError(f"--estimators names {label} twice")
+        wanted[label] = kde
     return wanted
 
 
 def cmd_compare(args) -> int:
+    # every flag but the per-axis --domain's length is checked before a file is read
+    ref_m = _parse_count(args.ref_m, "--ref-m") if args.ref_m else None
+    fit_m = _parse_count(args.m, "--m") if args.m else None
+    ref_n = _parse_count(args.ref_n_delta, "--ref-n-delta")
+    coarse_n = _parse_count(args.n_delta, "--n-delta")
+    wanted = _parse_estimators(args.estimators)
+    domain = None if args.domain is None else _values(args.domain, "--domain", sep=";",
+                                                      convert=_pair)
     from . import analysis, baselines, estimator, textio
 
     with contextlib.ExitStack() as stack:
@@ -315,18 +334,15 @@ def cmd_compare(args) -> int:
         if ref_samples.shape[1] != dim:
             raise UsageError(f"--samples {args.samples} has dimension {dim} but --ref-samples "
                              f"{args.ref_samples} has dimension {ref_samples.shape[1]}")
-        ref_m = _parse_count(args.ref_m, "--ref-m") if args.ref_m else ref_samples.shape[0]
-        fit_m = _parse_count(args.m, "--m") if args.m else samples.shape[0]
+        ref_m = ref_m or ref_samples.shape[0]  # the whole file by default
+        fit_m = fit_m or samples.shape[0]
         if ref_m > ref_samples.shape[0] or fit_m > samples.shape[0]:
             raise UsageError("requested more samples than the file provides")
-        ref_n = _parse_count(args.ref_n_delta, "--ref-n-delta")
-        coarse_n = _parse_count(args.n_delta, "--n-delta")
-        wanted = _parse_estimators(args.estimators)
 
-        if args.domain is None:
+        if domain is None:
             bounds = analysis.estimate_support(ref_samples)
         else:
-            bounds = _per_axis(args.domain, dim, "--domain", sep=";", convert=_pair)
+            bounds = _per_axis(domain, dim, "--domain")
 
         reference = estimator._fit(baselines.HistogramAccumulator,
                                    _grid(bounds, (ref_n,) * dim), ref_samples.head(ref_m))
@@ -334,8 +350,13 @@ def cmd_compare(args) -> int:
         coarse_grid = _grid(bounds, (coarse_n,) * dim)
 
         lines = ["estimator,n_delta,m,ref_n_delta,ref_m,rmse"]
-        for label, make_evaluator in wanted:
-            evaluator = make_evaluator(coarse_grid, coarse)
+        accumulators = {"fe": estimator.Accumulator, "histogram": baselines.HistogramAccumulator}
+        for label, kde in wanted.items():
+            if kde is None:
+                evaluator = estimator._fit(accumulators[label], coarse_grid, coarse).evaluate_batch
+            else:
+                evaluator = functools.partial(baselines.eval_kde_batch,
+                                              baselines.KdeSpec(*kde, coarse.read()))
             rmse = analysis.rmse_vs_histogram(evaluator, reference, coarse)
             lines.append(f"{label},{coarse_n},{fit_m},{ref_n},{ref_m},{rmse:.12g}")
             print(f"{label}: {rmse:.12g}")
@@ -377,8 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", required=True, help="levels, e.g. 2..5 or 2,3,4")
     p.add_argument("--m", help="sample count for fixed_m")
     p.add_argument("--n-delta", help="bin count for fixed_delta")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seeds", help="comma-separated seeds to average over")
+    seeds = p.add_mutually_exclusive_group()
+    seeds.add_argument("--seed", type=int, help="the one seed (default: 0)")
+    seeds.add_argument("--seeds", help="comma-separated seeds to average over")
     p.add_argument("--domain", help="grid domain lo,hi[;lo,hi...] (default: support)")
     p.add_argument("--support", choices=["auto"], help="grid on per-level sample extremes")
     p.add_argument("--holdout", action="store_true",

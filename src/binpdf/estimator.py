@@ -118,8 +118,8 @@ class PiecewiseLinearPdf(_GridDensity):
 # Every study and CLI grid of the benchmark but lib-fine-3d's lies below it.
 _THREAD_MIN_NODES = 2**18
 
-# Cleared in a study's worker processes, which own a CPU each already.
-_threads_allowed = True
+# A process forked after import, a study's worker say, owns a CPU of a pool already.
+_IMPORT_PID = os.getpid()
 
 
 def _available_cpus() -> int:
@@ -135,15 +135,15 @@ def _in_parts(run, n: int, size: int) -> None:
     """``run(a, b)`` over contiguous parts ``[a, b)`` of ``range(n)``.
 
     For a density of at least ``_THREAD_MIN_NODES`` coefficients (``size``),
-    outside a study worker, there is one part per available CPU (at most
-    ``n``): the first runs in the calling thread, each other one in a thread
-    of its own. Every
-    thread is joined before this returns or raises, and the exception of the
-    lowest failing part is raised. ``run`` must give each part work that no
-    other part touches, and the same bits as one call over ``range(n)``.
+    outside a process forked after import, there is one part per available
+    CPU (at most ``n``): the first runs in the calling thread, each other one
+    in a thread of its own. Every thread is joined before this returns or
+    raises, and the exception of the lowest failing part is raised. ``run``
+    must give each part work that no other part touches, and the same bits
+    as one call over ``range(n)``.
     """
     parts = 1
-    if _threads_allowed and size >= _THREAD_MIN_NODES:
+    if size >= _THREAD_MIN_NODES and os.getpid() == _IMPORT_PID:
         parts = max(1, min(n, _available_cpus()))
     bounds = [n * i // parts for i in range(parts + 1)]
     errors = [None] * parts
@@ -290,11 +290,12 @@ def fit(grid: TensorGrid, samples, *, threads: int = 1) -> PiecewiseLinearPdf:
 
     The scatter runs in the calling thread, since ``np.add.at`` holds the
     GIL. On a grid of at least ``_THREAD_MIN_NODES`` (2**18) nodes the
-    finalization, like :meth:`PiecewiseLinearPdf.evaluate_batch`, splits
-    into slabs across the CPUs the process may use (``os.sched_getaffinity``);
-    every coefficient takes the same steps in the same order, so the result
-    is bit-identical for any CPU count. ``threads`` must be an integer >= 1
-    and changes nothing; it is accepted so that existing callers keep working.
+    finalization, like :meth:`PiecewiseLinearPdf.evaluate_batch`, splits into
+    slabs across the CPUs the process may use (``os.sched_getaffinity``), or
+    one in a process forked after import; every coefficient takes the same steps
+    in the same order, so the result is bit-identical for any CPU count.
+    ``threads`` must be an integer >= 1 and changes nothing; it is accepted so
+    that existing callers keep working.
 
     Raises
     ------
@@ -308,7 +309,7 @@ def fit(grid: TensorGrid, samples, *, threads: int = 1) -> PiecewiseLinearPdf:
     SampleOutOfDomainError
         Identifying the first offending sample.
     """
-    if not isinstance(threads, (int, np.integer)) or threads < 1:
+    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     return _fit(Accumulator, grid, samples)
 

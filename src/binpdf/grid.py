@@ -70,12 +70,13 @@ def as_point(point, dim: int) -> np.ndarray:
 
 
 def _whole(value, name: str) -> int:
-    """``value`` as an int; ``ValueError`` naming ``name`` unless it is a whole number."""
+    """``value`` as an int; ``ValueError`` naming ``name`` unless it is a
+    whole number, which a boolean is not."""
     try:
         whole = int(value)
     except (TypeError, ValueError, OverflowError):  # NaN, infinities, non-numbers
         whole = None
-    if whole is None or whole != value:
+    if whole is None or whole != value or isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be a whole number, got {value}")
     return whole
 
@@ -156,7 +157,9 @@ class TensorGrid:
     def __post_init__(self):
         lower = tuple(float(a) for a in np.atleast_1d(self.lower))
         upper = tuple(float(b) for b in np.atleast_1d(self.upper))
-        n_delta = tuple(_whole(n, "n_delta") for n in np.atleast_1d(self.n_delta))
+        # as objects: in an array of (True, 3), numpy would make True a 1
+        n_delta = np.atleast_1d(np.array(self.n_delta, object))
+        n_delta = tuple(_whole(n, "n_delta") for n in n_delta)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "n_delta", n_delta)

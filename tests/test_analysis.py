@@ -751,10 +751,19 @@ class TestStudyOutput:
      "point 1, coordinate nan on axis 1"),
     (lambda: KdeSpec("triangular", 1.0, [0.0, -math.inf]), SampleOutOfDomainError,
      "point 1, coordinate -inf on axis 0"),
+    (lambda: TensorGrid((0.0,), (1.0,), (True,)), ValueError, "n_delta must be a whole"),
+    (lambda: TensorGrid((0.0,) * 2, (1.0,) * 2, (True, 3)), ValueError, "n_delta must be a whole"),
+    (lambda: sample(TGAUSS, True, 3), ValueError, "m must be a whole"),
+    (lambda: sample(TGAUSS, 10, np.True_), ValueError, "seed must be a whole"),
+    (lambda: averaged_study(TGAUSS, FixedM(True), [2], [5]), ValueError, "m must be a whole"),
+    (lambda: averaged_study(TGAUSS, FixedM(100), [np.True_], [5]), ValueError,
+     "level must be a whole"),
 ], ids=["grid", "sample", "fixed-m", "fixed-delta", "level", "fixed-m-0", "grid-nan", "sample-inf",
-        "seed", "kde-nan", "kde-inf"])
+        "seed", "kde-nan", "kde-inf", "grid-true", "grid-true-among-ints", "sample-true",
+        "seed-true", "fixed-m-true", "level-true"])
 def test_bad_library_input_raises_instead_of_changing_the_result(call, error, match):
-    # truncated, 2.5 bins would build 2, and a NaN sample would make every KDE value NaN
+    # truncated, 2.5 bins would build 2, and a NaN sample would make every KDE value NaN;
+    # a boolean is not a count, though numpy and Python take True for 1
     with pytest.raises(error, match=match):
         call()
 

@@ -425,6 +425,14 @@ STUDY = ["study", "--dist", "uniform1d", "--mode", "coupled:2", "--k", "2..3"]
     (["study", "--dist", "uniform1d", "--mode", "coupled:1", "--k", "0..2"],
      "level k must be >= 1"),
     (STUDY + ["--seeds", "1,1"], "seeds must be nonempty and distinct, got [1, 1]"),
+    (["compare", "--ref-n-delta", "4", "--n-delta", "2", "--estimators", "fe,histogram,fe"],
+     "--estimators names fe twice"),
+    (["compare", "--ref-n-delta", "4", "--n-delta", "2", "--estimators",
+      "kde:0.5,kde:triangular:0.50"], "--estimators names kde:triangular:0.5 twice"),
+    (STUDY + ["--m", "1000", "--n-delta", "7"], "--m is only for --mode fixed_m"),
+    (STUDY + ["--n-delta", "7"], "--n-delta is only for --mode fixed_delta"),
+    (["study", "--dist", "uniform1d", "--mode", "fixed_delta", "--n-delta", "4", "--m", "100",
+      "--k", "2..3"], "--m is only for --mode fixed_m"),
 ])
 def test_malformed_per_axis_value_is_one_usage_error(tmp_path, capsys, argv, message):
     samples = tmp_path / "s.csv"
@@ -490,6 +498,7 @@ def test_compare_files_of_different_dimensions_is_usage_error(tmp_path, capsys, 
     ["--seeds", "1,-1"],
     ["--mode", "fixed_delta", "--n-delta", "4", "--k=-1..1"],
     ["--mode", "fixed_m", "--m", "100", "--k=-1..1", "--support", "auto"],
+    ["--m", "1000"], ["--mode", "fixed_m", "--m", "100", "--n-delta", "7"],
 ])
 def test_study_argument_errors_precede_the_first_draw(tmp_path, capsys, monkeypatch, flags):
     def no_sampling(*args):
@@ -498,6 +507,29 @@ def test_study_argument_errors_precede_the_first_draw(tmp_path, capsys, monkeypa
     monkeypatch.setattr("binpdf.analysis.sample", no_sampling)
     code, _, stderr = run(capsys, *STUDY, *flags, "--out", str(tmp_path / "s.csv"))
     assert code == 2 and stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", "5", "--seeds", "1,2"], "argument --seeds: not allowed with argument --seed"),
+    (["--seed", "0", "--seeds", "1,2"], "argument --seeds: not allowed with argument --seed"),
+    (["--seeds", "1,2", "--seed", "5"], "argument --seed: not allowed with argument --seeds"),
+])
+def test_seed_and_seeds_together_are_a_usage_error(tmp_path, capsys, monkeypatch, flags, message):
+    # either would drop the other's values; --seed 0 is no default when given
+    def no_sampling(*args):
+        raise AssertionError("sampled before rejecting the arguments")
+
+    monkeypatch.setattr("binpdf.analysis.sample", no_sampling)
+    code, _, stderr = run(capsys, *STUDY, *flags, "--out", str(tmp_path / "s.csv"))
+    assert code == 2
+    assert stderr.splitlines()[-1] == f"error: {message}"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_parser_knows_the_kde_kernels():
+    from binpdf import baselines, cli
+
+    assert cli._KDE_KERNELS == baselines.KERNELS
 
 
 @pytest.mark.parametrize("argv", [
@@ -685,6 +717,7 @@ def test_no_command_imports_scipy(tmp_path, run_fresh):
 
 
 ONLY_THE_PARSER = ["binpdf", "binpdf.cli", "binpdf.errors"]
+COMPARE_S = ["compare", "--samples", "s.csv", "--out", "c.csv"]
 
 
 @pytest.mark.parametrize("argv, code, loaded, not_loaded", [
@@ -702,12 +735,33 @@ ONLY_THE_PARSER = ["binpdf", "binpdf.cli", "binpdf.errors"]
      ["numpy", "binpdf.estimator", "binpdf.analysis"], ["binpdf.baselines"]),
     (["study", "--dist", "uniform1d", "--mode", "coupled:2", "--k", "2..3", "--out", "st.csv"], 0,
      ["numpy", "binpdf.estimator", "binpdf.analysis"], ["binpdf.baselines"]),
+    ([*COMPARE_S, "--ref-n-delta", "8", "--n-delta", "2.7"], 2, ONLY_THE_PARSER, []),
+    ([*COMPARE_S, "--ref-n-delta", "8", "--n-delta", "4", "--m", "0"], 2, ONLY_THE_PARSER, []),
+    ([*COMPARE_S, "--ref-n-delta", "8", "--n-delta", "4", "--ref-m", "x"], 2,
+     ONLY_THE_PARSER, []),
+    ([*COMPARE_S, "--ref-n-delta", "0", "--n-delta", "4"], 2, ONLY_THE_PARSER, []),
+    ([*COMPARE_S, "--ref-n-delta", "8", "--n-delta", "4", "--estimators", "fe,fe"], 2,
+     ONLY_THE_PARSER, []),
+    ([*COMPARE_S, "--ref-n-delta", "8", "--n-delta", "4", "--estimators", "kde:cosine:1"], 2,
+     ONLY_THE_PARSER, []),
+    ([*COMPARE_S, "--ref-n-delta", "8", "--n-delta", "4", "--domain=0"], 2,
+     ONLY_THE_PARSER, []),
+    (["fit", "--samples", "s.csv", "--support", "auto", "--lower=0", "--n-delta", "4",
+      "--out", "p.csv"], 2, ONLY_THE_PARSER, []),
+    (["fit", "--samples", "s.csv", "--upper=1", "--n-delta", "4", "--out", "p.csv"], 2,
+     ONLY_THE_PARSER, []),
+    (["fit", "--samples", "s.csv", "--lower=x", "--upper=1", "--n-delta", "4", "--out", "p.csv"],
+     2, ONLY_THE_PARSER, []),
+    (["fit", "--samples", "s.csv", "--lower=0", "--upper=1", "--n-delta", "2.5",
+      "--out", "p.csv"], 2, ONLY_THE_PARSER, []),
 ], ids=["help", "fit-help", "sample-without-m", "threads-0", "out-names-no-file", "sample", "fit",
-        "fit-support-auto", "study"])
+        "fit-support-auto", "study", "compare-n-delta", "compare-m", "compare-ref-m",
+        "compare-ref-n-delta", "compare-repeated-estimator", "compare-kernel", "compare-domain",
+        "fit-support-conflict", "fit-without-lower", "fit-lower", "fit-n-delta"])
 def test_each_command_loads_only_what_it_runs(tmp_path, run_fresh, argv, code, loaded, not_loaded):
     # a fresh interpreter per case: --help and usage errors that the parser or
-    # main catches load no numpy; each command leaves out the modules it does
-    # not run
+    # main catches, and those of flags checked before a file is read, load no
+    # numpy; each command leaves out the modules it does not run
     (tmp_path / "s.csv").write_text("0.1\n0.5\n0.9\n")
     script = textwrap.dedent(f"""
         import os, sys

@@ -188,7 +188,7 @@ class TestFitProperties:
                 base.coefficients, fit(grid, samples, threads=threads).coefficients
             )
 
-    @pytest.mark.parametrize("threads", [0, -1, 1.5])
+    @pytest.mark.parametrize("threads", [0, -1, 1.5, True])
     def test_thread_count_must_be_a_positive_integer(self, threads):
         grid = TensorGrid((0.0,), (1.0,), (4,))
         with pytest.raises(ValueError, match="threads"):
@@ -730,3 +730,30 @@ class TestThreadedParts:
         ran.clear()
         estimator._in_parts(run, 9, estimator._THREAD_MIN_NODES - 1)  # below it: one part
         assert ran == [(0, 9)]
+
+    def test_a_process_forked_after_import_runs_one_part(self, monkeypatch):
+        # such a process, a study's worker say, owns a CPU of a pool already;
+        # the process that imported the module still starts a thread per extra CPU
+        monkeypatch.setattr(estimator, "_THREAD_MIN_NODES", 0)
+        with_cpus(monkeypatch, 3)
+        started = threads_started(monkeypatch)
+        ran = []
+
+        def run(a, b):
+            ran.append((a, b))
+
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child reports its parts and threads, and exits at once
+            try:
+                estimator._in_parts(run, 9, 0)
+                os.write(write, repr((ran, len(started))).encode())
+            finally:
+                os._exit(0)
+        os.close(write)
+        with os.fdopen(read) as report:
+            child = report.read()
+        assert os.waitpid(pid, 0)[1] == 0
+        assert child == repr(([(0, 9)], 0))
+        estimator._in_parts(run, 9, 0)
+        assert sorted(ran) == [(0, 3), (3, 6), (6, 9)] and len(started) == 2
