@@ -34,7 +34,7 @@ from .errors import (
     TooFewPointsError,
     UnsupportedOrderError,
 )
-from .grid import _CHUNK, TensorGrid, _whole, as_points, check_finite
+from .grid import _CHUNK, TensorGrid, _whole, check_finite
 from .sampling import DistributionSpec, check_seed, sample
 from .textio import _scan, write_text
 
@@ -89,8 +89,7 @@ def _rmse(reference_eval, approx_eval, samples, dim: int, reference_count=None) 
     the result has the bits of ``sqrt(mean(diff**2))`` over the whole array
     while one leaf's temporaries are held instead of the whole sample's.
     """
-    rows, reader = _scan(samples, functools.partial(as_points, dim=dim),
-                         "error metric needs at least one sample point")
+    rows, reader = _scan(samples, dim, "error metric needs at least one sample point")
     if reference_count is not None and reference_count <= rows:
         warnings.warn(
             "reference histogram was built from no more samples than the "
@@ -185,11 +184,6 @@ def coupling(rule: CouplingRule) -> tuple[int, float, int]:
 # -- support estimation ---------------------------------------------------------
 
 
-def _as_columns(samples) -> np.ndarray:
-    pts = np.asarray(samples, dtype=np.float64)
-    return pts.reshape(-1, 1) if pts.ndim == 1 else pts
-
-
 def estimate_support(samples) -> list[tuple[float, float]]:
     """Componentwise sample extremes, one (min, max) pair per axis.
 
@@ -200,7 +194,7 @@ def estimate_support(samples) -> list[tuple[float, float]]:
     scanned a block at a time. A NaN or infinite coordinate raises
     :class:`SampleOutOfDomainError` naming its row and axis.
     """
-    _, reader = _scan(samples, _as_columns, "support estimation needs samples")
+    _, reader = _scan(samples, None, "support estimation needs samples")
     bounds, start = None, 0
     for pts in reader.blocks():
         # a column at a time: reducing a strided column is several times faster

@@ -76,11 +76,7 @@ class KdeSpec:
         if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
             raise NonpositiveBandwidthError(
                 f"bandwidth must be finite and > 0, got {self.bandwidth}")
-        samples = np.asarray(self.samples, dtype=np.float64)
-        if samples.ndim == 1:
-            samples = samples.reshape(-1, 1)
-        if samples.ndim != 2:
-            raise ValueError(f"samples must be an (m, dim) array, got shape {samples.shape}")
+        samples = as_points(self.samples)
         if samples.shape[0] == 0:
             raise EmptySampleSetError("KDE needs at least one sample")
         check_finite(samples, as_samples=True)
@@ -103,7 +99,7 @@ def eval_kde(spec: KdeSpec, point) -> float:
     Each call visits every sample, the O(M) cost that motivates grid-based
     estimators in the first place.
     """
-    return float(eval_kde_batch(spec, as_point(point, spec.dim).reshape(1, -1))[0])
+    return float(eval_kde_batch(spec, as_point(point, spec.dim))[0])
 
 
 def eval_kde_batch(spec: KdeSpec, points) -> np.ndarray:

@@ -291,7 +291,8 @@ _KDE_KERNELS = ("triangular", "gaussian")  # baselines.KERNELS, named here witho
 
 def _parse_estimators(text: str) -> dict[str, tuple[str, float] | None]:
     """Each estimator's label, ``kde:B`` labelled ``kde:triangular:B``, and
-    its ``(kernel, bandwidth)`` if it is a KDE, else None."""
+    its ``(kernel, bandwidth)`` if it is a KDE, else None. A label's bandwidth
+    is ``B:g``, or ``repr(B)`` where that text reads back as another float."""
     wanted = {}
     for part in text.split(","):
         label, kde = part, None
@@ -306,7 +307,10 @@ def _parse_estimators(text: str) -> dict[str, tuple[str, float] | None]:
                 raise UsageError(f"bad kde bandwidth in {part!r}") from err
             if not (math.isfinite(bandwidth) and bandwidth > 0):
                 raise UsageError(f"kde bandwidth must be finite and > 0, got {bandwidth}")
-            label, kde = f"kde:{kernel}:{bandwidth:g}", (kernel, bandwidth)
+            text = f"{bandwidth:g}"
+            if float(text) != bandwidth:  # distinct bandwidths get distinct labels
+                text = repr(bandwidth)
+            label, kde = f"kde:{kernel}:{text}", (kernel, bandwidth)
         elif part not in ("fe", "histogram"):
             raise UsageError(f"unknown estimator {part!r} (fe | histogram | kde:B)")
         if label in wanted:  # its rows could not be told apart
@@ -317,8 +321,8 @@ def _parse_estimators(text: str) -> dict[str, tuple[str, float] | None]:
 
 def cmd_compare(args) -> int:
     # every flag but the per-axis --domain's length is checked before a file is read
-    ref_m = _parse_count(args.ref_m, "--ref-m") if args.ref_m else None
-    fit_m = _parse_count(args.m, "--m") if args.m else None
+    ref_m = None if args.ref_m is None else _parse_count(args.ref_m, "--ref-m")
+    fit_m = None if args.m is None else _parse_count(args.m, "--m")
     ref_n = _parse_count(args.ref_n_delta, "--ref-n-delta")
     coarse_n = _parse_count(args.n_delta, "--n-delta")
     wanted = _parse_estimators(args.estimators)

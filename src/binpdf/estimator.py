@@ -52,7 +52,7 @@ class _GridDensity:
 
     def evaluate(self, point) -> float:
         """Density value at a single point (exactly F_j at node j at degree 1)."""
-        return float(self.evaluate_batch(as_point(point, self.grid.dim).reshape(1, -1))[0])
+        return float(self.evaluate_batch(as_point(point, self.grid.dim))[0])
 
     def evaluate_batch(self, points) -> np.ndarray:
         """Elementwise :meth:`evaluate`, order preserving.
@@ -270,8 +270,7 @@ class Accumulator:
 def _fit(accumulator: type[Accumulator], grid: TensorGrid, samples) -> _GridDensity:
     """``accumulator(grid)`` fed ``samples``, an array or a :class:`TableReader`
     read a block at a time, and finalized; no samples raise first."""
-    _, reader = _scan(samples, lambda pts: as_points(pts, grid.dim),
-                      "cannot fit a density to zero samples")
+    _, reader = _scan(samples, grid.dim, "cannot fit a density to zero samples")
     fitted = accumulator(grid)
     for block in reader.blocks():
         fitted.add(block)

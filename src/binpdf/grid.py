@@ -46,16 +46,21 @@ _CHUNK = 1 << 14
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def as_points(points, dim: int) -> np.ndarray:
-    """Coerce input to a float64 array of shape (m, dim)."""
+def as_points(points, dim: int | None = None) -> np.ndarray:
+    """Coerce input to a float64 array of shape (m, dim), the one rule for what
+    counts as a set of points.
+
+    A 2-D array is m points of its width; a 1-D array is m points of one
+    coordinate, or, when it holds exactly ``dim`` > 1 values, one point. With
+    ``dim`` None the width is the array's own, at least 1. Any other shape, or
+    a width other than ``dim``, raises ``ValueError`` naming the shape.
+    """
     pts = np.asarray(points, dtype=np.float64)
+    shape = pts.shape
     if pts.ndim == 1:
-        if dim == 1:
-            pts = pts.reshape(-1, 1)
-        elif pts.shape[0] == dim:
-            pts = pts.reshape(1, dim)
-    if pts.ndim != 2 or pts.shape[1] != dim:
-        raise ValueError(f"expected points of dimension {dim}, got shape {pts.shape}")
+        pts = pts.reshape((1, dim) if dim != 1 and shape[0] == dim else (-1, 1))
+    if pts.ndim != 2 or pts.shape[1] != (dim or max(pts.shape[1], 1)):
+        raise ValueError(f"expected points of dimension {dim or '>= 1'}, got shape {shape}")
     return pts
 
 

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptySampleSetError
-from .grid import _CHUNK, _whole
+from .grid import _CHUNK, _whole, as_point, as_points
 from .textio import TableReader, open_twin, write_csv_with_twin
 
 
@@ -283,9 +283,7 @@ class DistributionSpec:
         return tuple(a.lo for a in self.axes), tuple(a.hi for a in self.axes)
 
     def pdf(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, self.dim)
+        pts = as_points(points, self.dim)
         out = np.ones(pts.shape[0])
         for n, axis in enumerate(self.axes):
             out *= axis.pdf(pts[:, n])
@@ -349,10 +347,7 @@ def sample(spec: DistributionSpec, m: int, seed: int) -> np.ndarray:
 
 def exact_pdf(spec: DistributionSpec, point) -> float:
     """Joint density at one point; zero outside the support box."""
-    p = np.asarray(point, dtype=np.float64).reshape(-1)
-    if p.shape[0] != spec.dim:
-        raise ValueError(f"expected a point of dimension {spec.dim}")
-    return float(spec.pdf(p.reshape(1, -1))[0])
+    return float(spec.pdf(as_point(point, spec.dim))[0])
 
 
 # -- sample CSV I/O ------------------------------------------------------------
@@ -376,9 +371,7 @@ def write_samples_csv(path, samples: np.ndarray, *, seed: int | None = None) -> 
     ``.NAME.npy``, which :func:`read_samples_csv` reads instead of parsing;
     either both files are new or neither is (see ``textio``).
     """
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim == 1:
-        samples = samples.reshape(-1, 1)
+    samples = as_points(samples)
     blocks = (samples[start : start + _CHUNK] for start in range(0, samples.shape[0], _CHUNK))
     _publish(path, samples.shape, blocks, seed)
 

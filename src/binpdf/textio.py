@@ -48,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BinPdfError, EmptySampleSetError
-from .grid import _CHUNK, TensorGrid
+from .grid import _CHUNK, TensorGrid, as_points
 
 # Values per formatting block, whatever the column count: a block's text and
 # temporaries take ~1.4 MB.
@@ -382,11 +382,14 @@ class TableReader:
         self.close()
 
 
-def _scan(samples, points, empty: str) -> tuple[int, TableReader]:
+def _scan(samples, dim: int | None, empty: str) -> tuple[int, TableReader]:
     """``(rows, reader)`` of ``samples``: a :class:`TableReader` itself, or
-    one over the array that ``points`` makes of them. No rows raise
-    :class:`EmptySampleSetError` with the message ``empty``."""
-    reader = samples if isinstance(samples, TableReader) else TableReader(points(samples))
+    one over ``as_points(samples, dim)``. A reader's width other than ``dim``
+    (when given) raises ``ValueError``, as :func:`as_points` does, and no rows
+    raise :class:`EmptySampleSetError` with the message ``empty``."""
+    reader = samples if isinstance(samples, TableReader) else TableReader(as_points(samples, dim))
+    if reader.shape[1] != (dim or reader.shape[1]):
+        raise ValueError(f"expected points of dimension {dim}, got shape {reader.shape}")
     if reader.shape[0] == 0:
         raise EmptySampleSetError(empty)
     return reader.shape[0], reader

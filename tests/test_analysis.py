@@ -4,11 +4,14 @@ import math
 import multiprocessing
 import os
 import signal
+import tempfile
 import threading
 import time
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +39,7 @@ from binpdf import (
     averaged_study,
     coupling,
     estimate_support,
+    exact_pdf,
     fit,
     fit_histogram,
     fit_rate,
@@ -49,6 +53,7 @@ from binpdf import (
 from binpdf import analysis, estimator
 from binpdf.grid import _CHUNK
 from binpdf.sampling import open_samples
+from binpdf.textio import TableReader
 from test_grid import edge_mesh
 
 TGAUSS = DistributionSpec((TruncatedGaussian(0.0, 1.0, -5.5, 5.5),))
@@ -734,6 +739,26 @@ class TestStudyOutput:
 # -- bad library input ---------------------------------------------------------------
 
 
+PLANE = DistributionSpec((Uniform(0.0, 1.0),) * 2)
+
+
+def _write_leaving_nothing(samples):
+    with tempfile.TemporaryDirectory() as folder:
+        try:
+            write_samples_csv(Path(folder) / "s.csv", samples)
+        finally:
+            assert os.listdir(folder) == []
+
+
+def _fit_building_no_accumulator(samples):
+    built = AssertionError("an Accumulator was built")
+    with mock.patch.object(estimator, "Accumulator", side_effect=built):
+        fit(TensorGrid((0.0,) * 2, (1.0,) * 2, (2, 2)), samples)
+
+
+ONE_RULE = "expected points of dimension >= 1, got shape "
+
+
 @pytest.mark.parametrize("call, error, match", [
     (lambda: TensorGrid((0.0,), (1.0,), (2.5,)), ValueError, "n_delta must be a whole"),
     (lambda: sample(TGAUSS, 2.5, 1), ValueError, "m must be a whole"),
@@ -758,12 +783,33 @@ class TestStudyOutput:
     (lambda: averaged_study(TGAUSS, FixedM(True), [2], [5]), ValueError, "m must be a whole"),
     (lambda: averaged_study(TGAUSS, FixedM(100), [np.True_], [5]), ValueError,
      "level must be a whole"),
+    (lambda: PLANE.pdf(np.zeros((2, 3))), ValueError,
+     r"expected points of dimension 2, got shape \(2, 3\)"),
+    (lambda: PLANE.pdf([0.1, 0.2, 0.3, 0.4]), ValueError,
+     r"expected points of dimension 2, got shape \(4,\)"),
+    (lambda: exact_pdf(PLANE, [0.5, 0.5, 0.5]), ValueError,
+     r"expected a point of dimension 2, got shape \(3,\)"),
+    (lambda: estimate_support(5.0), ValueError, ONE_RULE + r"\(\)"),
+    (lambda: estimate_support(np.zeros((2, 2, 2))), ValueError, ONE_RULE + r"\(2, 2, 2\)"),
+    (lambda: estimate_support(np.zeros((3, 0))), ValueError, ONE_RULE + r"\(3, 0\)"),
+    (lambda: KdeSpec("triangular", 1.0, 5.0), ValueError, ONE_RULE + r"\(\)"),
+    (lambda: KdeSpec("triangular", 1.0, np.zeros((2, 2, 2))), ValueError,
+     ONE_RULE + r"\(2, 2, 2\)"),
+    (lambda: _write_leaving_nothing(5.0), ValueError, ONE_RULE + r"\(\)"),
+    (lambda: _write_leaving_nothing(np.zeros((2, 2, 2))), ValueError,
+     ONE_RULE + r"\(2, 2, 2\)"),
+    (lambda: _fit_building_no_accumulator(TableReader(np.zeros((5, 3)))), ValueError,
+     r"expected points of dimension 2, got shape \(5, 3\)"),
 ], ids=["grid", "sample", "fixed-m", "fixed-delta", "level", "fixed-m-0", "grid-nan", "sample-inf",
         "seed", "kde-nan", "kde-inf", "grid-true", "grid-true-among-ints", "sample-true",
-        "seed-true", "fixed-m-true", "level-true"])
+        "seed-true", "fixed-m-true", "level-true", "pdf-extra-column", "pdf-flat-pairs",
+        "exact-pdf-extra-coordinate", "support-0d", "support-3d", "support-no-column", "kde-0d",
+        "kde-3d", "write-0d", "write-3d", "fit-reader-width"])
 def test_bad_library_input_raises_instead_of_changing_the_result(call, error, match):
     # truncated, 2.5 bins would build 2, and a NaN sample would make every KDE value NaN;
-    # a boolean is not a count, though numpy and Python take True for 1
+    # a boolean is not a count, though numpy and Python take True for 1; every set of
+    # points passes grid.as_points, whose one error names the shape it got, before a file
+    # is opened or a node array allocated, instead of being regrouped, cut or half-written
     with pytest.raises(error, match=match):
         call()
 

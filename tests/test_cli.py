@@ -397,6 +397,36 @@ class TestCompare:
         assert code == 2
         assert stderr.startswith("error:") and message in stderr
 
+    @pytest.mark.parametrize("flag", ["--m", "--ref-m"])
+    def test_an_empty_count_is_a_usage_error(self, tmp_path, capsys, monkeypatch, flag):
+        # an empty count once read as absent, and the run used the whole file
+        def no_read(*args):
+            raise AssertionError("read the samples before rejecting the flags")
+
+        monkeypatch.setattr("binpdf.cli._open_samples", no_read)
+        samples = tmp_path / "s.csv"
+        samples.write_text("0.1\n0.5\n0.9\n0.3\n")
+        out = tmp_path / "c.csv"
+        code, stdout, stderr = run(capsys, "compare", "--samples", str(samples),
+                                   "--ref-n-delta", "4", "--n-delta", "2", f"{flag}=",
+                                   "--out", str(out))
+        assert code == 2
+        assert stderr == f"error: {flag} must be a number, got ''\n" and stdout == ""
+        assert not out.exists()
+
+    def test_distinct_bandwidths_get_distinct_labels(self, tmp_path, capsys):
+        # six significant digits once gave both the label kde:triangular:0.123457
+        samples = tmp_path / "s.csv"
+        samples.write_text("0.1\n0.5\n0.9\n0.3\n")
+        out = tmp_path / "c.csv"
+        code, _, _ = run(capsys, "compare", "--samples", str(samples), "--ref-n-delta", "4",
+                         "--n-delta", "2", "--estimators", "kde:0.1234567,kde:0.1234568",
+                         "--out", str(out))
+        assert code == 0
+        labels = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+        assert [label.rsplit(":", 1)[0] for label in labels] == ["kde:triangular"] * 2
+        assert [float(label.rsplit(":", 1)[1]) for label in labels] == [0.1234567, 0.1234568]
+
 
 STUDY = ["study", "--dist", "uniform1d", "--mode", "coupled:2", "--k", "2..3"]
 
@@ -754,10 +784,13 @@ COMPARE_S = ["compare", "--samples", "s.csv", "--out", "c.csv"]
      2, ONLY_THE_PARSER, []),
     (["fit", "--samples", "s.csv", "--lower=0", "--upper=1", "--n-delta", "2.5",
       "--out", "p.csv"], 2, ONLY_THE_PARSER, []),
+    ([*COMPARE_S, "--ref-n-delta", "8", "--n-delta", "4", "--m="], 2, ONLY_THE_PARSER, []),
+    ([*COMPARE_S, "--ref-n-delta", "8", "--n-delta", "4", "--ref-m="], 2, ONLY_THE_PARSER, []),
 ], ids=["help", "fit-help", "sample-without-m", "threads-0", "out-names-no-file", "sample", "fit",
         "fit-support-auto", "study", "compare-n-delta", "compare-m", "compare-ref-m",
         "compare-ref-n-delta", "compare-repeated-estimator", "compare-kernel", "compare-domain",
-        "fit-support-conflict", "fit-without-lower", "fit-lower", "fit-n-delta"])
+        "fit-support-conflict", "fit-without-lower", "fit-lower", "fit-n-delta",
+        "compare-empty-m", "compare-empty-ref-m"])
 def test_each_command_loads_only_what_it_runs(tmp_path, run_fresh, argv, code, loaded, not_loaded):
     # a fresh interpreter per case: --help and usage errors that the parser or
     # main catches, and those of flags checked before a file is read, load no
