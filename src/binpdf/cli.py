@@ -31,12 +31,12 @@ import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import BinPdfError, SampleOutOfDomainError
+from .errors import BinPdfError
 
 # numpy and the library modules are imported by the commands that run them,
 # so that --help and usage errors caught by the parser load neither.
 if TYPE_CHECKING:
-    from . import analysis, sampling, textio
+    from . import analysis, sampling
     from .grid import TensorGrid
 
 _PRESETS = {
@@ -199,15 +199,6 @@ def _grid(bounds, n_delta) -> TensorGrid:
         raise UsageError(str(err)) from err
 
 
-def _open_samples(path: str) -> textio.TableReader:
-    from . import sampling
-
-    try:
-        return sampling.open_samples(path)
-    except ValueError as err:
-        raise BinPdfError(f"could not parse sample file {path}: {err}") from err
-
-
 def cmd_fit(args) -> int:
     if args.support == "auto":
         if args.lower is not None or args.upper is not None:
@@ -218,12 +209,12 @@ def cmd_fit(args) -> int:
         lower, upper = _values(args.lower, "--lower"), _values(args.upper, "--upper")
     n_delta = _values(args.n_delta, "--n-delta",
                       convert=functools.partial(_parse_count, what="--n-delta"))
-    from . import estimator, textio
+    from . import estimator, sampling, textio
 
     out = Path(args.out)
     if textio.sidecar_path(out) == out:
         raise UsageError(f"--out {out} would be overwritten by its .json sidecar")
-    with _open_samples(args.samples) as rows:
+    with sampling.open_samples(args.samples) as rows:
         dim = rows.shape[1]
         if args.support == "auto":
             from . import analysis
@@ -255,11 +246,9 @@ def cmd_study(args) -> int:
     spec = _parse_dist(args.dist)
     mode = _parse_mode(args)
     levels = _parse_levels(args.k)
-    try:  # --seed and --seeds exclude each other; a study of neither uses seed 0
-        seeds = ([0 if args.seed is None else args.seed] if args.seeds is None
-                 else [int(s) for s in args.seeds.split(",")])
-    except ValueError as err:
-        raise UsageError(f"bad --seeds {args.seeds!r}") from err
+    # --seed and --seeds exclude each other; a study of neither uses seed 0
+    seeds = ([0 if args.seed is None else args.seed] if args.seeds is None
+             else _values(args.seeds, "--seeds", convert=int))
 
     if args.support == "auto":
         if args.domain is not None:
@@ -328,12 +317,12 @@ def cmd_compare(args) -> int:
     wanted = _parse_estimators(args.estimators)
     domain = None if args.domain is None else _values(args.domain, "--domain", sep=";",
                                                       convert=_pair)
-    from . import analysis, baselines, estimator, textio
+    from . import analysis, baselines, estimator, sampling, textio
 
     with contextlib.ExitStack() as stack:
-        samples = stack.enter_context(_open_samples(args.samples))
-        ref_samples = (stack.enter_context(_open_samples(args.ref_samples))
-                       if args.ref_samples else samples)
+        samples = stack.enter_context(sampling.open_samples(args.samples))
+        ref_samples = (samples if args.ref_samples is None
+                       else stack.enter_context(sampling.open_samples(args.ref_samples)))
         dim = samples.shape[1]
         if ref_samples.shape[1] != dim:
             raise UsageError(f"--samples {args.samples} has dimension {dim} but --ref-samples "
@@ -441,9 +430,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return int(err.code or 0)
-    if getattr(args, "threads", 1) < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
     import signal
 
     # SIGTERM unwinds like an error: temporary files are removed and a
@@ -463,22 +449,23 @@ def _warning_line(message, category, filename, lineno, file=None, line=None):
 
 
 def _run(args) -> int:
-    """Run the parsed command; errors become one ``error:`` line and an exit
-    code, and each warning shown becomes one ``warning:`` line."""
+    """Check the flags every command shares (``--threads`` >= 1, each path
+    flag names a file) before anything is read or drawn, then run the parsed
+    command; each error, worded where it is raised, becomes one ``error:``
+    line and its type's exit code, and each warning one ``warning:`` line."""
     with warnings.catch_warnings():  # restores showwarning on return
         warnings.showwarning = _warning_line
         try:
-            if not Path(args.out).name:  # checked before anything is read or drawn
-                raise UsageError(f"--out {args.out!r} does not name a file")
+            if getattr(args, "threads", 1) < 1:
+                raise UsageError("--threads must be >= 1")
+            for flag in ("--out", "--samples", "--ref-samples"):
+                path = getattr(args, flag[2:].replace("-", "_"), None)
+                if path is not None and not Path(path).name:
+                    raise UsageError(f"{flag} {path!r} does not name a file")
             return args.func(args)
         except UsageError as err:
             print(f"error: {err}", file=sys.stderr)
             return 2
-        except SampleOutOfDomainError as err:
-            where = "outside the grid domain" if math.isfinite(err.value) else "not finite"
-            print(f"error: sample row {err.index}: coordinate {err.value!r} on axis "
-                  f"{err.axis} is {where}", file=sys.stderr)
-            return 1
         except (BinPdfError, OSError) as err:
             print(f"error: {err}", file=sys.stderr)
             return 1

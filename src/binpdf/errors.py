@@ -4,6 +4,8 @@ Each pickles to an equal exception (type, message and attributes), so an
 error raised in a study's worker process reaches the caller unchanged.
 """
 
+import math
+
 
 class BinPdfError(Exception):
     """Base class for all errors raised by this package."""
@@ -26,10 +28,12 @@ class OutOfDomainError(BinPdfError):
 
 
 class SampleOutOfDomainError(OutOfDomainError):
-    """A sample passed to a fit lies outside the grid's box domain."""
+    """A sample passed to a fit lies outside the grid's box domain, or is not finite."""
 
     def __init__(self, index: int, axis: int, value: float):
         super().__init__(axis, value, index=index)
+        where = "outside the grid domain" if math.isfinite(value) else "not finite"
+        self.args = (f"sample row {index}: coordinate {value!r} on axis {axis} is {where}",)
 
     def __reduce__(self):
         return type(self), (self.index, self.axis, self.value)

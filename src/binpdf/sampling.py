@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptySampleSetError
+from .errors import BinPdfError, EmptySampleSetError
 from .grid import _CHUNK, _whole, as_point, as_points
 from .textio import TableReader, open_twin, write_csv_with_twin
 
@@ -388,7 +388,10 @@ def draw_samples_csv(path, spec: DistributionSpec, m: int, seed: int) -> None:
 def _parse(path) -> np.ndarray:
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        return np.loadtxt(Path(path), delimiter=",", comments="#", ndmin=2)
+        try:
+            return np.loadtxt(Path(path), delimiter=",", comments="#", ndmin=2)
+        except ValueError as err:  # a token that is no number, or a ragged row
+            raise BinPdfError(f"could not parse sample file {path}: {err}") from err
 
 
 def open_samples(path) -> TableReader:
@@ -397,8 +400,10 @@ def open_samples(path) -> TableReader:
     When the file's twin holds the digest of its bytes (the file is hashed
     once, here), the reader reads the twin a block at a time, bit for bit
     what parsing gives; otherwise the whole file is parsed now. Raises
-    :class:`EmptySampleSetError` naming the file when it holds no sample
-    rows (empty or header only).
+    :class:`BinPdfError` naming the file when it cannot be parsed (a token
+    that is no number, rows of different lengths), and
+    :class:`EmptySampleSetError` naming it when it holds no sample rows
+    (empty or header only).
     """
     reader = open_twin(path)
     if reader is None:

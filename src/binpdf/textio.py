@@ -398,16 +398,17 @@ def _scan(samples, dim: int | None, empty: str) -> tuple[int, TableReader]:
 def open_twin(path) -> TableReader | None:
     """A reader of the twin of the CSV at ``path``, or None.
 
-    None when there is no twin, when its digest does not match the CSV's
-    bytes (the CSV was edited or replaced, or the twin belongs to another
-    file), or when its payload is not exactly the C-ordered 2-D float64
-    table its ``.npy`` header describes (a truncated twin, or not a twin at
-    all); the sizes are compared before a row is read. Never raises: the
-    caller then parses the CSV. The CSV is hashed once, here.
+    None when there is no twin (a path without a name, such as ``""``, has
+    none), when its digest does not match the CSV's bytes (the CSV was
+    edited or replaced, or the twin belongs to another file), or when its
+    payload is not exactly the C-ordered 2-D float64 table its ``.npy``
+    header describes (a truncated twin, or not a twin at all); the sizes are
+    compared before a row is read. Never raises: the caller then parses the
+    CSV. The CSV is hashed once, here.
     """
     try:
         twin = open(_twin_path(path), "rb")
-    except OSError:
+    except (OSError, ValueError):  # ValueError: the path has no name
         return None
     try:
         if twin.read(32) == _sha256(path) and np.lib.format.read_magic(twin) == (1, 0):

@@ -773,9 +773,9 @@ ONE_RULE = "expected points of dimension >= 1, got shape "
     (lambda: sample(TGAUSS, math.inf, 1), ValueError, "m must be a whole"),
     (lambda: sample(TGAUSS, 10, 2.5), ValueError, "seed must be a whole"),
     (lambda: KdeSpec("gaussian", 1.0, [[0.0, 1.0], [0.5, math.nan]]), SampleOutOfDomainError,
-     "point 1, coordinate nan on axis 1"),
+     "sample row 1: coordinate nan on axis 1 is not finite"),
     (lambda: KdeSpec("triangular", 1.0, [0.0, -math.inf]), SampleOutOfDomainError,
-     "point 1, coordinate -inf on axis 0"),
+     "sample row 1: coordinate -inf on axis 0 is not finite"),
     (lambda: TensorGrid((0.0,), (1.0,), (True,)), ValueError, "n_delta must be a whole"),
     (lambda: TensorGrid((0.0,) * 2, (1.0,) * 2, (True, 3)), ValueError, "n_delta must be a whole"),
     (lambda: sample(TGAUSS, True, 3), ValueError, "m must be a whole"),

@@ -403,7 +403,7 @@ class TestCompare:
         def no_read(*args):
             raise AssertionError("read the samples before rejecting the flags")
 
-        monkeypatch.setattr("binpdf.cli._open_samples", no_read)
+        monkeypatch.setattr("binpdf.sampling.open_samples", no_read)
         samples = tmp_path / "s.csv"
         samples.write_text("0.1\n0.5\n0.9\n0.3\n")
         out = tmp_path / "c.csv"
@@ -604,6 +604,27 @@ def test_out_without_a_file_name_is_usage_error(tmp_path, capsys, monkeypatch, a
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["fit", "--samples=", "--support", "auto", "--n-delta", "4"], "--samples"),
+    (["compare", "--samples=", "--ref-n-delta", "4", "--n-delta", "2"], "--samples"),
+    (["compare", "--samples", "s.csv", "--ref-samples=", "--ref-n-delta", "4", "--n-delta", "2"],
+     "--ref-samples"),
+], ids=["fit", "compare", "compare-ref"])
+def test_an_empty_sample_path_is_usage_error(tmp_path, capsys, monkeypatch, argv, flag):
+    # an empty --ref-samples once read as absent, so the reference was built from
+    # --samples itself, and an empty --samples was a data error quoting pathlib's repr
+    def no_read(*args):
+        raise AssertionError("read the samples before rejecting the flags")
+
+    monkeypatch.setattr("binpdf.sampling.open_samples", no_read)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.csv").write_text("0.1\n0.5\n0.9\n0.3\n")
+    code, stdout, stderr = run(capsys, *argv, "--out", "o.csv")
+    assert code == 2
+    assert stderr == f"error: {flag} '' does not name a file\n" and stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv"]
+
+
 @pytest.mark.parametrize("argv", [
     ["sample", "--dist", "tgauss:0,1,40,41", "--m", "10"],
     ["study", "--dist", "laplace:0,1,800,801", "--mode", "coupled:2", "--k", "2..3"],
@@ -786,11 +807,18 @@ COMPARE_S = ["compare", "--samples", "s.csv", "--out", "c.csv"]
       "--out", "p.csv"], 2, ONLY_THE_PARSER, []),
     ([*COMPARE_S, "--ref-n-delta", "8", "--n-delta", "4", "--m="], 2, ONLY_THE_PARSER, []),
     ([*COMPARE_S, "--ref-n-delta", "8", "--n-delta", "4", "--ref-m="], 2, ONLY_THE_PARSER, []),
+    (["fit", "--samples=", "--lower=0", "--upper=1", "--n-delta", "4", "--out", "p.csv"], 2,
+     ONLY_THE_PARSER, []),
+    (["compare", "--samples=", "--ref-n-delta", "8", "--n-delta", "4", "--out", "c.csv"], 2,
+     ONLY_THE_PARSER, []),
+    ([*COMPARE_S, "--ref-samples=", "--ref-n-delta", "8", "--n-delta", "4"], 2,
+     ONLY_THE_PARSER, []),
 ], ids=["help", "fit-help", "sample-without-m", "threads-0", "out-names-no-file", "sample", "fit",
         "fit-support-auto", "study", "compare-n-delta", "compare-m", "compare-ref-m",
         "compare-ref-n-delta", "compare-repeated-estimator", "compare-kernel", "compare-domain",
         "fit-support-conflict", "fit-without-lower", "fit-lower", "fit-n-delta",
-        "compare-empty-m", "compare-empty-ref-m"])
+        "compare-empty-m", "compare-empty-ref-m", "fit-empty-samples", "compare-empty-samples",
+        "compare-empty-ref-samples"])
 def test_each_command_loads_only_what_it_runs(tmp_path, run_fresh, argv, code, loaded, not_loaded):
     # a fresh interpreter per case: --help and usage errors that the parser or
     # main catches, and those of flags checked before a file is read, load no

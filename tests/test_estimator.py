@@ -465,6 +465,18 @@ class TestNonFiniteInput:
             fit(grid, [(0.5, 0.5), (0.25, value)])
         assert (err.value.index, err.value.axis) == (1, 1)
 
+    @pytest.mark.parametrize("value, where", [(math.nan, "not finite"),
+                                              (1.5, "outside the grid domain")],
+                             ids=["nan", "outside"])
+    @pytest.mark.parametrize("feed", [fit, lambda grid, pts: Accumulator(grid).add(pts)],
+                             ids=["fit", "add"])
+    def test_the_error_words_itself_as_the_cli_prints_it(self, feed, value, where):
+        # the CLI once reworded the library's "point 1, coordinate ... outside the domain"
+        grid = TensorGrid((0.0, 0.0), (1.0, 1.0), (2, 2))
+        with pytest.raises(SampleOutOfDomainError) as err:
+            feed(grid, [(0.5, 0.5), (0.25, value)])
+        assert str(err.value) == f"sample row 1: coordinate {value!r} on axis 1 is {where}"
+
     @pytest.mark.parametrize("value", NON_FINITE)
     def test_evaluate_rejects(self, value):
         pdf = fit(TensorGrid((0.0,), (1.0,), (2,)), [0.5])

@@ -12,6 +12,7 @@ from scipy.special import ndtri
 from scipy.stats import kstest, truncnorm
 
 from binpdf import (
+    BinPdfError,
     DistributionSpec,
     EmptySampleSetError,
     TruncatedGaussian,
@@ -333,6 +334,28 @@ class TestCsvRoundTrip:
             warnings.simplefilter("error")
             with pytest.raises(EmptySampleSetError, match="empty.csv"):
                 read_samples_csv(path)
+
+    @pytest.mark.parametrize("read", [read_samples_csv, sampling.open_samples])
+    @pytest.mark.parametrize("text, cause", [
+        ("0.1,0.2\nabc,0.4\n", "could not convert string 'abc'"),
+        ("0.1,0.2\n0.3\n", "the number of columns changed from 2 to 1"),
+    ], ids=["token", "ragged"])
+    def test_unparsable_file_raises_naming_it(self, tmp_path, read, text, cause):
+        # numpy's untyped ValueError once reached the caller without the file's name
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(BinPdfError) as err:
+            read(path)
+        assert str(err.value).startswith(f"could not parse sample file {path}: {cause}")
+
+    @pytest.mark.parametrize("read", [read_samples_csv, sampling.open_samples])
+    def test_a_path_without_a_name_is_read_as_the_directory_it_names(self, tmp_path,
+                                                                      monkeypatch, read):
+        # "" has no twin; naming its twin once raised pathlib's
+        # "ValueError: PosixPath('.') has an empty name"
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(IsADirectoryError):
+            read("")
 
     def test_1d_column_shape(self, tmp_path):
         pts = sample(UNIFORM, 100, 1)
